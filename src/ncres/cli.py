@@ -4,7 +4,8 @@ Two subcommands: resolve (run the resolution pipeline on a JSON
 presentation, optionally cross-checked against the monomial oracle) and
 check (run the instance-level invariant suite).  Exit codes: 0 success,
 1 parse or validation failure, 2 oracle mismatch, 3 truncated result
-under --require-certified.
+under --require-certified, 4 internal invariant violated, 5 resource
+limit hit.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .freealg import ModulePresentation, validate_presentation
 from .jsonio import InputError, parse_input, render_json, resolution_document
 from .monores import MonomialModule, in_ideal, monomial_ideal, \
     monomial_resolution
-from .resolver import (Resolution, ResolutionRequest, betti_summary,
-                       render_betti_text, resolve)
+from .resolver import (Resolution, ResolutionRequest, ResourceLimit,
+                       betti_summary, render_betti_text, resolve)
 
 
 def _read_source(path: str) -> str:
@@ -152,6 +153,13 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ResourceLimit as exc:
+        print(f"error: resource limit: {exc}", file=sys.stderr)
+        return 5
+    except (AssertionError, RuntimeError) as exc:
+        print(f"error: internal invariant violated: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     t_resolve = time.perf_counter() - t1
     oracle = None
     t_oracle = 0.0

@@ -11,6 +11,18 @@ cap are discarded, which for homogeneous input yields a truncated basis
 that is complete through the cap degree.  Pair pruning is only used here,
 in the plain ring setting; the syzygy routines (see syzygy.py) must keep
 every pair because pruned pairs carry generators of the syzygy module.
+
+Cost model of RingGB's pair bookkeeping.  A new element forms one
+candidate pair with each earlier one.  Candidates whose lcm degree
+exceeds the cap are dropped first: such an lcm could only dominate lcms
+of its own degree or higher, so the M, F and B criteria give the same
+survivors without them.  The M criterion compares a candidate only with
+the surviving lcms of lower degree.  A mask test (mono_mask, necessary
+for divisibility even when variable indices alias modulo 64) gates every
+mono_div of the criteria.  The chain criterion walks only the pending
+pairs: a pair leaves the pending table when it is processed or
+cancelled, and a heap entry is live exactly while its key is pending.
+Interreduction reduces each tail once, in ascending lead order.
 """
 
 from __future__ import annotations
@@ -137,65 +149,8 @@ def mono_mask(m: Mono) -> int:
     return mask
 
 
-def poly_lead(p: Poly) -> Mono:
-    return max(p, key=mono_key)
-
-
 def poly_items_sorted(p: Poly):
     return sorted(p.items(), key=lambda t: mono_key(t[0]), reverse=True)
-
-
-class ReducerStore:
-    """Reducers bucketed by the smallest variable of their lead, with a
-    bitmask pre-filter.  Each entry is (lead, mask, terms) where terms is
-    the descending term list of a monic polynomial, lead first."""
-
-    __slots__ = ("buckets",)
-
-    def __init__(self):
-        self.buckets: Dict[int, list] = {}
-
-    def add(self, lead: Mono, terms) -> None:
-        key = lead[0][0] if lead else -1
-        self.buckets.setdefault(key, []).append((lead, mono_mask(lead), terms))
-
-    def find(self, m: Mono, mmask: int):
-        unit = self.buckets.get(-1)
-        if unit:
-            return (), unit[0][2]
-        for v, _ in m:
-            lst = self.buckets.get(v)
-            if lst is None:
-                continue
-            for lead, mask, terms in lst:
-                if mask & mmask == mask:
-                    q = mono_div(m, lead)
-                    if q is not None:
-                        return q, terms
-        return None
-
-
-def _nf(field, p: Poly, store: ReducerStore) -> Poly:
-    sub, mul = field.sub, field.mul
-    zero = field.zero
-    work = dict(p)
-    out: Poly = {}
-    while work:
-        m = max(work, key=mono_key)
-        c = work.pop(m)
-        hit = store.find(m, mono_mask(m))
-        if hit is None:
-            out[m] = c
-            continue
-        q, terms = hit
-        for tm, tc in terms[1:]:
-            key = mono_mul(tm, q) if q else tm
-            s = sub(work.get(key, zero), mul(c, tc))
-            if s == zero:
-                work.pop(key, None)
-            else:
-                work[key] = s
-    return out
 
 
 def _monic_terms(field, p: Poly):
@@ -229,10 +184,11 @@ class RingGB:
         self.cap = cap
         self.track = track_transformation
         self.elements: List[tuple] = []  # (lead, terms, cof)
-        self.store = ReducerStore()
+        # reducers bucketed by the smallest variable of their lead (-1 for
+        # the unit), each (lead, mask, (terms, cof))
+        self.buckets: Dict[int, list] = {}
         self._pairs: list = []
-        self._cancelled = set()
-        self._lcms: Dict[Tuple[int, int], Mono] = {}
+        self._lcms: Dict[Tuple[int, int], Tuple[Mono, int]] = {}  # pending
         for idx, g in enumerate(gens):
             if not g:
                 continue
@@ -281,7 +237,7 @@ class RingGB:
     def _find(self, m: Mono):
         mmask = mono_mask(m)
         for v, _ in m:
-            lst = self.store.buckets.get(v)
+            lst = self.buckets.get(v)
             if lst is None:
                 continue
             for lead, mask, payload in lst:
@@ -290,7 +246,7 @@ class RingGB:
                     if q is not None:
                         terms, rcof = payload
                         return q, terms, rcof
-        unit = self.store.buckets.get(-1)
+        unit = self.buckets.get(-1)
         if unit:
             terms, rcof = unit[0][2]
             return (), terms, rcof
@@ -308,56 +264,56 @@ class RingGB:
                 mul = self.field.mul
                 cof = {i: {m: mul(inv, c) for m, c in cp.items()}
                        for i, cp in cof.items()}
-        t = len(self.elements)
-        self._update_pairs(t, lead)
+        self._update_pairs(len(self.elements), lead)
+        self._install(lead, terms, cof)
+
+    def _install(self, lead: Mono, terms, cof) -> None:
         self.elements.append((lead, terms, cof))
         key = lead[0][0] if lead else -1
-        self.store.buckets.setdefault(key, []).append(
+        self.buckets.setdefault(key, []).append(
             (lead, mono_mask(lead), (terms, cof)))
 
     def _update_pairs(self, t: int, lead_t: Mono) -> None:
         """Gebauer-Moeller update: M, F and B criteria on the new pairs,
-        chain criterion on the old ones."""
+        chain criterion on the pending ones."""
+        lcms = [mono_lcm(lead_i, lead_t) for lead_i, _, _ in self.elements]
+        cap = self.cap
         cand = []
-        for i, (lead_i, _, _) in enumerate(self.elements):
-            l = mono_lcm(lead_i, lead_t)
-            cand.append([l, mono_deg(l), i, True])
-        # M: drop a pair whose lcm is a proper multiple of another's
-        for a in cand:
-            la = a[0]
-            for b in cand:
-                if b is a or not b[3]:
-                    continue
-                if b[1] <= a[1] and la != b[0] and mono_div(la, b[0]) is not None:
-                    a[3] = False
-                    break
-        # F: among equal lcms keep the first
-        seen = {}
-        for a in cand:
-            if not a[3]:
+        for i, l in enumerate(lcms):
+            deg = mono_deg(l)
+            if cap is None or deg <= cap:
+                cand.append((deg, i, l, mono_mask(l)))
+        cand.sort()  # by degree, then index; indices are distinct
+        # F: among equal lcms keep the first.  M: drop a pair whose lcm is
+        # a proper multiple of another's; a proper divisor has lower degree,
+        # and so has a minimal one.  B: coprime leads reduce to zero anyway.
+        seen = set()
+        lower: list = []  # M survivors of lower degree than the current
+        level: list = []  # M survivors of the current degree
+        new = []
+        for deg, i, l, mask in cand:
+            if l in seen:
                 continue
-            if a[0] in seen:
-                a[3] = False
-            else:
-                seen[a[0]] = a
-        # B: coprime leads reduce to zero anyway
-        for a in cand:
-            if a[3] and mono_coprime(self.elements[a[2]][0], lead_t):
-                a[3] = False
-        # chain criterion on existing pairs
-        for (i, j), l in list(self._lcms.items()):
-            if (i, j) in self._cancelled:
+            if level and level[0][0] < deg:
+                lower.extend(level)
+                level = []
+            if any(m & mask == m and mono_div(l, lm) is not None
+                   for _, lm, m in lower):
                 continue
-            if mono_div(l, lead_t) is not None:
-                if mono_lcm(self.elements[i][0], lead_t) != l and \
-                        mono_lcm(self.elements[j][0], lead_t) != l:
-                    self._cancelled.add((i, j))
-        for l, deg, i, keep in cand:
-            if not keep:
-                continue
-            if self.cap is not None and deg > self.cap:
-                continue
-            self._lcms[(i, t)] = l
+            seen.add(l)
+            level.append((deg, l, mask))
+            if not mono_coprime(self.elements[i][0], lead_t):
+                new.append((deg, l, i, mask))
+        # chain criterion on the pending pairs
+        tmask = mono_mask(lead_t)
+        lcms_pending = self._lcms
+        dead = [ij for ij, (l, mask) in lcms_pending.items()
+                if tmask & mask == tmask and mono_div(l, lead_t) is not None
+                and lcms[ij[0]] != l and lcms[ij[1]] != l]
+        for ij in dead:
+            del lcms_pending[ij]
+        for deg, l, i, mask in new:
+            lcms_pending[(i, t)] = (l, mask)
             heapq.heappush(self._pairs, (deg, l, i, t))
 
     def _run(self) -> None:
@@ -366,7 +322,7 @@ class RingGB:
         zero = field.zero
         while self._pairs:
             deg, l, i, j = heapq.heappop(self._pairs)
-            if (i, j) in self._cancelled:
+            if self._lcms.pop((i, j), None) is None:
                 continue
             lead_i, terms_i, cof_i = self.elements[i]
             lead_j, terms_j, cof_j = self.elements[j]
@@ -400,39 +356,25 @@ class RingGB:
             self._insert(spoly, cof)
 
     def _interreduce(self) -> None:
-        """Shrink to the unique (truncated) reduced basis."""
-        field = self.field
-        entries = [(lead, dict(terms), cof)
-                   for lead, terms, cof in self.elements]
-        # minimal leads: drop anything whose lead another lead divides
-        keep: List[tuple] = []
-        for lead, p, cof in sorted(entries, key=lambda e: mono_key(e[0])):
-            if any(mono_div(lead, k[0]) is not None for k in keep):
-                continue
-            keep.append((lead, p, cof))
-        changed = True
-        while changed:
-            changed = False
-            for idx in range(len(keep)):
-                lead, p, cof = keep[idx]
-                store = ReducerStore()
-                for k, (l2, p2, _) in enumerate(keep):
-                    if k != idx:
-                        store.add(l2, poly_items_sorted(p2))
-                q = _nf(field, p, store)
-                if q != p:
-                    changed = True
-                    # tracking through interreduction is not kept exact;
-                    # recompute below when needed
-                    keep[idx] = (poly_lead(q), q, cof)
+        """Shrink to the unique (truncated) reduced basis.
+
+        Under a degree-compatible order a tail term, and everything it
+        reduces to, is smaller than its own lead, so only elements with
+        smaller leads ever act on it: one pass in ascending lead order,
+        each element installed after its tail is reduced, is final.
+        Cofactors are not rewritten (see _recover_transformation)."""
+        minimal: List[tuple] = []
+        for lead, terms, cof in sorted(self.elements,
+                                       key=lambda e: mono_key(e[0])):
+            mask = mono_mask(lead)
+            if not any(m & mask == m and mono_div(lead, k) is not None
+                       for k, m, _, _ in minimal):
+                minimal.append((lead, mask, terms, cof))
         self.elements = []
-        self.store = ReducerStore()
-        for lead, p, cof in sorted(keep, key=lambda e: mono_key(e[0])):
-            lead2, terms = _monic_terms(field, p)
-            self.elements.append((lead2, terms, cof))
-            key = lead2[0][0] if lead2 else -1
-            self.store.buckets.setdefault(key, []).append(
-                (lead2, mono_mask(lead2), (terms, cof)))
+        self.buckets = {}
+        for lead, _, terms, cof in minimal:
+            tail = self._reduce_full(dict(terms[1:]), None)
+            self._install(lead, [terms[0]] + poly_items_sorted(tail), cof)
 
     # -- queries ---------------------------------------------------------
 
@@ -482,9 +424,9 @@ def normal_form(field, f: Poly, basis: Sequence[Poly]) -> Poly:
     Unique when basis is a Groebner basis; otherwise some normal form with
     the divisibility and membership postconditions.
     """
-    store = ReducerStore()
+    gb = RingGB(field, ())
     for p in basis:
         if p:
             lead, terms = _monic_terms(field, p)
-            store.add(lead, terms)
-    return _nf(field, f, store)
+            gb._install(lead, terms, None)
+    return gb.normal_form(f)

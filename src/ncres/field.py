@@ -87,8 +87,40 @@ def rationals() -> Field:
                  _ratio, from_ratio, _ratio_str)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the prime bases up to 41 is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+MAX_MODULUS = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 0 <= n < MAX_MODULUS."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def prime_field(p: int) -> Field:
-    if p < 2 or any(p % q == 0 for q in range(2, min(p, 1 + int(p ** 0.5) + 1))):
+    if p >= MAX_MODULUS:
+        raise ValueError(f"modulus must be below {MAX_MODULUS}")
+    if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
 
     def add(a, b):

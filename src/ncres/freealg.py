@@ -180,17 +180,3 @@ def validate_presentation(obj) -> List[str]:
             issues.append(f"relation {k + 1} has degree {d} < 2")
     return issues
 
-
-def parse_word(alg: AlgebraPresentation, text: str) -> Word:
-    """Parse 'x*y*x' (or '1' for the empty word) against the alphabet."""
-    text = text.strip()
-    if text in ("", "1"):
-        return ()
-    index = {name: i for i, name in enumerate(alg.names)}
-    out = []
-    for part in text.split("*"):
-        part = part.strip()
-        if part not in index:
-            raise ValueError(f"unknown letter {part!r}")
-        out.append(index[part])
-    return tuple(out)

@@ -112,7 +112,8 @@ def monomial_syzygy_step(ideal: MonomialIdeal,
     degs: List[int] = []
     for j, w in enumerate(words):
         for u in annihilator_gens(ideal, w):
-            assert len(u) <= d - 1, "colon generator beats the degree bound"
+            if len(u) > d - 1:
+                raise AssertionError("colon generator beats the degree bound")
             out.append((j, u))
             degs.append(degrees[j] + len(u))
     return out, degs
@@ -150,7 +151,8 @@ def monomial_resolution(ideal: MonomialIdeal, module: MonomialModule,
             break
         level = step + 1
         bound = monomial_degree_bound(base, d_rel, level)
-        assert max(degs) <= bound, "level degree beats the global bound"
+        if max(degs) > bound:
+            raise AssertionError("level degree beats the global bound")
         for dg in degs:
             key = (level, dg - level)
             entries[key] = entries.get(key, 0) + 1

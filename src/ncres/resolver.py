@@ -38,6 +38,10 @@ from .syzygy import (ModuleGB, elem_sdeg, minimalize_graded,
 STAIR_GUARD = 10_000
 
 
+class ResourceLimit(RuntimeError):
+    """The instance needs more than a fixed size guard allows."""
+
+
 def monomial_degree_bound(max_gen_degree: int, max_rel_degree: int,
                           index: int) -> int:
     """Largest degree where level-`index` syzygy generators can live over
@@ -158,7 +162,7 @@ def _stair_frame(enc: _StepEncoding, degree: int) -> List[Tuple[int, tuple]]:
             continue
         total += enc.n_base ** k
         if total > STAIR_GUARD:
-            raise RuntimeError(
+            raise ResourceLimit(
                 f"stair frame beyond {STAIR_GUARD} columns at degree "
                 f"{degree}; this instance is out of desk scale")
         for u in itertools.product(range(enc.n_base), repeat=k):

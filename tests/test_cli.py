@@ -6,7 +6,8 @@ import json
 import pytest
 
 import ncres.cli as cli
-from ncres.resolver import BettiTable
+from ncres.resolver import BettiTable, ResourceLimit
+from ncres.syzygy import PreferredRedundant
 
 
 SQUARE = json.dumps({
@@ -130,6 +131,34 @@ def test_oracle_mismatch_exits_2(tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert doc["oracle"]["match"] is False
     assert any(row["oracle"] == 99 for row in doc["oracle"]["diff"])
+
+
+def test_internal_invariant_violation_exits_4(tmp_path, capsys,
+                                             monkeypatch):
+    def broken(req):
+        raise PreferredRedundant("preferred generator 0 is redundant")
+
+    monkeypatch.setattr(cli, "resolve", broken)
+    rc = cli.main(["resolve", write(tmp_path, SQUARE)])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal invariant violated")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_resource_limit_exits_5(tmp_path, capsys, monkeypatch):
+    def too_big(req):
+        raise ResourceLimit("stair frame beyond 10000 columns at degree 9")
+
+    monkeypatch.setattr(cli, "resolve", too_big)
+    rc = cli.main(["resolve", write(tmp_path, SQUARE)])
+    captured = capsys.readouterr()
+    assert rc == 5
+    assert captured.out == ""
+    assert captured.err == ("error: resource limit: stair frame beyond "
+                            "10000 columns at degree 9\n")
 
 
 def test_timings_populated_only_on_request(tmp_path, capsys):

@@ -4,9 +4,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncres.engine import (mono_deg, mono_div, mono_key, mono_lcm, mono_mul,
-                          normal_form, reduced_groebner)
+from helpers import nilpotent_enveloping, random_presentation
+from ncres.engine import (RingGB, mono_deg, mono_div, mono_key, mono_lcm,
+                          mono_mul, normal_form, reduced_groebner)
 from ncres.field import rationals
+from ncres.homog import extend_algebra
+from ncres.letterplace import PlaceWindow, letterplace_ideal_gens
 from ncres.linalg import rank
 
 F = rationals()
@@ -258,3 +261,40 @@ def test_truncation_agrees_below_cap():
             if mono_deg(max(p, key=mono_key)) <= 5]
     canon = lambda ps: sorted(sorted(p.items()) for p in ps)
     assert canon(trunc.elements) == canon(want)
+
+
+def _letterplace_basis(alg, width, order=None):
+    gens = letterplace_ideal_gens(PlaceWindow(alg.names, width), alg)
+    if order is not None:
+        gens = [gens[k] for k in order]
+    return gens, RingGB(alg.field, gens, cap=width)
+
+
+def test_letterplace_bases_are_truncated_groebner_bases():
+    """The pair criteria may only drop pairs that are redundant: on
+    letterplace ideals, with and without the relation-free reserved
+    letter, the result reduces every input and every S-polynomial through
+    the cap, and does not depend on the order of the generators."""
+    rng = random.Random(2)
+    for trial in range(20):
+        base = random_presentation(rng)
+        for alg, width in itertools.product((base, extend_algebra(base)),
+                                            range(3, 7)):
+            gens, gb = _letterplace_basis(alg, width)
+            assert all(not gb.normal_form(g) for g in gens)
+            polys = gb.polys()
+            for f, g in itertools.combinations(polys, 2):
+                lcm = mono_lcm(max(f, key=mono_key), max(g, key=mono_key))
+                if mono_deg(lcm) <= width:
+                    assert not gb.normal_form(spoly(f, g)), (trial, width)
+            order = list(range(len(gens)))
+            rng.shuffle(order)
+            _, shuffled = _letterplace_basis(alg, width, order)
+            assert [list(p.items()) for p in shuffled.polys()] == \
+                [list(p.items()) for p in polys]
+
+
+def test_reference_letterplace_basis_sizes():
+    alg = nilpotent_enveloping()
+    assert len(_letterplace_basis(alg, 10)[1].leads()) == 131
+    assert len(_letterplace_basis(extend_algebra(alg), 9)[1].leads()) == 152
