@@ -28,7 +28,6 @@ Interreduction reduces each tail once, in ascending lead order.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 Mono = Tuple[Tuple[int, int], ...]
@@ -164,44 +163,30 @@ def _monic_terms(field, p: Poly):
     return lead, [(m, mul(inv, c)) for m, c in items]
 
 
-@dataclass
-class GroebnerBasis:
-    elements: List[Poly]
-    transformation: Optional[List[Dict[int, Poly]]]
-    reduced: bool
-
-
 class RingGB:
-    """Truncated Buchberger over the polynomial ring.
+    """Truncated reduced Groebner basis over the polynomial ring: plain
+    Buchberger with the Gebauer-Moeller criteria, then interreduction.
+    Elements are (lead, descending monic term list)."""
 
-    With track_transformation, every basis element carries its expression
-    in the input generators as {input_index: cofactor poly}.
-    """
-
-    def __init__(self, field, gens: Sequence[Poly], cap: Optional[int] = None,
-                 track_transformation: bool = False, interreduce: bool = True):
+    def __init__(self, field, gens: Sequence[Poly], cap: Optional[int] = None):
         self.field = field
         self.cap = cap
-        self.track = track_transformation
-        self.elements: List[tuple] = []  # (lead, terms, cof)
+        self.elements: List[tuple] = []  # (lead, terms)
         # reducers bucketed by the smallest variable of their lead (-1 for
-        # the unit), each (lead, mask, (terms, cof))
+        # the unit), each (lead, mask, terms)
         self.buckets: Dict[int, list] = {}
         self._pairs: list = []
         self._lcms: Dict[Tuple[int, int], Tuple[Mono, int]] = {}  # pending
-        for idx, g in enumerate(gens):
-            if not g:
-                continue
-            cof = {idx: {(): field.one}} if track_transformation else None
-            self._insert(dict(g), cof)
+        for g in gens:
+            if g:
+                self._insert(g)
         self._run()
-        if interreduce:
-            self._interreduce()
+        self._interreduce()
 
     # -- construction ---------------------------------------------------
 
-    def _reduce_full(self, p: Poly, cof):
-        """Full NF of p, updating cof in place when tracking."""
+    def _reduce_full(self, p: Poly) -> Poly:
+        """Full normal form of p."""
         field = self.field
         sub, mul = field.sub, field.mul
         zero = field.zero
@@ -214,7 +199,7 @@ class RingGB:
             if hit is None:
                 out[m] = c
                 continue
-            q, terms, rcof = hit
+            q, terms = hit
             for tm, tc in terms[1:]:
                 key = mono_mul(tm, q) if q else tm
                 s = sub(work.get(key, zero), mul(c, tc))
@@ -222,16 +207,6 @@ class RingGB:
                     work.pop(key, None)
                 else:
                     work[key] = s
-            if cof is not None:
-                for idx, cp in rcof.items():
-                    acc = cof.setdefault(idx, {})
-                    for cm, cc in cp.items():
-                        key = mono_mul(cm, q) if q else cm
-                        s = sub(acc.get(key, zero), mul(c, cc))
-                        if s == zero:
-                            acc.pop(key, None)
-                        else:
-                            acc[key] = s
         return out
 
     def _find(self, m: Mono):
@@ -240,43 +215,33 @@ class RingGB:
             lst = self.buckets.get(v)
             if lst is None:
                 continue
-            for lead, mask, payload in lst:
+            for lead, mask, terms in lst:
                 if mask & mmask == mask:
                     q = mono_div(m, lead)
                     if q is not None:
-                        terms, rcof = payload
-                        return q, terms, rcof
+                        return q, terms
         unit = self.buckets.get(-1)
         if unit:
-            terms, rcof = unit[0][2]
-            return (), terms, rcof
+            return (), unit[0][2]
         return None
 
-    def _insert(self, p: Poly, cof) -> None:
-        p = self._reduce_full(p, cof)
+    def _insert(self, p: Poly) -> None:
+        p = self._reduce_full(p)
         if not p:
             return
         lead, terms = _monic_terms(self.field, p)
-        if cof is not None:
-            lc = p[lead]
-            if lc != self.field.one:
-                inv = self.field.inv(lc)
-                mul = self.field.mul
-                cof = {i: {m: mul(inv, c) for m, c in cp.items()}
-                       for i, cp in cof.items()}
         self._update_pairs(len(self.elements), lead)
-        self._install(lead, terms, cof)
+        self._install(lead, terms)
 
-    def _install(self, lead: Mono, terms, cof) -> None:
-        self.elements.append((lead, terms, cof))
+    def _install(self, lead: Mono, terms) -> None:
+        self.elements.append((lead, terms))
         key = lead[0][0] if lead else -1
-        self.buckets.setdefault(key, []).append(
-            (lead, mono_mask(lead), (terms, cof)))
+        self.buckets.setdefault(key, []).append((lead, mono_mask(lead), terms))
 
     def _update_pairs(self, t: int, lead_t: Mono) -> None:
         """Gebauer-Moeller update: M, F and B criteria on the new pairs,
         chain criterion on the pending ones."""
-        lcms = [mono_lcm(lead_i, lead_t) for lead_i, _, _ in self.elements]
+        lcms = [mono_lcm(lead_i, lead_t) for lead_i, _ in self.elements]
         cap = self.cap
         cand = []
         for i, l in enumerate(lcms):
@@ -318,14 +283,14 @@ class RingGB:
 
     def _run(self) -> None:
         field = self.field
-        sub, mul = field.sub, field.mul
+        sub = field.sub
         zero = field.zero
         while self._pairs:
             deg, l, i, j = heapq.heappop(self._pairs)
             if self._lcms.pop((i, j), None) is None:
                 continue
-            lead_i, terms_i, cof_i = self.elements[i]
-            lead_j, terms_j, cof_j = self.elements[j]
+            lead_i, terms_i = self.elements[i]
+            lead_j, terms_j = self.elements[j]
             qi = mono_div(l, lead_i)
             qj = mono_div(l, lead_j)
             spoly: Poly = {}
@@ -338,22 +303,7 @@ class RingGB:
                     spoly.pop(key, None)
                 else:
                     spoly[key] = s
-            cof = None
-            if self.track:
-                cof = {}
-                for idx, cp in (cof_i or {}).items():
-                    cof[idx] = {mono_mul(m, qi) if qi else m: c
-                                for m, c in cp.items()}
-                for idx, cp in (cof_j or {}).items():
-                    acc = cof.setdefault(idx, {})
-                    for m, c in cp.items():
-                        key = mono_mul(m, qj) if qj else m
-                        s = sub(acc.get(key, zero), c)
-                        if s == zero:
-                            acc.pop(key, None)
-                        else:
-                            acc[key] = s
-            self._insert(spoly, cof)
+            self._insert(spoly)
 
     def _interreduce(self) -> None:
         """Shrink to the unique (truncated) reduced basis.
@@ -361,61 +311,30 @@ class RingGB:
         Under a degree-compatible order a tail term, and everything it
         reduces to, is smaller than its own lead, so only elements with
         smaller leads ever act on it: one pass in ascending lead order,
-        each element installed after its tail is reduced, is final.
-        Cofactors are not rewritten (see _recover_transformation)."""
+        each element installed after its tail is reduced, is final."""
         minimal: List[tuple] = []
-        for lead, terms, cof in sorted(self.elements,
-                                       key=lambda e: mono_key(e[0])):
+        for lead, terms in sorted(self.elements,
+                                  key=lambda e: mono_key(e[0])):
             mask = mono_mask(lead)
             if not any(m & mask == m and mono_div(lead, k) is not None
-                       for k, m, _, _ in minimal):
-                minimal.append((lead, mask, terms, cof))
+                       for k, m, _ in minimal):
+                minimal.append((lead, mask, terms))
         self.elements = []
         self.buckets = {}
-        for lead, _, terms, cof in minimal:
-            tail = self._reduce_full(dict(terms[1:]), None)
-            self._install(lead, [terms[0]] + poly_items_sorted(tail), cof)
+        for lead, _, terms in minimal:
+            tail = self._reduce_full(dict(terms[1:]))
+            self._install(lead, [terms[0]] + poly_items_sorted(tail))
 
     # -- queries ---------------------------------------------------------
 
     def normal_form(self, p: Poly) -> Poly:
-        return self._reduce_full(dict(p), None)
+        return self._reduce_full(p)
 
     def polys(self) -> List[Poly]:
-        return [dict(terms) for _, terms, _ in self.elements]
+        return [dict(terms) for _, terms in self.elements]
 
     def leads(self) -> List[Mono]:
-        return [lead for lead, _, _ in self.elements]
-
-
-def reduced_groebner(field, gens: Sequence[Poly], cap: Optional[int] = None,
-                     track_transformation: bool = False) -> GroebnerBasis:
-    """Unique reduced (degree-truncated when cap is set) Groebner basis."""
-    gb = RingGB(field, gens, cap=cap)
-    transformation = None
-    if track_transformation:
-        transformation = _recover_transformation(field, gens, gb)
-    return GroebnerBasis(gb.polys(), transformation, True)
-
-
-def _recover_transformation(field, gens, gb: RingGB):
-    """Solve for cofactors of each reduced element by reducing it through a
-    fresh tracked run against the input generators.  The tracked run must
-    stay un-interreduced: interreduction rewrites tails without updating
-    the stored cofactors."""
-    tracked = RingGB(field, gens, cap=gb.cap, track_transformation=True,
-                     interreduce=False)
-    out = []
-    for _, terms, _ in gb.elements:
-        target = dict(terms)
-        cof: Dict[int, Poly] = {}
-        rem = tracked._reduce_full(target, cof)
-        if rem:
-            raise AssertionError("reduced basis element fails to reduce")
-        neg = field.neg
-        out.append({i: {m: neg(c) for m, c in cp.items()}
-                    for i, cp in cof.items() if cp})
-    return out
+        return [lead for lead, _ in self.elements]
 
 
 def normal_form(field, f: Poly, basis: Sequence[Poly]) -> Poly:
@@ -428,5 +347,5 @@ def normal_form(field, f: Poly, basis: Sequence[Poly]) -> Poly:
     for p in basis:
         if p:
             lead, terms = _monic_terms(field, p)
-            gb._install(lead, terms, None)
+            gb._install(lead, terms)
     return gb.normal_form(f)

@@ -2,10 +2,9 @@
 
 A module element living in components with shifts delta_i is turned into an
 element over an algebra with one fresh letter t (always added as the last
-letter) by left-multiplying each component-i coefficient with t^(delta_i -
-delta'_i), where delta' are the shifts retained after homogenization.  With
-delta' = 0 (the only mode the resolver uses) every component lands in shift
-zero and all generators of equal degree become comparable.
+letter) by left-multiplying each component-i coefficient with t^delta_i.
+Every component then lands in shift zero and all generators of equal
+degree become comparable.
 
 The inverse direction strips the forced t-prefix and refuses anything that
 is not literally in the image.
@@ -14,7 +13,7 @@ is not literally in the image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .freealg import AlgebraPresentation, NcModElem
 
@@ -28,7 +27,6 @@ class HomogenizationContext:
     base: AlgebraPresentation
     extended: AlgebraPresentation
     delta: Tuple[int, ...]
-    delta_prime: Tuple[int, ...]
 
     @property
     def t_letter(self) -> int:
@@ -49,27 +47,18 @@ def extend_algebra(alg: AlgebraPresentation) -> AlgebraPresentation:
         list(alg.relations))
 
 
-def homogenization_context(alg: AlgebraPresentation, delta: Sequence[int],
-                           delta_prime: Optional[Sequence[int]] = None,
-                           ) -> HomogenizationContext:
-    delta = tuple(delta)
-    if delta_prime is None:
-        delta_prime = tuple(0 for _ in delta)
-    else:
-        delta_prime = tuple(delta_prime)
-    if len(delta_prime) != len(delta):
-        raise ValueError("shift tuples differ in length")
-    for d, dp in zip(delta, delta_prime):
-        if not 0 <= dp <= d:
-            raise ValueError(f"retained shift {dp} outside 0..{d}")
-    return HomogenizationContext(alg, extend_algebra(alg), delta, delta_prime)
+def homogenization_context(alg: AlgebraPresentation,
+                           delta: Sequence[int]) -> HomogenizationContext:
+    if any(d < 0 for d in delta):
+        raise ValueError(f"negative component shift in {tuple(delta)}")
+    return HomogenizationContext(alg, extend_algebra(alg), tuple(delta))
 
 
 def eta_apply(ctx: HomogenizationContext, elem: NcModElem) -> NcModElem:
     t = ctx.t_letter
     out: NcModElem = {}
     for (comp, w), c in elem.items():
-        prefix = (t,) * (ctx.delta[comp] - ctx.delta_prime[comp])
+        prefix = (t,) * ctx.delta[comp]
         out[(comp, prefix + w)] = c
     return out
 
@@ -78,7 +67,7 @@ def eta_inverse(ctx: HomogenizationContext, elem: NcModElem) -> NcModElem:
     t = ctx.t_letter
     out: NcModElem = {}
     for (comp, w), c in elem.items():
-        k = ctx.delta[comp] - ctx.delta_prime[comp]
+        k = ctx.delta[comp]
         if w[:k] != (t,) * k:
             raise NotInImage(
                 f"component {comp + 1} term lacks the t^{k} prefix")
@@ -89,20 +78,3 @@ def eta_inverse(ctx: HomogenizationContext, elem: NcModElem) -> NcModElem:
         out[(comp, rest)] = c
     return out
 
-
-def dehomogenize_syzygy_basis(ctx: HomogenizationContext,
-                              elems: List[NcModElem]) -> List[NcModElem]:
-    """Relabel syzygies over the extended algebra back over the base.
-
-    Syzygy components index the homogenized generators, whose retained
-    shifts are all zero, so membership in the image means plain t-freeness.
-    """
-    t = ctx.t_letter
-    out = []
-    for elem in elems:
-        for (comp, w) in elem:
-            if t in w:
-                raise NotInImage(
-                    f"syzygy coefficient on component {comp + 1} involves t")
-        out.append(dict(elem))
-    return out

@@ -14,6 +14,15 @@ coefficients are plain reserved-letter-free words) modulo the part
 already generated by the forced block and lower-degree output.  Both
 spaces are intrinsic to the module data, so the result is independent of
 whether the prefix compression ran.
+
+Minimalization and canonicalization share one module Groebner basis,
+grown degree by degree.  At degree d it receives the forced block of
+degree d (each element must be new); the raw syzygies of degree d it does
+not yet contain mark a degree that needs generators, which the stair
+frame supplies; then every raw syzygy of degree d must reduce to zero.
+That check certifies the step: the emitted generators and the block span
+the syzygy module through the window and are independent modulo lower
+degrees, so their count per degree is the Betti number.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import Poly as LpPoly
-from .engine import RingGB, mono_div, mono_mul
+from .engine import _KEY_CACHE, RingGB, mono_div, mono_mul
 from .freealg import (AlgebraPresentation, ModulePresentation, NcModElem,
                       elem_degree, homogeneous_degree, validate_presentation)
 from .homog import HomogenizationContext, eta_apply, homogenization_context
@@ -236,19 +245,52 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
                                  enc.ideal_gens, cap=W, ring=enc.ring)
     block = build_C(enc.win, field, enc.gen_degrees)
     _check_forced_block(enc, block, field)
-    candidates = block + raw.generators
-    kept = minimalize_graded(field, candidates, enc.ideal_gens,
-                             enc.gen_degrees,
-                             preferred=set(range(len(block))),
-                             ring=enc.ring)
-    kept_block = [i for i in kept if i < len(block)]
-    if len(kept_block) != len(block):
-        raise AssertionError("preferred block dropped without an abort")
-    kept_rest = [candidates[i] for i in kept if i >= len(block)]
 
     deg_of = lambda e: elem_sdeg(enc.gen_degrees, e)
-    hist_block = Counter(deg_of(block[i]) for i in kept_block)
-    hist_rest = Counter(deg_of(e) for e in kept_rest)
+    # one degree-ordered pass: forced block, then canonical representatives
+    block_at: Dict[int, List[LpModElem]] = {}
+    for e in block:
+        block_at.setdefault(deg_of(e), []).append(e)
+    raw_at: Dict[int, List[LpModElem]] = {}
+    for e in raw.generators:
+        raw_at.setdefault(deg_of(e), []).append(e)
+    gb = ModuleGB(field, enc.gen_degrees, enc.ring, cap=W)
+    hist_rest: Counter = Counter()
+    out_elems: List[NcModElem] = []
+    out_degrees: List[int] = []
+    one = field.one
+    for d in sorted(set(block_at) | set(raw_at)):
+        gb.complete_to(d)
+        for e in block_at.get(d, ()):
+            nf = gb.normal_form(e)
+            if not nf:
+                raise AssertionError("forced-block element is redundant")
+            gb._install(nf, None)
+        new = [e for e in raw_at.get(d, ()) if gb.normal_form(e)]
+        if not new:
+            continue
+        frame = _stair_frame(enc, d)
+        ev_rows, ev_piv = _frame_kernel(
+            field, [_ev_image(enc, field, j, mono) for j, mono in frame])
+        _, old_piv = _frame_kernel(
+            field, [gb.normal_form({(j, mono): one}) for j, mono in frame])
+        stale = set(old_piv)
+        fresh = [row for row, piv in zip(ev_rows, ev_piv)
+                 if piv not in stale]
+        for row in fresh:
+            lp_elem = {frame[pos]: c for pos, c in row.items()}
+            gb._install(lp_elem, None)
+            nc = {(j, iota_inverse_word(enc.win, mono, enc.gen_degrees[j])): c
+                  for (j, mono), c in lp_elem.items()}
+            out_elems.append(nc)
+            out_degrees.append(d + enc.offset)
+        gb.complete_to(d)
+        if any(gb.normal_form(e) for e in new):
+            raise AssertionError(
+                f"stair frame at degree {d} does not generate the syzygies")
+        hist_rest[d] = len(fresh)
+
+    hist_block = Counter(deg_of(e) for e in block)
     expected_block: Counter = Counter()
     n_active = enc.win.n_letters
     for dj in enc.gen_degrees:
@@ -256,37 +298,6 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
             expected_block[dj + 1] += n_active * dj
     if +hist_block != +expected_block:
         raise AssertionError("forced-block degree histogram is off")
-
-    # canonical representatives, degree by degree
-    by_degree: Dict[int, int] = dict(hist_rest)
-    gb_old = ModuleGB(field, enc.gen_degrees, enc.ring, cap=W)
-    for e in block:
-        gb_old.add_generator(e)
-    out_elems: List[NcModElem] = []
-    out_degrees: List[int] = []
-    one = field.one
-    for d in sorted(by_degree):
-        gb_old.complete_to(d)
-        frame = _stair_frame(enc, d)
-        ev_rows, ev_piv = _frame_kernel(
-            field, [_ev_image(enc, field, j, mono) for j, mono in frame])
-        old_rows, old_piv = _frame_kernel(
-            field, [gb_old.normal_form({(j, mono): one})
-                    for j, mono in frame])
-        stale = set(old_piv)
-        fresh = [row for row, piv in zip(ev_rows, ev_piv)
-                 if piv not in stale]
-        if len(fresh) != by_degree[d]:
-            raise AssertionError(
-                f"stair frame at degree {d} yields {len(fresh)} new "
-                f"generators, minimalization says {by_degree[d]}")
-        for row in fresh:
-            lp_elem = {frame[pos]: c for pos, c in row.items()}
-            gb_old._install(dict(lp_elem), None)
-            nc = {(j, iota_inverse_word(enc.win, mono, enc.gen_degrees[j])): c
-                  for (j, mono), c in lp_elem.items()}
-            out_elems.append(nc)
-            out_degrees.append(d + enc.offset)
 
     restore = lambda h: {d + enc.offset: v for d, v in h.items() if v}
     return ResolutionStep(
@@ -339,6 +350,7 @@ def _is_monomial(module: ModulePresentation) -> bool:
 
 
 def resolve(req: ResolutionRequest) -> Resolution:
+    _KEY_CACHE.clear()  # monomial sort keys live for one resolution
     module = req.module
     alg = module.algebra
     field = alg.field
@@ -360,8 +372,7 @@ def resolve(req: ResolutionRequest) -> Resolution:
                 f"{top}")
         enc0 = _encode_step(alg, shifts, gens, max(top, 1), req.tshift)
         kept = minimalize_graded(field, enc0.gens_lp, enc0.ideal_gens,
-                                 [0] * len(shifts), preferred=set(),
-                                 ring=enc0.ring)
+                                 [0] * len(shifts), ring=enc0.ring)
         gens = [gens[i] for i in kept]
         degs = [degs[i] for i in kept]
 

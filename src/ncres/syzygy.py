@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import (Mono, Poly, RingGB, mono_deg, mono_div, mono_key,
                      mono_lcm, mono_mul)
@@ -27,10 +27,6 @@ from .letterplace import WindowTooSmall
 
 Term = Tuple[int, Mono]
 ModElem = Dict[Term, object]
-
-
-class PreferredRedundant(RuntimeError):
-    """A preferred generator was found inside the span of the others."""
 
 
 def elem_sdeg(shifts: Sequence[int], elem: ModElem) -> int:
@@ -127,7 +123,7 @@ class ModuleGB:
             if self.ring is not None:
                 rhit = self.ring._find(m)
                 if rhit is not None:
-                    q, rterms, _ = rhit
+                    q, rterms = rhit
                     for tm, tcoef in rterms[1:]:
                         key = (comp, mono_mul(tm, q) if q else tm)
                         s = sub(main.get(key, zero), mul(c, tcoef))
@@ -168,7 +164,7 @@ class ModuleGB:
             if deg <= self.cap:
                 heapq.heappush(self.pairs, (deg, 0, l, comp, i, t))
         if self.ring is not None:
-            for k, (rlead, _, _) in enumerate(self.ring.elements):
+            for k, (rlead, _) in enumerate(self.ring.elements):
                 l = mono_lcm(rlead, m)
                 deg = mono_deg(l) + shift
                 if deg <= self.cap:
@@ -245,7 +241,7 @@ class ModuleGB:
                     else:
                         ghost[key] = s
         else:
-            rlead, rterms, _ = self.ring.elements[i]
+            rlead, rterms = self.ring.elements[i]
             qr = mono_div(l, rlead)
             for tm, tcoef in rterms:
                 key = (comp, mono_mul(tm, qr) if qr else tm)
@@ -273,44 +269,17 @@ class SyzygyResult:
     degrees: List[int]
 
 
-def syzygies_free(field, gens: Sequence[ModElem],
-                  main_shifts: Sequence[int], cap: int) -> SyzygyResult:
-    """Generators of the syzygy module of gens over the polynomial ring,
-    complete through shifted degree cap."""
-    return _syzygies(field, gens, main_shifts, None, cap)
-
-
 def syzygies_over_quotient(field, gens: Sequence[ModElem],
                            main_shifts: Sequence[int],
                            ideal_gens: Sequence[Poly],
                            cap: int,
                            ring: Optional[RingGB] = None) -> SyzygyResult:
     """Generators of the syzygy module of gens over ring/ideal, complete
-    through shifted degree cap.  Coefficients are returned in normal form
-    modulo the ideal; syzygies reducing entirely to zero are dropped."""
+    through shifted degree cap; with no ideal that is the polynomial ring.
+    Coefficients are returned in normal form modulo the ideal; syzygies
+    reducing entirely to zero are dropped."""
     if ring is None and ideal_gens:
         ring = RingGB(field, ideal_gens, cap=cap)
-    result = _syzygies(field, gens, main_shifts, ring, cap)
-    if ring is None:
-        return result
-    kept: List[ModElem] = []
-    degrees: List[int] = []
-    gen_degs = [elem_sdeg(main_shifts, g) for g in gens]
-    for syz in result.generators:
-        by_comp: Dict[int, Poly] = {}
-        for (j, m), c in syz.items():
-            by_comp.setdefault(j, {})[m] = c
-        reduced: ModElem = {}
-        for j, poly in by_comp.items():
-            for m, c in ring.normal_form(poly).items():
-                reduced[(j, m)] = c
-        if reduced:
-            kept.append(reduced)
-            degrees.append(elem_sdeg(gen_degs, reduced))
-    return SyzygyResult(kept, degrees)
-
-
-def _syzygies(field, gens, main_shifts, ring, cap) -> SyzygyResult:
     gen_degs = [elem_sdeg(main_shifts, g) for g in gens]
     for d in gen_degs:
         if d > cap:
@@ -320,24 +289,33 @@ def _syzygies(field, gens, main_shifts, ring, cap) -> SyzygyResult:
     for g in gens:
         gb.add_generator(g)
     gb.run()
-    out = [dict(s) for s in gb.syzygies]
-    degrees = [elem_sdeg(gen_degs, s) for s in out]
-    return SyzygyResult(out, degrees)
+    kept: List[ModElem] = []
+    degrees: List[int] = []
+    for syz in gb.syzygies:
+        if ring is not None:
+            by_comp: Dict[int, Poly] = {}
+            for (j, m), c in syz.items():
+                by_comp.setdefault(j, {})[m] = c
+            syz = {(j, m): c for j, poly in by_comp.items()
+                   for m, c in ring.normal_form(poly).items()}
+        if syz:
+            kept.append(syz)
+            degrees.append(elem_sdeg(gen_degs, syz))
+    return SyzygyResult(kept, degrees)
 
 
 def minimalize_graded(field, gens: Sequence[ModElem],
                       ideal_gens: Sequence[Poly],
                       main_shifts: Sequence[int],
-                      preferred: Set[int],
                       ring: Optional[RingGB] = None) -> List[int]:
     """Indices of a minimal generating subset of gens.
 
-    Processes candidates by ascending degree, preferred ones first within
-    a degree, then input order; a candidate is dropped iff its normal form
-    modulo the already-kept ones (and the ideal) vanishes.  Raises
-    PreferredRedundant if that happens to a preferred candidate.  The kept
-    counts per degree are basis-independent; the representatives are
-    whatever survived.
+    Processes candidates by ascending degree, then input order; a
+    candidate is dropped iff its normal form modulo the already-kept ones
+    (and the ideal) vanishes.  The kept counts per degree are
+    basis-independent; the representatives are whatever survived.  The
+    resolver uses this only on its input generators; each syzygy step
+    does its own single degree-ordered pass (resolver.syzygy_step).
     """
     if not gens:
         return []
@@ -345,8 +323,7 @@ def minimalize_graded(field, gens: Sequence[ModElem],
     cap = max(degs)
     if ring is None and ideal_gens:
         ring = RingGB(field, ideal_gens, cap=cap)
-    order = sorted(range(len(gens)),
-                   key=lambda i: (degs[i], 0 if i in preferred else 1, i))
+    order = sorted(range(len(gens)), key=lambda i: (degs[i], i))
     gb = ModuleGB(field, main_shifts, ring, cap)
     kept: List[int] = []
     for i in order:
@@ -355,6 +332,4 @@ def minimalize_graded(field, gens: Sequence[ModElem],
         if nf:
             gb._install(nf, None)
             kept.append(i)
-        elif i in preferred:
-            raise PreferredRedundant(f"preferred generator {i} is redundant")
     return kept

@@ -114,7 +114,6 @@ def test_criterion_2_free_augmentation_block():
             (j, ((k, 1),)) for j in range(n) for k in range(n)}
         kept = minimalize_graded(QQ, block + raw.generators, enc.ideal_gens,
                                  enc.gen_degrees,
-                                 preferred=set(range(len(block))),
                                  ring=enc.ring)
         assert sorted(kept) == list(range(len(block)))
         gb = ModuleGB(QQ, enc.gen_degrees, enc.ring, cap=enc.win.width)

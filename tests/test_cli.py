@@ -7,7 +7,6 @@ import pytest
 
 import ncres.cli as cli
 from ncres.resolver import BettiTable, ResourceLimit
-from ncres.syzygy import PreferredRedundant
 
 
 SQUARE = json.dumps({
@@ -136,7 +135,7 @@ def test_oracle_mismatch_exits_2(tmp_path, capsys, monkeypatch):
 def test_internal_invariant_violation_exits_4(tmp_path, capsys,
                                              monkeypatch):
     def broken(req):
-        raise PreferredRedundant("preferred generator 0 is redundant")
+        raise RuntimeError("forced-block element is redundant")
 
     monkeypatch.setattr(cli, "resolve", broken)
     rc = cli.main(["resolve", write(tmp_path, SQUARE)])

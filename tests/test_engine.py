@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import nilpotent_enveloping, random_presentation
 from ncres.engine import (RingGB, mono_deg, mono_div, mono_key, mono_lcm,
-                          mono_mul, normal_form, reduced_groebner)
+                          mono_mul, normal_form)
 from ncres.field import rationals
 from ncres.homog import extend_algebra
 from ncres.letterplace import PlaceWindow, letterplace_ideal_gens
@@ -96,11 +96,10 @@ def test_normal_form_examples():
 
 def test_groebner_drops_zero_and_keeps_monomials():
     f = P(((1, 1), 1))
-    gb = reduced_groebner(F, [dict(f), {}])
-    assert gb.elements == [f]
+    assert RingGB(F, [dict(f), {}]).polys() == [f]
     ms = [P(((2, 0, 0), 1)), P(((0, 1, 1), 1))]
-    gb = reduced_groebner(F, [dict(m) for m in ms])
-    assert sorted(gb.elements, key=repr) == sorted(ms, key=repr)
+    gb = RingGB(F, [dict(m) for m in ms]).polys()
+    assert sorted(gb, key=repr) == sorted(ms, key=repr)
 
 
 def test_groebner_small_binomial_ideal():
@@ -108,9 +107,9 @@ def test_groebner_small_binomial_ideal():
     # to y^3
     f1 = P(((2, 0), 1), ((0, 2), -1))
     f2 = P(((1, 1), 1), ((0, 2), -1))
-    gb = reduced_groebner(F, [dict(f1), dict(f2)])
-    assert len(gb.elements) == 2
-    got = normal_form(F, P(((3, 0), 1)), gb.elements)
+    gb = RingGB(F, [dict(f1), dict(f2)]).polys()
+    assert len(gb) == 2
+    got = normal_form(F, P(((3, 0), 1)), gb)
     assert got == P(((0, 3), 1))
 
 
@@ -120,59 +119,39 @@ def test_groebner_invariant_under_input_order():
             P(((0, 2, 0), 1), ((1, 0, 1), -1))]
     base = None
     for perm in itertools.permutations(range(3)):
-        gb = reduced_groebner(F, [dict(gens[i]) for i in perm])
-        canon = sorted(sorted(p.items()) for p in gb.elements)
+        gb = RingGB(F, [dict(gens[i]) for i in perm]).polys()
+        canon = sorted(sorted(p.items()) for p in gb)
         if base is None:
             base = canon
         else:
             assert canon == base
 
 
-def _check_transformation(gens, gb):
-    assert len(gb.transformation) == len(gb.elements)
-    for elem, cof in zip(gb.elements, gb.transformation):
-        acc = {}
-        for idx, q in cof.items():
-            for mq, cq in q.items():
-                for mg, cg in gens[idx].items():
-                    key = mono_mul(mq, mg)
-                    s = F.add(acc.get(key, F.zero), F.mul(cq, cg))
-                    if s == F.zero:
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = s
-        assert acc == elem
-
-
-def test_transformation_reproduces_elements():
-    gens = [P(((2, 0), 1), ((0, 2), -1)), P(((1, 1), 1), ((0, 2), -1))]
-    gb = reduced_groebner(F, [dict(g) for g in gens],
-                          track_transformation=True)
-    _check_transformation(gens, gb)
-
-
-def test_transformation_survives_interreduction():
-    # tails of the inputs reduce against each other, so the final basis
-    # differs from every intermediate element
-    gens = [P(((2, 0, 0), 1), ((0, 1, 1), -2)),
-            P(((1, 1, 0), 1), ((0, 1, 1), 1)),
-            P(((0, 2, 0), 3), ((1, 0, 1), 1), ((0, 1, 1), 5))]
-    gb = reduced_groebner(F, [dict(g) for g in gens],
-                          track_transformation=True)
-    _check_transformation(gens, gb)
-
-
-def test_transformation_random_inputs():
+def test_reduced_basis_lies_in_input_span():
+    """Each reduced basis element of degree d is a combination of the
+    degree-d monomial multiples of the inputs, also after interreduction
+    has rewritten the tails."""
+    cases = [
+        [P(((2, 0), 1), ((0, 2), -1)), P(((1, 1), 1), ((0, 2), -1))],
+        [P(((2, 0, 0), 1), ((0, 1, 1), -2)),
+         P(((1, 1, 0), 1), ((0, 1, 1), 1)),
+         P(((0, 2, 0), 3), ((1, 0, 1), 1), ((0, 1, 1), 5))],
+    ]
     rng = random.Random(7)
     for trial in range(10):
         gens = [random_homog_poly(rng, 3, rng.randint(1, 3))
                 for _ in range(rng.randint(2, 3))]
-        gens = [g for g in gens if g]
-        if not gens:
-            continue
-        gb = reduced_groebner(F, [dict(g) for g in gens], cap=6,
-                              track_transformation=True)
-        _check_transformation(gens, gb)
+        cases.append([g for g in gens if g])
+    for gens in cases:
+        for p in RingGB(F, [dict(g) for g in gens], cap=6).polys():
+            d = mono_deg(next(iter(p)))
+            rows = []
+            for g in gens:
+                gd = mono_deg(next(iter(g)))
+                if gd <= d:
+                    rows += [{mono_mul(m, u): c for m, c in g.items()}
+                             for u in monomials_of_degree(3, d - gd)]
+            assert rank(rows + [p], F) == rank(rows, F)
 
 
 def spoly(f, g):
@@ -212,9 +191,9 @@ def test_all_spolys_reduce_to_zero():
         gens = [g for g in gens if g]
         if not gens:
             continue
-        gb = reduced_groebner(F, [dict(g) for g in gens])
-        for f, g in itertools.combinations(gb.elements, 2):
-            assert normal_form(F, spoly(f, g), gb.elements) == {}
+        gb = RingGB(F, [dict(g) for g in gens]).polys()
+        for f, g in itertools.combinations(gb, 2):
+            assert normal_form(F, spoly(f, g), gb) == {}
 
 
 def monomials_of_degree(nvars, d):
@@ -235,8 +214,8 @@ def test_ideal_dimension_self_check():
         if not gens:
             continue
         dmax = 5
-        gb = reduced_groebner(F, [dict(g) for g in gens], cap=dmax)
-        leads = [max(p, key=mono_key) for p in gb.elements]
+        gb = RingGB(F, [dict(g) for g in gens], cap=dmax).polys()
+        leads = [max(p, key=mono_key) for p in gb]
         for d in range(dmax + 1):
             by_leads = sum(
                 1 for m in monomials_of_degree(nvars, d)
@@ -255,12 +234,12 @@ def test_ideal_dimension_self_check():
 def test_truncation_agrees_below_cap():
     gens = [P(((2, 1, 0), 1), ((0, 0, 3), -1)),
             P(((1, 0, 2), 1), ((0, 3, 0), 1))]
-    full = reduced_groebner(F, [dict(g) for g in gens], cap=8)
-    trunc = reduced_groebner(F, [dict(g) for g in gens], cap=5)
-    want = [p for p in full.elements
+    full = RingGB(F, [dict(g) for g in gens], cap=8).polys()
+    trunc = RingGB(F, [dict(g) for g in gens], cap=5).polys()
+    want = [p for p in full
             if mono_deg(max(p, key=mono_key)) <= 5]
     canon = lambda ps: sorted(sorted(p.items()) for p in ps)
-    assert canon(trunc.elements) == canon(want)
+    assert canon(trunc) == canon(want)
 
 
 def _letterplace_basis(alg, width, order=None):

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from ncres.field import rationals
 from ncres.freealg import AlgebraPresentation, elem_degree
-from ncres.homog import (NotInImage, dehomogenize_syzygy_basis, eta_apply,
-                         eta_inverse, extend_algebra, fresh_letter_name,
-                         homogenization_context)
+from ncres.homog import (NotInImage, eta_apply, eta_inverse, extend_algebra,
+                         fresh_letter_name, homogenization_context)
 
 QQ = rationals()
 ONE = QQ.one
@@ -36,19 +35,6 @@ def test_prefix_lengths_follow_component_shifts():
     assert elem_degree([0, 0, 0], out) == 2
 
 
-def test_retained_shifts_shorten_the_prefix():
-    ctx = homogenization_context(ALG, [3], [1])
-    t = ctx.t_letter
-    assert eta_apply(ctx, {(0, (0,)): ONE}) == {(0, (t, t, 0)): ONE}
-
-
-def test_context_validates_shift_tuples():
-    with pytest.raises(ValueError):
-        homogenization_context(ALG, [1, 2], [0])
-    with pytest.raises(ValueError):
-        homogenization_context(ALG, [1], [2])
-
-
 def test_inverse_strips_prefix_and_rejects_strays():
     ctx = homogenization_context(ALG, [2])
     t = ctx.t_letter
@@ -57,15 +43,6 @@ def test_inverse_strips_prefix_and_rejects_strays():
         eta_inverse(ctx, {(0, (t, 0, 1)): ONE})  # prefix too short
     with pytest.raises(NotInImage):
         eta_inverse(ctx, {(0, (t, t, 0, t)): ONE})  # t beyond the prefix
-
-
-def test_syzygy_relabeling_requires_clean_coefficients():
-    ctx = homogenization_context(ALG, [1, 2])
-    t = ctx.t_letter
-    clean = [{(0, (0, 1)): ONE, (1, (1,)): QQ.neg(ONE)}]
-    assert dehomogenize_syzygy_basis(ctx, clean) == clean
-    with pytest.raises(NotInImage):
-        dehomogenize_syzygy_basis(ctx, [{(1, (t, 0)): ONE}])
 
 
 words = st.lists(st.integers(min_value=0, max_value=1), min_size=0,

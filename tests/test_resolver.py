@@ -9,7 +9,9 @@ from ncres.field import rationals
 from ncres.freealg import AlgebraPresentation, ModulePresentation
 from ncres.letterplace import PlaceWindow, iota_poly, iota_word, \
     letterplace_ideal_gens
-from ncres.engine import RingGB
+import ncres.resolver as resolver
+from ncres.engine import _KEY_CACHE, RingGB
+from ncres.jsonio import render_json, resolution_document
 from ncres.resolver import BettiTable, ResolutionRequest, betti_summary, \
     monomial_degree_bound, render_betti_text, resolve, syzygy_step, \
     tshift_compress
@@ -108,6 +110,41 @@ def test_koszul_syzygy_of_two_variables():
     assert len(step.generators) == 1
     assert step.generators[0] == {(0, (1,)): ONE, (1, (0,)): QQ.neg(ONE)}
     assert step.degrees == [2]
+
+
+def test_redundant_forced_block_element_is_an_internal_error(monkeypatch):
+    build_C = resolver.build_C
+    monkeypatch.setattr(resolver, "build_C",
+                        lambda *args: build_C(*args) * 2)
+    gens = [{(0, (0,)): ONE}, {(0, (1,)): ONE}]
+    with pytest.raises(AssertionError,
+                       match="forced-block element is redundant"):
+        syzygy_step(_poly_ring_2(), [0], gens, window=3)
+
+
+def test_incomplete_stair_frame_is_an_internal_error(monkeypatch):
+    stair_frame = resolver._stair_frame
+    # keep only the columns of the first component
+    monkeypatch.setattr(resolver, "_stair_frame",
+                        lambda enc, d: [col for col in stair_frame(enc, d)
+                                        if col[0] == 0])
+    gens = [{(0, (0,)): ONE}, {(0, (1,)): ONE}]
+    with pytest.raises(AssertionError, match="does not generate"):
+        syzygy_step(_poly_ring_2(), [0], gens, window=3)
+
+
+def test_resolve_leaves_no_key_cache_behind():
+    """The monomial key cache lives for one resolution: a resolve after
+    an unrelated one finds the cache it would find in a fresh process."""
+    req = ResolutionRequest(augmentation_module(_poly_ring_2()),
+                            degree_bound=4, length_bound=3)
+    first = render_json(resolution_document(resolve(req)))
+    size = len(_KEY_CACHE)
+    resolve(ResolutionRequest(augmentation_module(nilpotent_enveloping()),
+                              degree_bound=5, length_bound=3))
+    again = render_json(resolution_document(resolve(req)))
+    assert len(_KEY_CACHE) == size
+    assert again == first
 
 
 def _block_formula(alg, step, input_degrees):

@@ -4,11 +4,10 @@ import random
 import pytest
 
 from ncres.engine import (RingGB, mono_deg, mono_div, mono_key, mono_mul,
-                          normal_form, reduced_groebner)
+                          normal_form)
 from ncres.field import rationals
 from ncres.linalg import rank
-from ncres.syzygy import (ModuleGB, PreferredRedundant, elem_sdeg,
-                          minimalize_graded, syzygies_free,
+from ncres.syzygy import (ModuleGB, elem_sdeg, minimalize_graded,
                           syzygies_over_quotient)
 
 F = rationals()
@@ -23,20 +22,20 @@ def C(n):
 
 def test_two_variables_single_component():
     gens = [{(0, X): C(1)}, {(0, Y): C(1)}]
-    res = syzygies_free(F, gens, [0], cap=4)
+    res = syzygies_over_quotient(F, gens, [0], [], cap=4)
     assert res.generators == [{(0, Y): C(1), (1, X): C(-1)}]
     assert res.degrees == [2]
 
 
 def test_repeated_generator():
     gens = [{(0, X): C(1)}, {(0, X): C(1)}]
-    res = syzygies_free(F, gens, [0], cap=4)
+    res = syzygies_over_quotient(F, gens, [0], [], cap=4)
     assert res.generators == [{(0, one): C(1), (1, one): C(-1)}]
     assert res.degrees == [1]
 
 
 def test_single_generator_is_free():
-    res = syzygies_free(F, [{(0, X): C(1)}], [0], cap=6)
+    res = syzygies_over_quotient(F, [{(0, X): C(1)}], [0], [], cap=6)
     assert res.generators == []
 
 
@@ -147,7 +146,7 @@ def test_syzygies_match_kernel_dimension_free(seed):
     if not gens:
         return
     cap = 6
-    res = syzygies_free(F, gens, shifts, cap=cap)
+    res = syzygies_over_quotient(F, gens, shifts, [], cap=cap)
     gen_degs = [elem_sdeg(shifts, g) for g in gens]
     for s in res.generators:
         assert _apply_syzygy(s, gens) == {}
@@ -176,43 +175,31 @@ def test_syzygies_match_kernel_dimension_quotient(seed):
     if not gens:
         return
     cap = 5
-    gb_full = reduced_groebner(F, [dict(p) for p in ideal], cap=cap)
+    gb_full = RingGB(F, [dict(p) for p in ideal], cap=cap).polys()
     # work with generators already in normal form so that membership in
     # the quotient module is honest
-    gens = [e for e in (_nf_componentwise(g, gb_full.elements)
-                        for g in gens) if e]
+    gens = [e for e in (_nf_componentwise(g, gb_full) for g in gens) if e]
     if not gens:
         return
     res = syzygies_over_quotient(F, gens, shifts, ideal, cap=cap)
     gen_degs = [elem_sdeg(shifts, g) for g in gens]
     for s in res.generators:
         image = _apply_syzygy(s, gens)
-        assert _nf_componentwise(image, gb_full.elements) == {}
-    normal = {"gb": gb_full.elements}
+        assert _nf_componentwise(image, gb_full) == {}
+    normal = {"gb": gb_full}
     for d in range(cap + 1):
         want = _kernel_dim(gens, shifts, normal, nvars, d)
-        got = _span_dim(res.generators, gen_degs, nvars, d,
-                        gb_full.elements)
+        got = _span_dim(res.generators, gen_degs, nvars, d, gb_full)
         assert got == want, (seed, d)
 
 
 def test_minimalize_drops_multiples():
     gens = [{(0, X): C(1)},
             {(0, mono_mul(X, Y)): C(1)},
-            {(0, Y): C(2)}]
-    kept = minimalize_graded(F, gens, [], [0], preferred=set())
+            {(0, Y): C(2)},
+            {(0, X): C(3)}]
+    kept = minimalize_graded(F, gens, [], [0])
     assert kept == [0, 2]
-
-
-def test_minimalize_prefers_flagged_candidates():
-    a = {(0, X): C(1)}
-    b = {(0, X): C(2)}
-    # the two candidates generate the same submodule; the preferred one
-    # stays even though it comes second in input order
-    kept = minimalize_graded(F, [a, b], [], [0], preferred={1})
-    assert kept == [1]
-    kept = minimalize_graded(F, [a, b], [], [0], preferred=set())
-    assert kept == [0]
 
 
 def test_minimalize_counts_are_order_independent():
@@ -223,20 +210,12 @@ def test_minimalize_counts_are_order_independent():
     for trial in range(6):
         perm = list(range(len(gens)))
         rng.shuffle(perm)
-        kept = minimalize_graded(F, [gens[i] for i in perm], [], [0],
-                                 preferred=set())
+        kept = minimalize_graded(F, [gens[i] for i in perm], [], [0])
         degs = sorted(elem_sdeg([0], gens[perm[i]]) for i in kept)
         if base is None:
             base = degs
         else:
             assert degs == base
-
-
-def test_minimalize_preferred_redundant_raises():
-    a = {(0, X): C(1)}
-    with pytest.raises(PreferredRedundant):
-        minimalize_graded(F, [a, {(0, mono_mul(X, X)): C(1)}], [], [0],
-                          preferred={1})
 
 
 def test_module_gb_normal_form_membership():
