@@ -105,7 +105,7 @@ def check_dimension_equalities(module: ModulePresentation,
         for g in module.generators:
             if elem_degree(module.shifts, g) <= d:
                 mgb.add_generator(iota_module_elem(win, g, module.shifts))
-        mgb.run()
+        mgb.complete_to(d)
         normal = 0
         ambient = 0
         for i, s in enumerate(module.shifts):

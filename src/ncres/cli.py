@@ -145,8 +145,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
                             degree_bound=args.degree_bound,
                             length_bound=args.length,
                             tshift=not args.no_tshift,
-                            trust_finite=args.trust_finite,
-                            oracle_compare=args.oracle_compare)
+                            trust_finite=args.trust_finite)
     t1 = time.perf_counter()
     try:
         res = resolve(req)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
-from .field import Field, rationals
+from .field import Field
 
 Word = Tuple[int, ...]
 NcPoly = Dict[Word, object]
@@ -34,18 +34,6 @@ class AlgebraPresentation:
     def n_letters(self) -> int:
         return len(self.names)
 
-    def word_str(self, w: Word) -> str:
-        return "*".join(self.names[i] for i in w) if w else "1"
-
-    def poly_str(self, p: NcPoly) -> str:
-        if not p:
-            return "0"
-        parts = []
-        for w in sorted(p):
-            c = self.field.to_str(p[w])
-            parts.append(f"({c})*{self.word_str(w)}" if w else f"({c})")
-        return " + ".join(parts)
-
 
 @dataclass
 class ModulePresentation:
@@ -56,57 +44,6 @@ class ModulePresentation:
     @property
     def rank(self) -> int:
         return len(self.shifts)
-
-    def elem_str(self, elem: NcModElem) -> str:
-        if not elem:
-            return "0"
-        alg = self.algebra
-        parts = []
-        for comp, w in sorted(elem):
-            c = alg.field.to_str(elem[(comp, w)])
-            body = f"e{comp + 1}"
-            if w:
-                body += "*" + alg.word_str(w)
-            parts.append(f"({c})*{body}")
-        return " + ".join(parts)
-
-
-def free_module(algebra: AlgebraPresentation, shifts) -> ModulePresentation:
-    return ModulePresentation(algebra, tuple(shifts), [])
-
-
-def nc_multiply(field: Field, p: NcPoly, q: NcPoly) -> NcPoly:
-    mul, add, zero = field.mul, field.add, field.zero
-    out: NcPoly = {}
-    for wp, cp in p.items():
-        for wq, cq in q.items():
-            w = wp + wq
-            c = add(out.get(w, zero), mul(cp, cq))
-            if c == zero:
-                out.pop(w, None)
-            else:
-                out[w] = c
-    return out
-
-
-def elem_times_word(elem: NcModElem, v: Word) -> NcModElem:
-    return {(comp, w + v): c for (comp, w), c in elem.items()}
-
-
-def elem_combine(field: Field, elems_coeffs) -> NcModElem:
-    """Exact sum of (elem, poly) products: sum_k elem_k * poly_k."""
-    add, mul, zero = field.add, field.mul, field.zero
-    out: NcModElem = {}
-    for elem, poly in elems_coeffs:
-        for (comp, w), c in elem.items():
-            for v, d in poly.items():
-                key = (comp, w + v)
-                s = add(out.get(key, zero), mul(c, d))
-                if s == zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return out
 
 
 def homogeneous_degree(p: NcPoly) -> Optional[int]:

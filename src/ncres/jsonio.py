@@ -32,6 +32,11 @@ def _expect(cond: bool, msg: str) -> None:
         raise InputError(msg)
 
 
+def _is_int(obj) -> bool:
+    """A JSON integer; JSON booleans load as bool, a subclass of int."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def parse_coeff(field: Field, text) -> object:
     _expect(isinstance(text, str),
             f"coefficient must be a string, got {text!r}")
@@ -99,7 +104,7 @@ def _parse_module_elem(field: Field, names_index: Dict[str, int], rank: int,
                 and set(term) == {"coeff", "component", "word"},
                 f"{slot}: expected keys coeff, component and word")
         comp = term["component"]
-        _expect(isinstance(comp, int) and 0 <= comp < rank,
+        _expect(_is_int(comp) and 0 <= comp < rank,
                 f"{slot}: component {comp!r} outside 0..{rank - 1}")
         c = parse_coeff(field, term["coeff"])
         w = _parse_word(names_index, term["word"], slot)
@@ -128,6 +133,7 @@ def module_from_document(doc) -> ModulePresentation:
     _expect(len(set(names)) == len(names), "generator names must be unique")
     names_index = {name: i for i, name in enumerate(names)}
 
+    _expect(isinstance(doc["relations"], list), "relations must be a list")
     relations = []
     for k, rel in enumerate(doc["relations"]):
         poly = _parse_poly(field, names_index, rel, f"relation {k + 1}")
@@ -140,8 +146,10 @@ def module_from_document(doc) -> ModulePresentation:
             "module must have exactly the keys shifts and generators")
     shifts = mod["shifts"]
     _expect(isinstance(shifts, list) and shifts
-            and all(isinstance(s, int) for s in shifts),
+            and all(_is_int(s) for s in shifts),
             "module shifts must be a nonempty list of integers")
+    _expect(isinstance(mod["generators"], list),
+            "module generators must be a list")
     gens = []
     for k, g in enumerate(mod["generators"]):
         elem = _parse_module_elem(field, names_index, len(shifts), g,

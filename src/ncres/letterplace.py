@@ -44,10 +44,6 @@ class PlaceWindow:
     def n_letters(self) -> int:
         return len(self.names)
 
-    @property
-    def n_vars(self) -> int:
-        return len(self.names) * self.width
-
     def var(self, place0: int, letter: int) -> int:
         return place0 * len(self.names) + letter
 

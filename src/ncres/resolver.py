@@ -2,18 +2,20 @@
 
 A step takes the current minimal generators g_1..g_s of a submodule of
 (+)_i A(-delta_i), makes every component shift zero by prefixing the
-reserved letter (complete homogenization), encodes words into the
-one-letter-per-place window, divides out the common reserved-letter
-prefix, computes syzygies of the encoded family over the encoded quotient
+reserved letter t^(delta_i - m), where the offset m is the smallest shift
+(0 without compression), encodes words into the one-letter-per-place
+window narrowed by m, builds the truncated Groebner basis of the encoded
+quotient ring once, computes syzygies of the encoded family over that
 ring, strips the forced block coming from the encoding, and decodes the
-survivors back over the original algebra.
+survivors back over the original algebra.  The finished ring basis is
+the only thing the module layer (syzygy.py) is told about the algebra.
 
 Decoded output is canonical: within each degree the emitted generators
 are the reduced-row-echelon basis of the stair subspace (syzygies whose
 coefficients are plain reserved-letter-free words) modulo the part
 already generated by the forced block and lower-degree output.  Both
 spaces are intrinsic to the module data, so the result is independent of
-whether the prefix compression ran.
+whether the window was narrowed.
 
 Minimalization and canonicalization share one module Groebner basis,
 grown degree by degree.  At degree d it receives the forced block of
@@ -32,8 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .engine import Poly as LpPoly
-from .engine import _KEY_CACHE, RingGB, mono_div, mono_mul
+from .engine import _KEY_CACHE, RingGB, mono_mul
 from .freealg import (AlgebraPresentation, ModulePresentation, NcModElem,
                       elem_degree, homogeneous_degree, validate_presentation)
 from .homog import HomogenizationContext, eta_apply, homogenization_context
@@ -42,7 +43,7 @@ from .letterplace import (LpModElem, PlaceWindow, WindowTooSmall, build_C,
                           letterplace_ideal_gens)
 from .linalg import _eliminate, rref
 from .syzygy import (ModuleGB, elem_sdeg, minimalize_graded,
-                     syzygies_over_quotient)
+                     reduce_components, syzygies_over_quotient)
 
 STAIR_GUARD = 10_000
 
@@ -60,38 +61,6 @@ def monomial_degree_bound(max_gen_degree: int, max_rel_degree: int,
     return max_gen_degree + (index - 1) * (max_rel_degree - 1)
 
 
-def tshift_compress(win: PlaceWindow, elems: Sequence[LpModElem],
-                    delta: Sequence[int]):
-    """Divide the common homogenization prefix out of an encoded basis.
-
-    With m = min(delta) and complete homogenization already applied, every
-    encoded monomial carries the reserved last letter at places 1..m.
-    Divide that block out and slide all variables m places left.  Returns
-    (window narrowed by m, compressed elements, m).
-    """
-    m = min(delta) if delta else 0
-    if m <= 0:
-        return win, [dict(e) for e in elems], 0
-    L = win.n_letters
-    t = L - 1
-    block = tuple((p * L + t, 1) for p in range(m))
-    drop = m * L
-    out = []
-    for e in elems:
-        ne: LpModElem = {}
-        for (comp, mono), c in e.items():
-            q = mono_div(mono, block)
-            if q is None:
-                raise AssertionError(
-                    "compression prefix missing; homogenization is broken")
-            if q and q[0][0] < drop:
-                raise AssertionError(
-                    "stray variable below the compression offset")
-            ne[(comp, tuple((v - drop, x) for v, x in q))] = c
-        out.append(ne)
-    return PlaceWindow(win.names, win.width - m), out, m
-
-
 @dataclass
 class _StepEncoding:
     """Everything the commutative side needs for one syzygy step."""
@@ -99,8 +68,7 @@ class _StepEncoding:
     win: PlaceWindow
     offset: int
     gens_lp: List[LpModElem]
-    gen_degrees: List[int]  # compressed encoded degrees
-    ideal_gens: List[LpPoly]
+    gen_degrees: List[int]  # encoded degrees, lowered by the offset
     ring: RingGB
     n_base: int  # letters of the original algebra (reserved one excluded)
 
@@ -108,6 +76,9 @@ class _StepEncoding:
 def _encode_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
                  gens: Sequence[NcModElem], window: int,
                  use_tshift: bool) -> _StepEncoding:
+    """Homogenize relative to the offset m (the smallest shift when
+    compression is on and some shift is positive, else 0): component i
+    gets the prefix t^(delta_i - m) and the window narrows by m."""
     degs = []
     for g in gens:
         d = elem_degree(ambient_shifts, g)
@@ -118,43 +89,34 @@ def _encode_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
         raise WindowTooSmall(
             f"generator degree {max(degs)} exceeds degree bound {window}")
     need_t = any(s > 0 for s in ambient_shifts)
+    m = max(min(ambient_shifts), 0) if use_tshift and need_t else 0
     if need_t:
         ctx: Optional[HomogenizationContext] = homogenization_context(
-            alg, list(ambient_shifts))
+            alg, [s - m for s in ambient_shifts])
         hgens = [eta_apply(ctx, g) for g in gens]
         active = ctx.extended
     else:
         ctx = None
         hgens = [dict(g) for g in gens]
         active = alg
-    win = PlaceWindow(active.names, window)
+    win = PlaceWindow(active.names, window - m)
     zero_shifts = [0] * len(ambient_shifts)
     lp = [iota_module_elem(win, g, zero_shifts) for g in hgens]
-    if use_tshift and need_t:
-        win, lp, m = tshift_compress(win, lp, list(ambient_shifts))
-    else:
-        m = 0
-    ideal = letterplace_ideal_gens(win, active)
-    ring = RingGB(alg.field, ideal, cap=win.width)
-    return _StepEncoding(ctx, win, m, lp, [d - m for d in degs], ideal, ring,
+    ring = RingGB(alg.field, letterplace_ideal_gens(win, active),
+                  cap=win.width)
+    return _StepEncoding(ctx, win, m, lp, [d - m for d in degs], ring,
                          alg.n_letters)
 
 
-def _check_forced_block(enc: _StepEncoding, block: Sequence[LpModElem],
-                        field) -> None:
+def _check_forced_block(enc: _StepEncoding,
+                        block: Sequence[LpModElem]) -> None:
     """Every forced-block element must be an actual syzygy: a variable at
     a place at or below a generator's word run collides with it."""
     for elem in block:
         j, mono = next(iter(elem))
-        image: Dict[int, LpPoly] = {}
-        for (comp, gm), c in enc.gens_lp[j].items():
-            poly = image.setdefault(comp, {})
-            key = mono_mul(gm, mono)
-            poly[key] = field.add(poly.get(key, field.zero), c)
-        for poly in image.values():
-            if enc.ring.normal_form(poly):
-                raise AssertionError(
-                    "forced-block element is not a syzygy; encoding broken")
+        if _ev_image(enc, j, mono):
+            raise AssertionError(
+                "forced-block element is not a syzygy; encoding broken")
 
 
 def _stair_frame(enc: _StepEncoding, degree: int) -> List[Tuple[int, tuple]]:
@@ -198,23 +160,13 @@ def _frame_kernel(field, images: Sequence[dict]):
     return rref(kernel, field)
 
 
-def _ev_image(enc: _StepEncoding, field, j: int, mono: tuple) -> dict:
+def _ev_image(enc: _StepEncoding, j: int, mono: tuple) -> dict:
     """Image of the frame vector e_j * mono under evaluation against the
-    encoded generators, in normal-form coordinates."""
-    acc: Dict[int, LpPoly] = {}
-    for (comp, gm), c in enc.gens_lp[j].items():
-        poly = acc.setdefault(comp, {})
-        key = mono_mul(gm, mono)
-        s = field.add(poly.get(key, field.zero), c)
-        if s == field.zero:
-            poly.pop(key, None)
-        else:
-            poly[key] = s
-    out = {}
-    for comp, poly in acc.items():
-        for m, c in enc.ring.normal_form(poly).items():
-            out[(comp, m)] = c
-    return out
+    encoded generators, in normal-form coordinates.  Multiplying by one
+    monomial is injective, so no two terms of g_j land on one key."""
+    image = {(comp, mono_mul(gm, mono)): c
+             for (comp, gm), c in enc.gens_lp[j].items()}
+    return reduce_components(enc.ring, image)
 
 
 @dataclass
@@ -241,10 +193,10 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
     enc = _encode_step(alg, ambient_shifts, gens, window, use_tshift)
     W = enc.win.width
     rank = len(ambient_shifts)
-    raw = syzygies_over_quotient(field, enc.gens_lp, [0] * rank,
-                                 enc.ideal_gens, cap=W, ring=enc.ring)
+    raw = syzygies_over_quotient(field, enc.gens_lp, [0] * rank, enc.ring,
+                                 cap=W)
     block = build_C(enc.win, field, enc.gen_degrees)
-    _check_forced_block(enc, block, field)
+    _check_forced_block(enc, block)
 
     deg_of = lambda e: elem_sdeg(enc.gen_degrees, e)
     # one degree-ordered pass: forced block, then canonical representatives
@@ -271,7 +223,7 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
             continue
         frame = _stair_frame(enc, d)
         ev_rows, ev_piv = _frame_kernel(
-            field, [_ev_image(enc, field, j, mono) for j, mono in frame])
+            field, [_ev_image(enc, j, mono) for j, mono in frame])
         _, old_piv = _frame_kernel(
             field, [gb.normal_form({(j, mono): one}) for j, mono in frame])
         stale = set(old_piv)
@@ -321,7 +273,6 @@ class ResolutionRequest:
     length_bound: int = 7
     tshift: bool = True
     trust_finite: bool = False
-    oracle_compare: bool = False
 
 
 @dataclass
@@ -371,8 +322,8 @@ def resolve(req: ResolutionRequest) -> Resolution:
                 f"degree bound {req.degree_bound} below generator degree "
                 f"{top}")
         enc0 = _encode_step(alg, shifts, gens, max(top, 1), req.tshift)
-        kept = minimalize_graded(field, enc0.gens_lp, enc0.ideal_gens,
-                                 [0] * len(shifts), ring=enc0.ring)
+        kept = minimalize_graded(field, enc0.gens_lp, [0] * len(shifts),
+                                 enc0.ring)
         gens = [gens[i] for i in kept]
         degs = [degs[i] for i in kept]
 

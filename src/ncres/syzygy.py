@@ -39,14 +39,14 @@ def elem_sdeg(shifts: Sequence[int], elem: ModElem) -> int:
 class ModuleGB:
     """Incremental truncated module Groebner basis over a quotient ring.
 
-    ring holds a completed (truncated) RingGB whose elements act on every
-    component; collect_syzygies switches on ghost tracking for the
-    generators added through add_generator.
+    ring is a completed (truncated) RingGB whose elements act on every
+    component; RingGB(field, ()) is the polynomial ring itself.
+    collect_syzygies switches on ghost tracking for the generators added
+    through add_generator.
     """
 
-    def __init__(self, field, main_shifts: Sequence[int],
-                 ring: Optional[RingGB], cap: int,
-                 collect_syzygies: bool = False):
+    def __init__(self, field, main_shifts: Sequence[int], ring: RingGB,
+                 cap: int, collect_syzygies: bool = False):
         self.field = field
         self.shifts = list(main_shifts)
         self.ring = ring
@@ -120,18 +120,17 @@ class ModuleGB:
                         else:
                             ghost[key] = s
                 continue
-            if self.ring is not None:
-                rhit = self.ring._find(m)
-                if rhit is not None:
-                    q, rterms = rhit
-                    for tm, tcoef in rterms[1:]:
-                        key = (comp, mono_mul(tm, q) if q else tm)
-                        s = sub(main.get(key, zero), mul(c, tcoef))
-                        if s == zero:
-                            main.pop(key, None)
-                        else:
-                            main[key] = s
-                    continue
+            rhit = self.ring._find(m)
+            if rhit is not None:
+                q, rterms = rhit
+                for tm, tcoef in rterms[1:]:
+                    key = (comp, mono_mul(tm, q) if q else tm)
+                    s = sub(main.get(key, zero), mul(c, tcoef))
+                    if s == zero:
+                        main.pop(key, None)
+                    else:
+                        main[key] = s
+                continue
             out[term] = c
         return out
 
@@ -163,12 +162,11 @@ class ModuleGB:
             deg = mono_deg(l) + shift
             if deg <= self.cap:
                 heapq.heappush(self.pairs, (deg, 0, l, comp, i, t))
-        if self.ring is not None:
-            for k, (rlead, _) in enumerate(self.ring.elements):
-                l = mono_lcm(rlead, m)
-                deg = mono_deg(l) + shift
-                if deg <= self.cap:
-                    heapq.heappush(self.pairs, (deg, 1, l, comp, k, t))
+        for k, (rlead, _) in enumerate(self.ring.elements):
+            l = mono_lcm(rlead, m)
+            deg = mono_deg(l) + shift
+            if deg <= self.cap:
+                heapq.heappush(self.pairs, (deg, 1, l, comp, k, t))
 
     def _install(self, main: ModElem, ghost: Optional[ModElem]) -> None:
         lead = max(main, key=self._term_key)
@@ -259,9 +257,6 @@ class ModuleGB:
             main, ghost = self._spoly(kind, l, comp, i, t)
             self._dispatch(main, ghost)
 
-    def run(self) -> None:
-        self.complete_to(self.cap)
-
 
 @dataclass
 class SyzygyResult:
@@ -269,17 +264,23 @@ class SyzygyResult:
     degrees: List[int]
 
 
+def reduce_components(ring: RingGB, elem: ModElem) -> ModElem:
+    """elem with each component's coefficient in normal form modulo ring;
+    components are kept in first-appearance order."""
+    by_comp: Dict[int, Poly] = {}
+    for (j, m), c in elem.items():
+        by_comp.setdefault(j, {})[m] = c
+    return {(j, m): c for j, poly in by_comp.items()
+            for m, c in ring.normal_form(poly).items()}
+
+
 def syzygies_over_quotient(field, gens: Sequence[ModElem],
-                           main_shifts: Sequence[int],
-                           ideal_gens: Sequence[Poly],
-                           cap: int,
-                           ring: Optional[RingGB] = None) -> SyzygyResult:
-    """Generators of the syzygy module of gens over ring/ideal, complete
-    through shifted degree cap; with no ideal that is the polynomial ring.
-    Coefficients are returned in normal form modulo the ideal; syzygies
+                           main_shifts: Sequence[int], ring: RingGB,
+                           cap: int) -> SyzygyResult:
+    """Generators of the syzygy module of gens over the quotient by the
+    finished ring basis, complete through shifted degree cap.
+    Coefficients are returned in normal form modulo the ring; syzygies
     reducing entirely to zero are dropped."""
-    if ring is None and ideal_gens:
-        ring = RingGB(field, ideal_gens, cap=cap)
     gen_degs = [elem_sdeg(main_shifts, g) for g in gens]
     for d in gen_degs:
         if d > cap:
@@ -288,16 +289,11 @@ def syzygies_over_quotient(field, gens: Sequence[ModElem],
     gb = ModuleGB(field, main_shifts, ring, cap, collect_syzygies=True)
     for g in gens:
         gb.add_generator(g)
-    gb.run()
+    gb.complete_to(cap)
     kept: List[ModElem] = []
     degrees: List[int] = []
     for syz in gb.syzygies:
-        if ring is not None:
-            by_comp: Dict[int, Poly] = {}
-            for (j, m), c in syz.items():
-                by_comp.setdefault(j, {})[m] = c
-            syz = {(j, m): c for j, poly in by_comp.items()
-                   for m, c in ring.normal_form(poly).items()}
+        syz = reduce_components(ring, syz)
         if syz:
             kept.append(syz)
             degrees.append(elem_sdeg(gen_degs, syz))
@@ -305,14 +301,13 @@ def syzygies_over_quotient(field, gens: Sequence[ModElem],
 
 
 def minimalize_graded(field, gens: Sequence[ModElem],
-                      ideal_gens: Sequence[Poly],
-                      main_shifts: Sequence[int],
-                      ring: Optional[RingGB] = None) -> List[int]:
-    """Indices of a minimal generating subset of gens.
+                      main_shifts: Sequence[int], ring: RingGB) -> List[int]:
+    """Indices of a minimal generating subset of gens over the quotient by
+    the finished ring basis.
 
     Processes candidates by ascending degree, then input order; a
     candidate is dropped iff its normal form modulo the already-kept ones
-    (and the ideal) vanishes.  The kept counts per degree are
+    (and the ring) vanishes.  The kept counts per degree are
     basis-independent; the representatives are whatever survived.  The
     resolver uses this only on its input generators; each syzygy step
     does its own single degree-ordered pass (resolver.syzygy_step).
@@ -320,11 +315,8 @@ def minimalize_graded(field, gens: Sequence[ModElem],
     if not gens:
         return []
     degs = [elem_sdeg(main_shifts, g) for g in gens]
-    cap = max(degs)
-    if ring is None and ideal_gens:
-        ring = RingGB(field, ideal_gens, cap=cap)
     order = sorted(range(len(gens)), key=lambda i: (degs[i], i))
-    gb = ModuleGB(field, main_shifts, ring, cap)
+    gb = ModuleGB(field, main_shifts, ring, max(degs))
     kept: List[int] = []
     for i in order:
         gb.complete_to(degs[i])

@@ -106,20 +106,19 @@ def test_criterion_2_free_augmentation_block():
         # element level: the commutative-side syzygy module is generated
         # by exactly the forced one-variable-per-generator block
         enc = _encode_step(alg, [0], mod.generators, 4, True)
-        raw = syzygies_over_quotient(QQ, enc.gens_lp, [0], enc.ideal_gens,
-                                     cap=enc.win.width, ring=enc.ring)
+        raw = syzygies_over_quotient(QQ, enc.gens_lp, [0], enc.ring,
+                                     cap=enc.win.width)
         block = build_C(enc.win, QQ, enc.gen_degrees)
         assert all(len(b) == 1 for b in block)
         assert {key for b in block for key in b} == {
             (j, ((k, 1),)) for j in range(n) for k in range(n)}
-        kept = minimalize_graded(QQ, block + raw.generators, enc.ideal_gens,
-                                 enc.gen_degrees,
-                                 ring=enc.ring)
+        kept = minimalize_graded(QQ, block + raw.generators,
+                                 enc.gen_degrees, enc.ring)
         assert sorted(kept) == list(range(len(block)))
         gb = ModuleGB(QQ, enc.gen_degrees, enc.ring, cap=enc.win.width)
         for b in block:
             gb.add_generator(b)
-        gb.run()
+        gb.complete_to(enc.win.width)
         assert all(not gb.normal_form(s) for s in raw.generators)
     print("\nacceptance 2 (free augmentation n=2,3: no first syzygies, "
           "raw syzygies = forced block exactly): PASS")

@@ -1,17 +1,32 @@
 """The benchmark traces named functions of src/ncres; every name it
-wraps must still exist, or traced runs fail far from the change."""
+wraps must still exist and its counters must still read the right
+arguments, or traced runs fail far from the change."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import ncres.jsonio  # noqa: F401  (the tracer wraps every ncres layer)
+import ncres.monores  # noqa: F401
+import ncres.resolver
+import ncres.syzygy
+from helpers import augmentation_module
+from ncres.field import rationals
+from ncres.freealg import AlgebraPresentation
+from ncres.resolver import ResolutionRequest
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_traced_target_exists():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_target_exists():
+    tracing = _load_tracing()
     assert tracing.TARGETS
     for module, path, _, _ in tracing.TARGETS:
         obj = importlib.import_module(module)
@@ -19,3 +34,24 @@ def test_every_traced_target_exists():
             assert hasattr(obj, name), f"{module}.{path}"
             obj = getattr(obj, name)
         assert callable(obj), f"{module}.{path}"
+
+
+def test_traced_resolve_fills_the_layer_counters():
+    tracing = _load_tracing()
+    QQ = rationals()
+    # K[x, y] as the free algebra modulo the commutator: one syzygy
+    alg = AlgebraPresentation(
+        QQ, ("x", "y"), [{(0, 1): QQ.one, (1, 0): QQ.neg(QQ.one)}])
+    mod = augmentation_module(alg)
+    tracer = tracing.Tracer("smoke")
+    tracer.install()
+    try:
+        ncres.resolver.resolve(ResolutionRequest(mod, length_bound=3))
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["engine.ring_gb_calls"] > 0
+    assert metrics["syzygy.raw_syzygies"] > 0
+    assert metrics["resolver.generators_out"] > 0
+    assert metrics["syzygy.candidates"] == len(mod.generators)
+    assert ncres.resolver.minimalize_graded is ncres.syzygy.minimalize_graded

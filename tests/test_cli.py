@@ -196,6 +196,24 @@ def test_check_reports_validation_failure(tmp_path, capsys):
     assert "PASS" not in out
 
 
+@pytest.mark.parametrize("command", ["resolve", "check"])
+@pytest.mark.parametrize("key, value", [
+    ("relations", 5),
+    ("module", {"shifts": [0], "generators": 5}),
+    ("module", {"shifts": [True], "generators": []}),
+])
+def test_malformed_sections_exit_1_with_one_line(tmp_path, capsys, command,
+                                                 key, value):
+    doc = json.loads(SQUARE)
+    doc[key] = value
+    rc = cli.main([command, write(tmp_path, json.dumps(doc))])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_check_unparseable_exits_1(tmp_path, capsys):
     path = write(tmp_path, "{")
     rc = cli.main(["check", path])

@@ -84,6 +84,30 @@ def test_bad_component_and_bad_letter_rejected():
         parse_input(json.dumps(raw))
 
 
+def _with(path, value):
+    raw = json.loads(doc_text())
+    *outer, last = path
+    slot = raw
+    for key in outer:
+        slot = slot[key]
+    slot[last] = value
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("relations",), 5),
+    (("relations",), None),
+    (("module", "generators"), 5),
+    (("module", "generators"), None),
+    (("module", "shifts"), [True]),
+    (("module", "shifts"), [0, False]),
+    (("module", "generators", 0, 0, "component"), False),
+])
+def test_non_list_sections_and_booleans_rejected(path, value):
+    with pytest.raises(InputError):
+        parse_input(_with(path, value))
+
+
 def test_not_json_and_inhomogeneous_rejected():
     with pytest.raises(InputError):
         parse_input("{nope")

@@ -1,4 +1,4 @@
-"""Resolution pipeline: window compression, per-step reports, tables."""
+"""Resolution pipeline: step encoding, per-step reports, tables."""
 
 from __future__ import annotations
 
@@ -13,8 +13,7 @@ import ncres.resolver as resolver
 from ncres.engine import _KEY_CACHE, RingGB
 from ncres.jsonio import render_json, resolution_document
 from ncres.resolver import BettiTable, ResolutionRequest, betti_summary, \
-    monomial_degree_bound, render_betti_text, resolve, syzygy_step, \
-    tshift_compress
+    monomial_degree_bound, render_betti_text, resolve, syzygy_step
 
 QQ = rationals()
 ONE = QQ.one
@@ -52,41 +51,44 @@ def test_degree_bound_rejects_bad_index():
         monomial_degree_bound(1, 2, 0)
 
 
-# --- prefix compression ---------------------------------------------------
+# --- step encoding -------------------------------------------------------
 
-def test_compress_noop_without_shift():
-    win = PlaceWindow(("x", "y", "t"), 4)
-    e = {(0, iota_word(win, (0, 1))): ONE}
-    w2, out, m = tshift_compress(win, [e], [0, 0])
-    assert m == 0
-    assert w2 == win
-    assert out == [e]
-
-
-def test_compress_divides_uniform_prefix():
-    win = PlaceWindow(("x", "t"), 4)
-    mono = iota_word(win, (1, 1, 0))  # t t x
-    w2, out, m = tshift_compress(win, [{(0, mono): ONE}], [2])
-    assert m == 2
-    assert w2.width == 2
-    assert out == [{(0, iota_word(w2, (0,))): ONE}]
+def test_encode_without_shift_has_no_offset():
+    alg = _free("x", "y")
+    enc = resolver._encode_step(alg, [0, 0], [{(0, (0, 1)): ONE}], 4, True)
+    assert enc.offset == 0 and enc.ctx is None
+    assert enc.win == PlaceWindow(("x", "y"), 4)
+    assert enc.gens_lp == [{(0, iota_word(enc.win, (0, 1))): ONE}]
+    assert enc.gen_degrees == [2]
 
 
-def test_compress_mixed_shifts_uses_minimum():
-    win = PlaceWindow(("x", "t"), 5)
-    a = {(0, iota_word(win, (1, 1, 0))): ONE}      # t t x, shift 2
-    b = {(1, iota_word(win, (1, 1, 1))): ONE}      # t t t, shift 3
-    w2, out, m = tshift_compress(win, [a, b], [2, 3])
-    assert m == 2
-    assert out[0] == {(0, iota_word(w2, (0,))): ONE}
-    assert out[1] == {(1, iota_word(w2, (1,))): ONE}
+def test_encode_divides_uniform_prefix():
+    # t t x at shift 2 is encoded as x at place 1
+    enc = resolver._encode_step(_free("x"), [2], [{(0, (0,)): ONE}], 4, True)
+    assert enc.offset == 2
+    assert enc.win == PlaceWindow(("x", "t"), 2)
+    assert enc.gens_lp == [{(0, iota_word(enc.win, (0,))): ONE}]
+    assert enc.gen_degrees == [1]
 
 
-def test_compress_missing_prefix_is_internal_error():
-    win = PlaceWindow(("x", "t"), 4)
-    mono = iota_word(win, (0, 1, 1))  # x t t: nothing to divide at place 1
-    with pytest.raises(AssertionError):
-        tshift_compress(win, [{(0, mono): ONE}], [2])
+def test_encode_mixed_shifts_uses_minimum():
+    gens = [{(0, (0,)): ONE}, {(1, ()): ONE}]  # t t x and t t t
+    enc = resolver._encode_step(_free("x"), [2, 3], gens, 5, True)
+    assert enc.offset == 2
+    assert enc.win.width == 3
+    assert enc.gens_lp == [{(0, iota_word(enc.win, (0,))): ONE},
+                           {(1, iota_word(enc.win, (1,))): ONE}]
+    assert enc.gen_degrees == [1, 1]
+
+
+def test_encode_without_compression_keeps_full_window():
+    gens = [{(0, (0,)): ONE}, {(1, ()): ONE}]
+    enc = resolver._encode_step(_free("x"), [2, 3], gens, 5, False)
+    assert enc.offset == 0
+    assert enc.win == PlaceWindow(("x", "t"), 5)
+    assert enc.gens_lp == [{(0, iota_word(enc.win, (1, 1, 0))): ONE},
+                           {(1, iota_word(enc.win, (1, 1, 1))): ONE}]
+    assert enc.gen_degrees == [3, 3]
 
 
 # --- single steps ----------------------------------------------------------
