@@ -5,7 +5,9 @@ list is a pass.  They re-derive, on the user's own presentation, the
 identities the whole pipeline rests on: graded dimension counts agree
 between direct linear algebra and the word-to-places side, encode and
 decode round-trip, encoding turns concatenation into shifted products,
-and substituting generators commutes with encoding.
+and substituting generators commutes with encoding.  One more check,
+check_hilbert_identity, takes a finished resolution and counts its
+exactness against the same direct linear algebra.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .homog import eta_apply, eta_inverse, homogenization_context
 from .letterplace import (PlaceWindow, iota_inverse_elem, iota_module_elem,
                           iota_poly, iota_word, letterplace_ideal_gens,
                           sigma_shift_mono)
+from .resolver import Resolution
 from .syzygy import ModuleGB
 
 
@@ -122,6 +125,44 @@ def check_dimension_equalities(module: ModulePresentation,
             failures.append(
                 f"module degree {d}: places normal count {normal}, "
                 f"direct quotient count {ambient - direct_mod}")
+    return failures
+
+
+def check_hilbert_identity(module: ModulePresentation,
+                           res: Resolution) -> List[str]:
+    """The resolution's free modules against the submodule's graded
+    dimensions: in each degree d the alternating sum over levels i >= 1
+    of sum_{s in level_shifts[i]} dim A_{d-s}, signed (-1)^(i+1), equals
+    module_component_dim(module, d).
+
+    Checked for every d up to the smallest window and, when the last
+    level's syzygies were never computed (the length bound cut the
+    resolution), up to that level's smallest shift: a further level only
+    starts one degree above it.  Only dims is used, no encoding and no
+    Groebner basis.  The identity is necessary, not sufficient, for
+    exactness: homology can cancel in the alternating sum.
+    """
+    levels = res.level_shifts
+    last = max(levels)
+    if last == 0:
+        return []  # zero module: no generators, nothing to resolve
+    tops = list(res.windows)
+    if len(res.steps) < last:
+        tops.append(min(levels[last]))
+    alg = module.algebra
+    dim_a: Dict[int, int] = {}
+    failures = []
+    for d in range(min(tops) + 1):
+        total = 0
+        for i in range(1, last + 1):
+            for s in levels[i]:
+                if d - s not in dim_a:
+                    dim_a[d - s] = graded_component_dim(alg, d - s)
+                total += (-1) ** (i + 1) * dim_a[d - s]
+        direct = module_component_dim(module, d)
+        if total != direct:
+            failures.append(f"degree {d}: alternating sum {total}, "
+                            f"submodule dimension {direct}")
     return failures
 
 

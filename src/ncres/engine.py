@@ -8,9 +8,10 @@ means a GREATER variable, matching the place-major letterplace precedence.
 The Groebner machinery is plain Buchberger with the Gebauer-Moeller pair
 criteria and an optional degree cap: S-pairs whose lcm degree exceeds the
 cap are discarded, which for homogeneous input yields a truncated basis
-that is complete through the cap degree.  Pair pruning is only used here,
-in the plain ring setting; the syzygy routines (see syzygy.py) must keep
-every pair because pruned pairs carry generators of the syzygy module.
+that is complete through the cap degree.  The module bases of syzygy.py
+prune far less: only the product criterion on module-by-ring pairs,
+whose syzygies vanish over the quotient; pairs of two module elements
+all stay, because they carry the Koszul generators of the syzygy module.
 
 Cost model of RingGB's pair bookkeeping.  A new element forms one
 candidate pair with each earlier one.  Candidates whose lcm degree

@@ -42,11 +42,15 @@ def parse_coeff(field: Field, text) -> object:
             f"coefficient must be a string, got {text!r}")
     _expect(COEFF_RE.match(text) is not None,
             f"coefficient {text!r} is not an exact integer or a/b ratio")
-    if "/" in text:
-        num, den = text.split("/")
-        num, den = int(num), int(den)
-    else:
-        num, den = int(text), 1
+    try:
+        if "/" in text:
+            num, den = text.split("/")
+            num, den = int(num), int(den)
+        else:
+            num, den = int(text), 1
+    except ValueError:  # beyond the interpreter's integer-string limit
+        raise InputError(f"coefficient of {len(text)} characters is too "
+                         f"long to convert")
     if field.char:
         _expect(den % field.char != 0,
                 f"coefficient {text!r} has denominator divisible by "
@@ -162,7 +166,7 @@ def module_from_document(doc) -> ModulePresentation:
 def parse_input(text: str, validate: bool = True) -> ModulePresentation:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an over-long integer
         raise InputError(f"not valid JSON: {e}")
     module = module_from_document(doc)
     if validate:

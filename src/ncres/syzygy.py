@@ -8,11 +8,17 @@ collected Schreyer-style: every input generator g_j carries a ghost
 component eps_j, an S-polynomial whose main part reduces to zero leaves
 its multiplier record in the ghost block, and that record is a syzygy.
 
-No S-pair may be pruned here: pairs that the classical product/chain
-criteria would drop are exactly the ones whose ghost records are the
-Koszul-type generators of the syzygy module.  Ideal-by-ideal pairs are the
-one exception: the ring Groebner basis is computed up front, so those
-pairs reduce to zero with no module content.
+Which S-pairs are formed.  Ring-by-ring pairs never are: the ring basis
+is finished before any module element arrives.  A module element h and
+a ring element r whose leads are coprime form no pair either (the
+product criterion): the S-polynomial equals r*tail(h) - tail(r)*h, which
+has a standard representation, and in a collecting basis the pair's
+syzygy is r*ghost(h) modulo the syzygies of other pairs, which is zero
+over the quotient (Schreyer's argument; La Scala & Stillman, J. Symb.
+Comp. 26 (1998); Erocal, Motsak, Schreyer & Steenpass, J. Symb. Comp. 74
+(2016)).  Every pair of two module elements in the same component is
+kept, coprime or not: no product criterion holds between two module
+elements, and those pairs carry the Koszul syzygies of the generators.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .engine import (Mono, Poly, RingGB, mono_deg, mono_div, mono_key,
-                     mono_lcm, mono_mul)
+from .engine import (Mono, Poly, RingGB, mono_coprime, mono_deg, mono_div,
+                     mono_key, mono_lcm, mono_mask, mono_mul)
 from .letterplace import WindowTooSmall
 
 Term = Tuple[int, Mono]
@@ -50,6 +56,8 @@ class ModuleGB:
         self.field = field
         self.shifts = list(main_shifts)
         self.ring = ring
+        self._ring_leads = [(lead, mono_mask(lead))
+                            for lead, _ in ring.elements]
         self.cap = cap
         self.collect = collect_syzygies
         self.elements: List[tuple] = []  # (lead_term, terms, ghost)
@@ -162,7 +170,12 @@ class ModuleGB:
             deg = mono_deg(l) + shift
             if deg <= self.cap:
                 heapq.heappush(self.pairs, (deg, 0, l, comp, i, t))
-        for k, (rlead, _) in enumerate(self.ring.elements):
+        mask = mono_mask(m)
+        for k, (rlead, rmask) in enumerate(self._ring_leads):
+            # product criterion (module docstring); disjoint masks mean
+            # coprime leads, overlapping ones need the exact test
+            if not rmask & mask or mono_coprime(rlead, m):
+                continue
             l = mono_lcm(rlead, m)
             deg = mono_deg(l) + shift
             if deg <= self.cap:

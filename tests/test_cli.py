@@ -219,3 +219,19 @@ def test_check_unparseable_exits_1(tmp_path, capsys):
     rc = cli.main(["check", path])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["resolve", "check"])
+@pytest.mark.parametrize("old, new", [
+    ('"coeff": "1"', '"coeff": "' + "7" * 5000 + '"'),
+    ('"coeff": "1"', '"coeff": "1/' + "7" * 5000 + '"'),
+    ('"shifts": [0]', '"shifts": [' + "7" * 5000 + ']'),
+], ids=["coefficient", "denominator", "shift"])
+def test_over_long_integers_exit_1_with_one_line(tmp_path, capsys, command,
+                                                 old, new):
+    rc = cli.main([command, write(tmp_path, SQUARE.replace(old, new, 1))])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from ncres.engine import (RingGB, mono_deg, mono_div, mono_key, mono_mul,
-                          normal_form)
+from ncres.engine import (RingGB, mono_coprime, mono_deg, mono_div, mono_key,
+                          mono_mul, normal_form)
 from ncres.field import rationals
 from ncres.linalg import rank
 from ncres.syzygy import (ModuleGB, elem_sdeg, minimalize_graded,
@@ -13,6 +13,7 @@ from ncres.syzygy import (ModuleGB, elem_sdeg, minimalize_graded,
 F = rationals()
 X = ((0, 1),)
 Y = ((1, 1),)
+Z = ((2, 1),)
 one = ()
 FREE = RingGB(F, ())  # the polynomial ring itself
 
@@ -55,6 +56,28 @@ def test_quotient_unit_generator_has_no_syzygies():
     res = syzygies_over_quotient(F, [{(0, one): C(1)}], [0],
                                  RingGB(F, ideal, cap=5), cap=5)
     assert res.generators == []
+
+
+def test_coprime_module_pair_keeps_its_koszul_syzygy():
+    # over k[x,y,z]/(z^2) the pairs of x e_0 and y e_0 with z^2 are
+    # coprime module-by-ring pairs and are skipped; the pair of x e_0 with
+    # y e_0 is coprime too but carries the Koszul syzygy, so it must stay
+    ring = RingGB(F, [{mono_mul(Z, Z): C(1)}], cap=4)
+    gens = [{(0, X): C(1)}, {(0, Y): C(1)}]
+    res = syzygies_over_quotient(F, gens, [0], ring, cap=4)
+    assert res.generators == [{(0, Y): C(1), (1, X): C(-1)}]
+    assert res.degrees == [2]
+
+
+def test_coprime_module_by_ring_pairs_are_not_queued():
+    ring = RingGB(F, [{mono_mul(Z, Z): C(1)}, {mono_mul(X, Z): C(1)}],
+                  cap=4)
+    gb = ModuleGB(F, [0], ring, cap=4)
+    gb.add_generator({(0, X): C(1)})
+    ring_pairs = [(gb.ring.elements[k][0], gb.elements[t][0][1])
+                  for _, kind, _, _, k, t in gb.pairs if kind == 1]
+    assert ring_pairs == [(mono_mul(X, Z), X)]
+    assert not any(mono_coprime(r, m) for r, m in ring_pairs)
 
 
 def monomials_of_degree(nvars, d):
