@@ -334,9 +334,6 @@ class RingGB:
     def polys(self) -> List[Poly]:
         return [dict(terms) for _, terms in self.elements]
 
-    def leads(self) -> List[Mono]:
-        return [lead for lead, _ in self.elements]
-
 
 def normal_form(field, f: Poly, basis: Sequence[Poly]) -> Poly:
     """Greedy reduction of f by a list of nonzero polynomials.

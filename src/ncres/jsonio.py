@@ -75,6 +75,8 @@ def _parse_word(names_index: Dict[str, int], obj, where: str) -> Tuple[int, ...]
     _expect(isinstance(obj, list), f"{where}: word must be a list of names")
     letters = []
     for name in obj:
+        _expect(isinstance(name, str),
+                f"{where}: letter {name!r} is not a generator name")
         _expect(name in names_index, f"{where}: unknown generator {name!r}")
         letters.append(names_index[name])
     return tuple(letters)

@@ -204,8 +204,8 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
     for e in block:
         block_at.setdefault(deg_of(e), []).append(e)
     raw_at: Dict[int, List[LpModElem]] = {}
-    for e in raw.generators:
-        raw_at.setdefault(deg_of(e), []).append(e)
+    for e, d in zip(raw.generators, raw.degrees):
+        raw_at.setdefault(d, []).append(e)
     gb = ModuleGB(field, enc.gen_degrees, enc.ring, cap=W)
     hist_rest: Counter = Counter()
     out_elems: List[NcModElem] = []
@@ -217,7 +217,7 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
             nf = gb.normal_form(e)
             if not nf:
                 raise AssertionError("forced-block element is redundant")
-            gb._install(nf, None)
+            gb.add_generator(nf)
         new = [e for e in raw_at.get(d, ()) if gb.normal_form(e)]
         if not new:
             continue
@@ -231,7 +231,7 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
                  if piv not in stale]
         for row in fresh:
             lp_elem = {frame[pos]: c for pos, c in row.items()}
-            gb._install(lp_elem, None)
+            gb.add_generator(lp_elem)
             nc = {(j, iota_inverse_word(enc.win, mono, enc.gen_degrees[j])): c
                   for (j, mono), c in lp_elem.items()}
             out_elems.append(nc)

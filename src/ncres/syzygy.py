@@ -1,12 +1,14 @@
 """Module Groebner bases, syzygies over free and quotient rings, and
 graded minimalization.
 
-Module terms are (component, monomial) pairs ordered block-first (main
-components before ghost components), then by shifted degree, then by the
-ring order, with the lower component index winning ties.  Syzygies are
-collected Schreyer-style: every input generator g_j carries a ghost
-component eps_j, an S-polynomial whose main part reduces to zero leaves
-its multiplier record in the ghost block, and that record is a syzygy.
+Module terms are (component, monomial) pairs.  The main components
+0 .. r-1 are ordered by shifted degree, then by the ring order, with the
+lower component index winning ties.  Components from r on are ghosts:
+their terms sort below every main term, so they never lead and are never
+reduced.  Syzygies are collected Schreyer-style: input generator g_j
+carries eps_j, the unit of ghost component r + j, so the ghost part of
+every element records its cofactors; when an S-polynomial's main part
+reduces to zero, its ghost part, renumbered from 0, is a syzygy.
 
 Which S-pairs are formed.  Ring-by-ring pairs never are: the ring basis
 is finished before any module element arrives.  A module element h and
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .engine import (Mono, Poly, RingGB, mono_coprime, mono_deg, mono_div,
                      mono_key, mono_lcm, mono_mask, mono_mul)
@@ -33,6 +35,7 @@ from .letterplace import WindowTooSmall
 
 Term = Tuple[int, Mono]
 ModElem = Dict[Term, object]
+_GHOST_KEY = (float("-inf"),)  # below every main term's key
 
 
 def elem_sdeg(shifts: Sequence[int], elem: ModElem) -> int:
@@ -46,25 +49,24 @@ class ModuleGB:
     """Incremental truncated module Groebner basis over a quotient ring.
 
     ring is a completed (truncated) RingGB whose elements act on every
-    component; RingGB(field, ()) is the polynomial ring itself.
-    collect_syzygies switches on ghost tracking for the generators added
-    through add_generator.
+    component; RingGB(field, ()) is the polynomial ring itself.  The main
+    block ends at len(main_shifts); components past it are ghosts, and
+    syzygies collects the ghost parts found (module docstring).
     """
 
     def __init__(self, field, main_shifts: Sequence[int], ring: RingGB,
-                 cap: int, collect_syzygies: bool = False):
+                 cap: int):
         self.field = field
         self.shifts = list(main_shifts)
         self.ring = ring
         self._ring_leads = [(lead, mono_mask(lead))
                             for lead, _ in ring.elements]
         self.cap = cap
-        self.collect = collect_syzygies
-        self.elements: List[tuple] = []  # (lead_term, terms, ghost)
+        self.elements: List[tuple] = []  # (lead_term, terms), ghosts last
+        # (comp, first variable of the lead) -> [(lead, terms, n_main)]
         self.buckets: Dict[Tuple[int, int], list] = {}
         self.pairs: list = []
         self.syzygies: List[ModElem] = []
-        self.n_ghost = 0
         self._kc: Dict[Term, tuple] = {}
 
     # -- order ------------------------------------------------------------
@@ -73,6 +75,8 @@ class ModuleGB:
         k = self._kc.get(term)
         if k is None:
             comp, m = term
+            if comp >= len(self.shifts):
+                return _GHOST_KEY
             k = (mono_deg(m) + self.shifts[comp], mono_key(m), -comp)
             self._kc[term] = k
         return k
@@ -82,25 +86,31 @@ class ModuleGB:
     def _find_module(self, comp: int, m: Mono):
         lst = self.buckets.get((comp, -1))
         if lst:
-            lead, terms, ghost = lst[0]
-            return m, terms, ghost
+            lead, tail, ghosts = lst[0]
+            return m, tail, ghosts
         for v, _ in m:
             lst = self.buckets.get((comp, v))
             if lst is None:
                 continue
-            for lead, terms, ghost in lst:
+            for lead, tail, ghosts in lst:
                 q = mono_div(m, lead)
                 if q is not None:
-                    return q, terms, ghost
+                    return q, tail, ghosts
         return None
 
     # -- reduction ----------------------------------------------------------
 
-    def _nf(self, main: ModElem, ghost: Optional[ModElem]):
-        """Full normal form; consumes main, updates ghost in place."""
+    def _nf(self, main: ModElem) -> ModElem:
+        """Full normal form; consumes main.  Ghost terms get a dict of
+        their own, so max() scans main terms only; the result has the
+        reduced main terms in descending order, then the ghost terms."""
         field = self.field
         sub, mul = field.sub, field.mul
         zero = field.zero
+        r = len(self.shifts)
+        ghost = {t: c for t, c in main.items() if t[0] >= r}
+        if ghost:  # a fresh dict: popping would leave holes max() walks
+            main = {t: c for t, c in main.items() if t[0] < r}
         out: ModElem = {}
         key_of = self._term_key
         while main:
@@ -109,24 +119,21 @@ class ModuleGB:
             comp, m = term
             hit = self._find_module(comp, m)
             if hit is not None:
-                q, terms, red_ghost = hit
-                for (tc2, tm), tcoef in terms[1:]:
-                    # the subtracted terms sit strictly below `term` in the
-                    # module order, so they can only land in `main`
+                q, tail, ghosts = hit
+                for (tc2, tm), tcoef in tail:  # below `term`: never in out
                     key = (tc2, mono_mul(tm, q) if q else tm)
                     s = sub(main.get(key, zero), mul(c, tcoef))
                     if s == zero:
                         main.pop(key, None)
                     else:
                         main[key] = s
-                if ghost is not None and red_ghost:
-                    for (gcomp, gm), gc in red_ghost.items():
-                        key = (gcomp, mono_mul(gm, q) if q else gm)
-                        s = sub(ghost.get(key, zero), mul(c, gc))
-                        if s == zero:
-                            ghost.pop(key, None)
-                        else:
-                            ghost[key] = s
+                for (tc2, tm), tcoef in ghosts:
+                    key = (tc2, mono_mul(tm, q) if q else tm)
+                    s = sub(ghost.get(key, zero), mul(c, tcoef))
+                    if s == zero:
+                        ghost.pop(key, None)
+                    else:
+                        ghost[key] = s
                 continue
             rhit = self.ring._find(m)
             if rhit is not None:
@@ -140,30 +147,20 @@ class ModuleGB:
                         main[key] = s
                 continue
             out[term] = c
+        out.update(ghost)
         return out
 
     def normal_form(self, elem: ModElem) -> ModElem:
-        return self._nf(dict(elem), None)
+        return self._nf(dict(elem))
 
     # -- basis growth --------------------------------------------------------
 
-    def _monic(self, main: ModElem, ghost: Optional[ModElem], lead: Term):
-        lc = main[lead]
-        if lc == self.field.one:
-            return main, ghost
-        inv = self.field.inv(lc)
-        mul = self.field.mul
-        main = {t: mul(inv, c) for t, c in main.items()}
-        if ghost is not None:
-            ghost = {t: mul(inv, c) for t, c in ghost.items()}
-        return main, ghost
-
     def _push_pairs(self, t: int) -> None:
-        lead_t, _, _ = self.elements[t]
+        lead_t, _ = self.elements[t]
         comp, m = lead_t
         shift = self.shifts[comp]
         for i in range(t):
-            lead_i, _, _ = self.elements[i]
+            lead_i, _ = self.elements[i]
             if lead_i[0] != comp:
                 continue
             l = mono_lcm(lead_i[1], m)
@@ -181,94 +178,66 @@ class ModuleGB:
             if deg <= self.cap:
                 heapq.heappush(self.pairs, (deg, 1, l, comp, k, t))
 
-    def _install(self, main: ModElem, ghost: Optional[ModElem]) -> None:
-        lead = max(main, key=self._term_key)
-        main, ghost = self._monic(main, ghost, lead)
-        terms = sorted(main.items(), key=lambda t: self._term_key(t[0]),
-                       reverse=True)
-        t = len(self.elements)
-        self.elements.append((lead, terms, ghost))
+    def _install(self, elem: ModElem) -> None:
+        """Add elem, made monic; its largest term is a main term."""
+        terms = sorted(elem.items(), key=lambda t: self._term_key(t[0]),
+                       reverse=True)  # stable: ghosts keep their order
+        lead, lc = terms[0]
+        if lc != self.field.one:
+            inv = self.field.inv(lc)
+            terms = [(t, self.field.mul(inv, c)) for t, c in terms]
+        n_main = sum(1 for comp, _ in elem if comp < len(self.shifts))
+        self.elements.append((lead, terms))
         comp, m = lead
-        bucket = (comp, m[0][0] if m else -1)
-        self.buckets.setdefault(bucket, []).append((m, terms, ghost))
-        self._push_pairs(t)
+        self.buckets.setdefault((comp, m[0][0] if m else -1), []).append(
+            (m, terms[1:n_main], terms[n_main:]))
+        self._push_pairs(len(self.elements) - 1)
 
     def add_generator(self, elem: ModElem) -> None:
-        """Insert a generator, tracking it with a fresh ghost component
-        when syzygy collection is on.  Ghost components are numbered from
-        the end of the main block in input order."""
-        if not elem:
-            raise ValueError("zero generator")
-        ghost = None
-        if self.collect:
-            j = self.n_ghost
-            self.n_ghost += 1
-            ghost = {(j, ()): self.field.one}
-        self._install(dict(elem), ghost)
-
-    def _dispatch(self, main: ModElem, ghost: Optional[ModElem]) -> None:
-        main = self._nf(main, ghost)
-        if main:
-            self._install(main, ghost)
-        elif ghost:
-            self.syzygies.append(ghost)
+        """Insert elem, unreduced.  Ghost terms (components from
+        len(main_shifts) on) never lead, so elem needs a main term."""
+        if not any(comp < len(self.shifts) for comp, _ in elem):
+            raise ValueError("generator has no main term")
+        self._install(elem)
 
     def _spoly(self, kind: int, l: Mono, comp: int, i: int, t: int):
-        """S-polynomial of pair (i, t).  Module-by-module pairs are taken
-        as q_i e_i - q_t e_t (earlier element positive); module-by-ring
-        pairs as q_t e_t - q_r r."""
-        field = self.field
-        sub, mul = field.sub, field.mul
-        zero = field.zero
-        lead_t, terms_t, ghost_t = self.elements[t]
-        qt = mono_div(l, lead_t[1])
-        tsign = field.neg(field.one) if kind == 0 else field.one
-        main: ModElem = {}
-        for (tc2, tm), tcoef in terms_t:
-            main[(tc2, mono_mul(tm, qt) if qt else tm)] = mul(tsign, tcoef)
-        ghost: Optional[ModElem] = None
-        if self.collect:
-            ghost = {}
-            if ghost_t:
-                for (gc2, gm), gcoef in ghost_t.items():
-                    ghost[(gc2, mono_mul(gm, qt) if qt else gm)] = \
-                        mul(tsign, gcoef)
+        """S-polynomial of pair (i, t): q_i e_i - q_t e_t for two module
+        elements (earlier element positive), q_t e_t - q_r r for a module
+        element and a ring element."""
+        sub, zero = self.field.sub, self.field.zero
         if kind == 0:
-            lead_i, terms_i, ghost_i = self.elements[i]
-            qi = mono_div(l, lead_i[1])
-            for (tc2, tm), tcoef in terms_i:
-                key = (tc2, mono_mul(tm, qi) if qi else tm)
-                s = field.add(main.get(key, zero), tcoef)
-                if s == zero:
-                    main.pop(key, None)
-                else:
-                    main[key] = s
-            if ghost is not None and ghost_i:
-                for (gc2, gm), gcoef in ghost_i.items():
-                    key = (gc2, mono_mul(gm, qi) if qi else gm)
-                    s = field.add(ghost.get(key, zero), gcoef)
-                    if s == zero:
-                        ghost.pop(key, None)
-                    else:
-                        ghost[key] = s
+            lead_p, terms_p = self.elements[i]
+            lead_n, terms_n = self.elements[t]
+            qn = mono_div(l, lead_n[1])
         else:
+            lead_p, terms_p = self.elements[t]
             rlead, rterms = self.ring.elements[i]
-            qr = mono_div(l, rlead)
-            for tm, tcoef in rterms:
-                key = (comp, mono_mul(tm, qr) if qr else tm)
-                s = sub(main.get(key, zero), tcoef)
-                if s == zero:
-                    main.pop(key, None)
-                else:
-                    main[key] = s
-        return main, ghost
+            qn = mono_div(l, rlead)
+            terms_n = [((comp, tm), tcoef) for tm, tcoef in rterms]
+        qp = mono_div(l, lead_p[1])
+        spoly: ModElem = {}
+        for (tc2, tm), tcoef in terms_p:
+            spoly[(tc2, mono_mul(tm, qp) if qp else tm)] = tcoef
+        for (tc2, tm), tcoef in terms_n:
+            key = (tc2, mono_mul(tm, qn) if qn else tm)
+            s = sub(spoly.get(key, zero), tcoef)
+            if s == zero:
+                spoly.pop(key, None)
+            else:
+                spoly[key] = s
+        return spoly
 
     def complete_to(self, d: int) -> None:
         """Process all S-pairs of shifted degree <= d."""
+        r = len(self.shifts)
         while self.pairs and self.pairs[0][0] <= d:
             deg, kind, l, comp, i, t = heapq.heappop(self.pairs)
-            main, ghost = self._spoly(kind, l, comp, i, t)
-            self._dispatch(main, ghost)
+            nf = self._nf(self._spoly(kind, l, comp, i, t))
+            if nf and next(iter(nf))[0] < r:  # main terms come first
+                self._install(nf)
+            elif nf:
+                self.syzygies.append(
+                    {(j - r, m): c for (j, m), c in nf.items()})
 
 
 @dataclass
@@ -299,9 +268,9 @@ def syzygies_over_quotient(field, gens: Sequence[ModElem],
         if d > cap:
             raise WindowTooSmall(
                 f"generator of degree {d} exceeds the window {cap}")
-    gb = ModuleGB(field, main_shifts, ring, cap, collect_syzygies=True)
-    for g in gens:
-        gb.add_generator(g)
+    gb = ModuleGB(field, main_shifts, ring, cap)
+    for j, g in enumerate(gens):  # g_j carries the unit of ghost eps_j
+        gb.add_generator({**g, (len(main_shifts) + j, ()): field.one})
     gb.complete_to(cap)
     kept: List[ModElem] = []
     degrees: List[int] = []
@@ -335,6 +304,6 @@ def minimalize_graded(field, gens: Sequence[ModElem],
         gb.complete_to(degs[i])
         nf = gb.normal_form(gens[i])
         if nf:
-            gb._install(nf, None)
+            gb.add_generator(nf)
             kept.append(i)
     return kept

@@ -201,6 +201,9 @@ def test_check_reports_validation_failure(tmp_path, capsys):
     ("relations", 5),
     ("module", {"shifts": [0], "generators": 5}),
     ("module", {"shifts": [True], "generators": []}),
+    ("relations", [[{"coeff": "1", "word": [["x"]]}]]),
+    ("module", {"shifts": [0], "generators": [[{"coeff": "1", "component": 0,
+                                                "word": [{"x": 1}]}]]}),
 ])
 def test_malformed_sections_exit_1_with_one_line(tmp_path, capsys, command,
                                                  key, value):

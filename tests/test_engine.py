@@ -275,5 +275,5 @@ def test_letterplace_bases_are_truncated_groebner_bases():
 
 def test_reference_letterplace_basis_sizes():
     alg = nilpotent_enveloping()
-    assert len(_letterplace_basis(alg, 10)[1].leads()) == 131
-    assert len(_letterplace_basis(extend_algebra(alg), 9)[1].leads()) == 152
+    assert len(_letterplace_basis(alg, 10)[1].elements) == 131
+    assert len(_letterplace_basis(extend_algebra(alg), 9)[1].elements) == 152

@@ -102,6 +102,8 @@ def _with(path, value):
     (("module", "shifts"), [True]),
     (("module", "shifts"), [0, False]),
     (("module", "generators", 0, 0, "component"), False),
+    (("relations", 0, 0, "word"), [["x"]]),
+    (("module", "generators", 0, 0, "word"), [{"x": 1}]),
 ])
 def test_non_list_sections_and_booleans_rejected(path, value):
     with pytest.raises(InputError):

@@ -1,0 +1,40 @@
+"""Run each script in scripts/ at desk size in a fresh interpreter, so
+that an API change which breaks one of them fails here."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *args):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("argv, summary", [
+    (["cross_validate.py", "--instances", "3"], "3 instances, 0 mismatches,"),
+    (["dimension_sweep.py", "--instances", "2", "--dmax", "3"],
+     ", 0 failures,"),
+], ids=["cross_validate", "dimension_sweep"])
+def test_validation_script_reports_no_failures(argv, summary):
+    assert summary in run_script(*argv)[-1]
+
+
+def test_run_reference_with_and_without_compression():
+    on = run_script("run_reference.py", "--length", "3",
+                    "--degree-bound", "5")
+    off = run_script("run_reference.py", "--length", "3",
+                     "--degree-bound", "5", "--no-tshift")
+    assert on[0].startswith("status: truncated(5)") and "tshift=on" in on[0]
+    assert off[0].startswith("status: truncated(5)") and "tshift=off" in off[0]
+    # the table and the shifts do not depend on compression; the per-step
+    # lines (offset, block size) do
+    table = lambda out: [l for l in out[1:] if not l.startswith("step ")]
+    assert table(on) == table(off)
+    assert any(l.startswith("  level 3:") for l in on)

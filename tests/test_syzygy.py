@@ -80,6 +80,28 @@ def test_coprime_module_by_ring_pairs_are_not_queued():
     assert not any(mono_coprime(r, m) for r, m in ring_pairs)
 
 
+@pytest.mark.parametrize("second", [X, one])
+def test_ghost_terms_never_lead(second):
+    # main shifts [3, 0], g0 = e0 + x^3 e1, g1 = x^a e1: the S-polynomial
+    # g0 - x^(3-a) g1 is e0 + eps_0 - x^(3-a) eps_1.  Keyed like a main
+    # term with shift deg(g1) = a, x^(3-a) eps_1 ties e0 in degree and
+    # wins on the monomial (for a = 0 even with shift 0); ghosts sorting
+    # below every main term make e0 the lead
+    shifts = [3, 0]
+    gens = [{(0, one): C(1), (1, mono_mul(X, mono_mul(X, X))): C(1)},
+            {(1, second): C(1)}]
+    gb = ModuleGB(F, shifts, FREE, cap=6)
+    for j, g in enumerate(gens):
+        gb.add_generator({**g, (len(shifts) + j, one): C(1)})
+    gb.complete_to(6)
+    leads = [lead for lead, _ in gb.elements]
+    assert all(comp < len(shifts) for comp, _ in leads)
+    assert (0, one) in leads
+    assert gb.syzygies == []
+    res = syzygies_over_quotient(F, gens, shifts, FREE, cap=6)
+    assert res.generators == [] and res.degrees == []
+
+
 def monomials_of_degree(nvars, d):
     for combo in itertools.combinations_with_replacement(range(nvars), d):
         yield tuple((i, combo.count(i)) for i in range(nvars)
