@@ -104,7 +104,7 @@ def check_dimension_equalities(module: ModulePresentation,
                 f"ideal degree {d}: places count {reducible}, "
                 f"direct count {direct}")
 
-        mgb = ModuleGB(field, list(module.shifts), ring, cap=d)
+        mgb = ModuleGB(ring, list(module.shifts))
         for g in module.generators:
             if elem_degree(module.shifts, g) <= d:
                 mgb.add_generator(iota_module_elem(win, g, module.shifts))

@@ -24,6 +24,11 @@ mono_div of the criteria.  The chain criterion walks only the pending
 pairs: a pair leaves the pending table when it is processed or
 cancelled, and a heap entry is live exactly while its key is pending.
 Interreduction reduces each tail once, in ascending lead order.
+
+mono_key is pure; each RingGB memoizes it in a table of its own
+(RingGB.keys) that dies with the basis, so a resolution leaves no state
+behind.  A finished truncated RingGB is the whole context of the module
+bases over it (syzygy.py): field, window (cap) and key table.
 """
 
 from __future__ import annotations
@@ -33,9 +38,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 Mono = Tuple[Tuple[int, int], ...]
 Poly = Dict[Mono, object]
-
-_KEY_CACHE: Dict[Mono, tuple] = {}
-
 
 def mono_deg(m: Mono) -> int:
     d = 0
@@ -51,14 +53,18 @@ def mono_key(m: Mono) -> tuple:
     exponents differ, smaller exponent winning.  (-v, -e) pairs from the
     tail end encode exactly that under tuple comparison.
     """
-    k = _KEY_CACHE.get(m)
-    if k is None:
-        d = 0
-        for _, e in m:
-            d += e
-        k = (d,) + tuple((-v, -e) for v, e in reversed(m))
-        _KEY_CACHE[m] = k
-    return k
+    d = 0
+    for _, e in m:
+        d += e
+    return (d,) + tuple((-v, -e) for v, e in reversed(m))
+
+
+class _KeyTable(dict):
+    """mono -> mono_key(mono), filled on first lookup."""
+
+    def __missing__(self, m: Mono) -> tuple:
+        k = self[m] = mono_key(m)
+        return k
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
@@ -149,29 +155,16 @@ def mono_mask(m: Mono) -> int:
     return mask
 
 
-def poly_items_sorted(p: Poly):
-    return sorted(p.items(), key=lambda t: mono_key(t[0]), reverse=True)
-
-
-def _monic_terms(field, p: Poly):
-    """Descending monic term list; returns (lead, terms)."""
-    items = poly_items_sorted(p)
-    lead, lc = items[0]
-    if lc == field.one:
-        return lead, items
-    inv = field.inv(lc)
-    mul = field.mul
-    return lead, [(m, mul(inv, c)) for m, c in items]
-
-
 class RingGB:
     """Truncated reduced Groebner basis over the polynomial ring: plain
     Buchberger with the Gebauer-Moeller criteria, then interreduction.
-    Elements are (lead, descending monic term list)."""
+    Elements are (lead, descending monic term list); keys is the basis's
+    own memo of mono_key."""
 
     def __init__(self, field, gens: Sequence[Poly], cap: Optional[int] = None):
         self.field = field
         self.cap = cap
+        self.keys = _KeyTable()
         self.elements: List[tuple] = []  # (lead, terms)
         # reducers bucketed by the smallest variable of their lead (-1 for
         # the unit), each (lead, mask, terms)
@@ -191,10 +184,11 @@ class RingGB:
         field = self.field
         sub, mul = field.sub, field.mul
         zero = field.zero
+        key_of = self.keys.__getitem__
         work = dict(p)
         out: Poly = {}
         while work:
-            m = max(work, key=mono_key)
+            m = max(work, key=key_of)
             c = work.pop(m)
             hit = self._find(m)
             if hit is None:
@@ -230,9 +224,24 @@ class RingGB:
         p = self._reduce_full(p)
         if not p:
             return
-        lead, terms = _monic_terms(self.field, p)
+        lead, terms = self._monic_terms(p)
         self._update_pairs(len(self.elements), lead)
         self._install(lead, terms)
+
+    def _sorted_items(self, p: Poly):
+        keys = self.keys
+        return sorted(p.items(), key=lambda t: keys[t[0]], reverse=True)
+
+    def _monic_terms(self, p: Poly):
+        """Descending monic term list; returns (lead, terms)."""
+        items = self._sorted_items(p)
+        lead, lc = items[0]
+        field = self.field
+        if lc == field.one:
+            return lead, items
+        inv = field.inv(lc)
+        mul = field.mul
+        return lead, [(m, mul(inv, c)) for m, c in items]
 
     def _install(self, lead: Mono, terms) -> None:
         self.elements.append((lead, terms))
@@ -313,9 +322,9 @@ class RingGB:
         reduces to, is smaller than its own lead, so only elements with
         smaller leads ever act on it: one pass in ascending lead order,
         each element installed after its tail is reduced, is final."""
+        keys = self.keys
         minimal: List[tuple] = []
-        for lead, terms in sorted(self.elements,
-                                  key=lambda e: mono_key(e[0])):
+        for lead, terms in sorted(self.elements, key=lambda e: keys[e[0]]):
             mask = mono_mask(lead)
             if not any(m & mask == m and mono_div(lead, k) is not None
                        for k, m, _ in minimal):
@@ -324,7 +333,7 @@ class RingGB:
         self.buckets = {}
         for lead, _, terms in minimal:
             tail = self._reduce_full(dict(terms[1:]))
-            self._install(lead, [terms[0]] + poly_items_sorted(tail))
+            self._install(lead, [terms[0]] + self._sorted_items(tail))
 
     # -- queries ---------------------------------------------------------
 
@@ -344,6 +353,6 @@ def normal_form(field, f: Poly, basis: Sequence[Poly]) -> Poly:
     gb = RingGB(field, ())
     for p in basis:
         if p:
-            lead, terms = _monic_terms(field, p)
+            lead, terms = gb._monic_terms(p)
             gb._install(lead, terms)
     return gb.normal_form(f)

@@ -184,14 +184,6 @@ def field_document(field: Field):
     return "Q" if field.char == 0 else {"Fp": field.char}
 
 
-def poly_terms(alg: AlgebraPresentation, poly: NcPoly) -> List[dict]:
-    out = []
-    for w in sorted(poly):
-        out.append({"coeff": alg.field.to_str(poly[w]),
-                    "word": [alg.names[a] for a in w]})
-    return out
-
-
 def elem_terms(alg: AlgebraPresentation, elem: NcModElem) -> List[dict]:
     out = []
     for comp, w in sorted(elem):

@@ -44,9 +44,6 @@ class PlaceWindow:
     def n_letters(self) -> int:
         return len(self.names)
 
-    def var(self, place0: int, letter: int) -> int:
-        return place0 * len(self.names) + letter
-
     def var_place0(self, v: int) -> int:
         return v // len(self.names)
 
@@ -94,10 +91,6 @@ def sigma_shift_mono(win: PlaceWindow, m: LpMono, k: int) -> LpMono:
     if out and (out[0][0] < 0 or win.var_place0(out[-1][0]) >= win.width):
         raise WindowTooSmall(f"shift by {k} leaves the window")
     return out
-
-
-def sigma_shift(win: PlaceWindow, p: LpPoly, k: int) -> LpPoly:
-    return {sigma_shift_mono(win, m, k): c for m, c in p.items()}
 
 
 def iota_inverse_word(win: PlaceWindow, m: LpMono, shift: int) -> Word:

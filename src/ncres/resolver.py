@@ -21,10 +21,15 @@ Minimalization and canonicalization share one module Groebner basis,
 grown degree by degree.  At degree d it receives the forced block of
 degree d (each element must be new); the raw syzygies of degree d it does
 not yet contain mark a degree that needs generators, which the stair
-frame supplies; then every raw syzygy of degree d must reduce to zero.
-That check certifies the step: the emitted generators and the block span
-the syzygy module through the window and are independent modulo lower
-degrees, so their count per degree is the Betti number.
+frame supplies: its RREF rows, walked from the last pivot to the first,
+are kept when their normal form is non-zero, and that normal form joins
+the basis.  A pivot is already spanned exactly when its row lies in the
+basis plus the rows after it, so this keeps the rows whose pivots the
+spanned part lacks, emitted in ascending pivot order.  Then every raw
+syzygy of degree d must reduce to zero.  That check certifies the
+step: the emitted generators and the block span the syzygy module
+through the window and are independent modulo lower degrees, so their
+count per degree is the Betti number.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .engine import _KEY_CACHE, RingGB, mono_mul
+from .engine import RingGB, mono_mul
 from .freealg import (AlgebraPresentation, ModulePresentation, NcModElem,
                       elem_degree, homogeneous_degree, validate_presentation)
 from .homog import HomogenizationContext, eta_apply, homogenization_context
@@ -144,7 +149,8 @@ def _stair_frame(enc: _StepEncoding, degree: int) -> List[Tuple[int, tuple]]:
 
 
 def _frame_kernel(field, images: Sequence[dict]):
-    """RREF basis of {w : sum_s w_s * images[s] = 0} in frame coordinates.
+    """RREF basis of {w : sum_s w_s * images[s] = 0} in frame coordinates,
+    rows in ascending pivot order.
 
     Augment each image row with a unit tag, eliminate with image columns
     first; surviving rows supported on tags alone are the kernel.
@@ -157,7 +163,7 @@ def _frame_kernel(field, images: Sequence[dict]):
     basis = _eliminate(rows, field, col_key=lambda c: c)
     kernel = [{key[1]: c for key, c in row.items()}
               for piv, row in basis.items() if piv[0] == 1]
-    return rref(kernel, field)
+    return rref(kernel, field)[0]
 
 
 def _ev_image(enc: _StepEncoding, j: int, mono: tuple) -> dict:
@@ -191,10 +197,8 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
     `window`) of a minimal homogeneous generating family."""
     field = alg.field
     enc = _encode_step(alg, ambient_shifts, gens, window, use_tshift)
-    W = enc.win.width
-    rank = len(ambient_shifts)
-    raw = syzygies_over_quotient(field, enc.gens_lp, [0] * rank, enc.ring,
-                                 cap=W)
+    raw = syzygies_over_quotient(enc.ring, enc.gens_lp,
+                                 [0] * len(ambient_shifts))
     block = build_C(enc.win, field, enc.gen_degrees)
     _check_forced_block(enc, block)
 
@@ -202,15 +206,16 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
     # one degree-ordered pass: forced block, then canonical representatives
     block_at: Dict[int, List[LpModElem]] = {}
     for e in block:
-        block_at.setdefault(deg_of(e), []).append(e)
+        d = deg_of(e)
+        if d <= enc.win.width:  # a top-degree generator's block lies above
+            block_at.setdefault(d, []).append(e)
     raw_at: Dict[int, List[LpModElem]] = {}
     for e, d in zip(raw.generators, raw.degrees):
         raw_at.setdefault(d, []).append(e)
-    gb = ModuleGB(field, enc.gen_degrees, enc.ring, cap=W)
+    gb = ModuleGB(enc.ring, enc.gen_degrees)
     hist_rest: Counter = Counter()
     out_elems: List[NcModElem] = []
     out_degrees: List[int] = []
-    one = field.one
     for d in sorted(set(block_at) | set(raw_at)):
         gb.complete_to(d)
         for e in block_at.get(d, ()):
@@ -222,16 +227,16 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
         if not new:
             continue
         frame = _stair_frame(enc, d)
-        ev_rows, ev_piv = _frame_kernel(
+        rows = _frame_kernel(
             field, [_ev_image(enc, j, mono) for j, mono in frame])
-        _, old_piv = _frame_kernel(
-            field, [gb.normal_form({(j, mono): one}) for j, mono in frame])
-        stale = set(old_piv)
-        fresh = [row for row, piv in zip(ev_rows, ev_piv)
-                 if piv not in stale]
-        for row in fresh:
+        fresh = []
+        for row in reversed(rows):  # last pivot first
             lp_elem = {frame[pos]: c for pos, c in row.items()}
-            gb.add_generator(lp_elem)
+            nf = gb.normal_form(lp_elem)
+            if nf:
+                gb.add_generator(nf)
+                fresh.append(lp_elem)
+        for lp_elem in reversed(fresh):  # ascending pivots
             nc = {(j, iota_inverse_word(enc.win, mono, enc.gen_degrees[j])): c
                   for (j, mono), c in lp_elem.items()}
             out_elems.append(nc)
@@ -301,10 +306,8 @@ def _is_monomial(module: ModulePresentation) -> bool:
 
 
 def resolve(req: ResolutionRequest) -> Resolution:
-    _KEY_CACHE.clear()  # monomial sort keys live for one resolution
     module = req.module
     alg = module.algebra
-    field = alg.field
     problems = validate_presentation(module)
     if problems:
         raise ValueError("; ".join(problems))
@@ -322,16 +325,10 @@ def resolve(req: ResolutionRequest) -> Resolution:
                 f"degree bound {req.degree_bound} below generator degree "
                 f"{top}")
         enc0 = _encode_step(alg, shifts, gens, max(top, 1), req.tshift)
-        kept = minimalize_graded(field, enc0.gens_lp, [0] * len(shifts),
-                                 enc0.ring)
+        kept = minimalize_graded(enc0.ring, enc0.gens_lp, [0] * len(shifts))
         gens = [gens[i] for i in kept]
         degs = [degs[i] for i in kept]
 
-    entries: Dict[Tuple[int, int], int] = {}
-    for s in shifts:
-        entries[(0, s)] = entries.get((0, s), 0) + 1
-    for d in degs:
-        entries[(1, d - 1)] = entries.get((1, d - 1), 0) + 1
     level_shifts: Dict[int, List[int]] = {0: sorted(shifts)}
     if gens:
         level_shifts[1] = sorted(degs)
@@ -354,9 +351,6 @@ def resolve(req: ResolutionRequest) -> Resolution:
         if not step.generators:
             terminated = True
             break
-        for d in step.degrees:
-            key = (i + 1, d - (i + 1))
-            entries[key] = entries.get(key, 0) + 1
         level_shifts[i + 1] = sorted(step.degrees)
         basis_ambient = basis_degs
         basis = step.generators
@@ -376,6 +370,8 @@ def resolve(req: ResolutionRequest) -> Resolution:
     status = "certified" if certified else f"truncated({top_window})"
     for step in steps:
         step.certified = certified
+    entries = dict(Counter((i, d - i) for i, level in level_shifts.items()
+                           for d in level))
     table = BettiTable(entries, truncated=not certified,
                        truncation_degree=None if certified else top_window)
     return Resolution(

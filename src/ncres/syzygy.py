@@ -1,6 +1,10 @@
 """Module Groebner bases, syzygies over free and quotient rings, and
 graded minimalization.
 
+A module basis takes its whole context from one finished truncated
+RingGB: the field, the window (ring.cap bounds shifted degrees) and the
+monomial keys of the term order (ring.keys).
+
 Module terms are (component, monomial) pairs.  The main components
 0 .. r-1 are ordered by shifted degree, then by the ring order, with the
 lower component index winning ties.  Components from r on are ghosts:
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .engine import (Mono, Poly, RingGB, mono_coprime, mono_deg, mono_div,
-                     mono_key, mono_lcm, mono_mask, mono_mul)
+                     mono_lcm, mono_mask, mono_mul)
 from .letterplace import WindowTooSmall
 
 Term = Tuple[int, Mono]
@@ -48,20 +52,23 @@ def elem_sdeg(shifts: Sequence[int], elem: ModElem) -> int:
 class ModuleGB:
     """Incremental truncated module Groebner basis over a quotient ring.
 
-    ring is a completed (truncated) RingGB whose elements act on every
-    component; RingGB(field, ()) is the polynomial ring itself.  The main
-    block ends at len(main_shifts); components past it are ghosts, and
-    syzygies collects the ghost parts found (module docstring).
+    ring is a completed truncated RingGB whose elements act on every
+    component; RingGB(field, (), cap=D) is the polynomial ring itself.
+    Field, window (ring.cap) and monomial keys (ring.keys) all come from
+    ring.  The main block ends at len(main_shifts); components past it
+    are ghosts, and syzygies collects the ghost parts found (module
+    docstring).
     """
 
-    def __init__(self, field, main_shifts: Sequence[int], ring: RingGB,
-                 cap: int):
-        self.field = field
+    def __init__(self, ring: RingGB, main_shifts: Sequence[int]):
+        if ring.cap is None:
+            raise ValueError("a module basis needs a truncated ring")
+        self.field = ring.field
         self.shifts = list(main_shifts)
         self.ring = ring
         self._ring_leads = [(lead, mono_mask(lead))
                             for lead, _ in ring.elements]
-        self.cap = cap
+        self.cap = ring.cap
         self.elements: List[tuple] = []  # (lead_term, terms), ghosts last
         # (comp, first variable of the lead) -> [(lead, terms, n_main)]
         self.buckets: Dict[Tuple[int, int], list] = {}
@@ -77,7 +84,8 @@ class ModuleGB:
             comp, m = term
             if comp >= len(self.shifts):
                 return _GHOST_KEY
-            k = (mono_deg(m) + self.shifts[comp], mono_key(m), -comp)
+            mk = self.ring.keys[m]  # mk[0] is the degree of m
+            k = (mk[0] + self.shifts[comp], mk, -comp)
             self._kc[term] = k
         return k
 
@@ -195,9 +203,16 @@ class ModuleGB:
 
     def add_generator(self, elem: ModElem) -> None:
         """Insert elem, unreduced.  Ghost terms (components from
-        len(main_shifts) on) never lead, so elem needs a main term."""
-        if not any(comp < len(self.shifts) for comp, _ in elem):
+        len(main_shifts) on) never lead, so elem needs a main term, and
+        its shifted degree must lie within the window."""
+        r = len(self.shifts)
+        main = next((t for t in elem if t[0] < r), None)
+        if main is None:
             raise ValueError("generator has no main term")
+        d = self._term_key(main)[0]
+        if d > self.cap:
+            raise WindowTooSmall(
+                f"generator of degree {d} exceeds the window {self.cap}")
         self._install(elem)
 
     def _spoly(self, kind: int, l: Mono, comp: int, i: int, t: int):
@@ -256,22 +271,18 @@ def reduce_components(ring: RingGB, elem: ModElem) -> ModElem:
             for m, c in ring.normal_form(poly).items()}
 
 
-def syzygies_over_quotient(field, gens: Sequence[ModElem],
-                           main_shifts: Sequence[int], ring: RingGB,
-                           cap: int) -> SyzygyResult:
+def syzygies_over_quotient(ring: RingGB, gens: Sequence[ModElem],
+                           main_shifts: Sequence[int]) -> SyzygyResult:
     """Generators of the syzygy module of gens over the quotient by the
-    finished ring basis, complete through shifted degree cap.
+    finished ring basis, complete through shifted degree ring.cap.
     Coefficients are returned in normal form modulo the ring; syzygies
     reducing entirely to zero are dropped."""
     gen_degs = [elem_sdeg(main_shifts, g) for g in gens]
-    for d in gen_degs:
-        if d > cap:
-            raise WindowTooSmall(
-                f"generator of degree {d} exceeds the window {cap}")
-    gb = ModuleGB(field, main_shifts, ring, cap)
+    gb = ModuleGB(ring, main_shifts)
+    one = ring.field.one
     for j, g in enumerate(gens):  # g_j carries the unit of ghost eps_j
-        gb.add_generator({**g, (len(main_shifts) + j, ()): field.one})
-    gb.complete_to(cap)
+        gb.add_generator({**g, (len(main_shifts) + j, ()): one})
+    gb.complete_to(ring.cap)
     kept: List[ModElem] = []
     degrees: List[int] = []
     for syz in gb.syzygies:
@@ -282,8 +293,8 @@ def syzygies_over_quotient(field, gens: Sequence[ModElem],
     return SyzygyResult(kept, degrees)
 
 
-def minimalize_graded(field, gens: Sequence[ModElem],
-                      main_shifts: Sequence[int], ring: RingGB) -> List[int]:
+def minimalize_graded(ring: RingGB, gens: Sequence[ModElem],
+                      main_shifts: Sequence[int]) -> List[int]:
     """Indices of a minimal generating subset of gens over the quotient by
     the finished ring basis.
 
@@ -294,11 +305,9 @@ def minimalize_graded(field, gens: Sequence[ModElem],
     resolver uses this only on its input generators; each syzygy step
     does its own single degree-ordered pass (resolver.syzygy_step).
     """
-    if not gens:
-        return []
     degs = [elem_sdeg(main_shifts, g) for g in gens]
     order = sorted(range(len(gens)), key=lambda i: (degs[i], i))
-    gb = ModuleGB(field, main_shifts, ring, max(degs))
+    gb = ModuleGB(ring, main_shifts)
     kept: List[int] = []
     for i in order:
         gb.complete_to(degs[i])

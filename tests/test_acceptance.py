@@ -106,16 +106,15 @@ def test_criterion_2_free_augmentation_block():
         # element level: the commutative-side syzygy module is generated
         # by exactly the forced one-variable-per-generator block
         enc = _encode_step(alg, [0], mod.generators, 4, True)
-        raw = syzygies_over_quotient(QQ, enc.gens_lp, [0], enc.ring,
-                                     cap=enc.win.width)
+        raw = syzygies_over_quotient(enc.ring, enc.gens_lp, [0])
         block = build_C(enc.win, QQ, enc.gen_degrees)
         assert all(len(b) == 1 for b in block)
         assert {key for b in block for key in b} == {
             (j, ((k, 1),)) for j in range(n) for k in range(n)}
-        kept = minimalize_graded(QQ, block + raw.generators,
-                                 enc.gen_degrees, enc.ring)
+        kept = minimalize_graded(enc.ring, block + raw.generators,
+                                 enc.gen_degrees)
         assert sorted(kept) == list(range(len(block)))
-        gb = ModuleGB(QQ, enc.gen_degrees, enc.ring, cap=enc.win.width)
+        gb = ModuleGB(enc.ring, enc.gen_degrees)
         for b in block:
             gb.add_generator(b)
         gb.complete_to(enc.win.width)

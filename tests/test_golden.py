@@ -1,0 +1,27 @@
+"""The canonical bytes of the flagship resolution: the rendered JSON of
+the reference presentation over Q and over F_32003 must equal the golden
+files the benchmark checks against, so a change to the emitted
+generators fails here even when every table still holds."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from ncres.jsonio import parse_input, render_json, resolution_document
+from ncres.resolver import ResolutionRequest, resolve
+
+DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+
+
+@pytest.mark.parametrize("name, field", [("fp", {"Fp": 32003}), ("q", "Q")],
+                         ids=["fp", "q"])
+def test_flagship_renders_the_golden_bytes(name, field):
+    doc = json.loads((DATA / "flagship.json").read_text(encoding="utf-8"))
+    doc["field"] = field
+    res = resolve(ResolutionRequest(parse_input(json.dumps(doc)),
+                                    degree_bound=10, length_bound=7,
+                                    trust_finite=True))
+    golden = (DATA / f"golden-nilpotent-{name}.json").read_text(
+        encoding="utf-8")
+    assert render_json(resolution_document(res)) == golden

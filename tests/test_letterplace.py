@@ -16,8 +16,7 @@ from ncres.homog import extend_algebra
 from ncres.letterplace import (NotLetterplace, PlaceWindow, WindowTooSmall,
                                build_C, iota_inverse_elem, iota_inverse_word,
                                iota_module_elem, iota_poly, iota_word,
-                               letterplace_ideal_gens, sigma_shift,
-                               sigma_shift_mono)
+                               letterplace_ideal_gens, sigma_shift_mono)
 
 QQ = rationals()
 ONE = QQ.one

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from helpers import augmentation_module, nilpotent_enveloping
@@ -10,7 +12,7 @@ from ncres.freealg import AlgebraPresentation, ModulePresentation
 from ncres.letterplace import PlaceWindow, iota_poly, iota_word, \
     letterplace_ideal_gens
 import ncres.resolver as resolver
-from ncres.engine import _KEY_CACHE, RingGB
+from ncres.engine import RingGB
 from ncres.jsonio import render_json, resolution_document
 from ncres.resolver import BettiTable, ResolutionRequest, betti_summary, \
     monomial_degree_bound, render_betti_text, resolve, syzygy_step
@@ -135,17 +137,29 @@ def test_incomplete_stair_frame_is_an_internal_error(monkeypatch):
         syzygy_step(_poly_ring_2(), [0], gens, window=3)
 
 
+def _module_container_sizes():
+    """Size of every module-level dict, list and set of the loaded ncres
+    modules."""
+    return {(name, attr): len(value)
+            for name, mod in list(sys.modules.items())
+            if name == "ncres" or name.startswith("ncres.")
+            for attr, value in vars(mod).items()
+            if not attr.startswith("__")
+            and isinstance(value, (dict, list, set))}
+
+
 def test_resolve_leaves_no_key_cache_behind():
-    """The monomial key cache lives for one resolution: a resolve after
-    an unrelated one finds the cache it would find in a fresh process."""
+    """A resolve leaves no state in the process: no module-level
+    container of ncres grows, and a resolve after an unrelated one gives
+    the bytes it gives on its own."""
     req = ResolutionRequest(augmentation_module(_poly_ring_2()),
                             degree_bound=4, length_bound=3)
     first = render_json(resolution_document(resolve(req)))
-    size = len(_KEY_CACHE)
+    sizes = _module_container_sizes()
     resolve(ResolutionRequest(augmentation_module(nilpotent_enveloping()),
                               degree_bound=5, length_bound=3))
+    assert _module_container_sizes() == sizes
     again = render_json(resolution_document(resolve(req)))
-    assert len(_KEY_CACHE) == size
     assert again == first
 
 

@@ -6,6 +6,7 @@ import pytest
 from ncres.engine import (RingGB, mono_coprime, mono_deg, mono_div, mono_key,
                           mono_mul, normal_form)
 from ncres.field import rationals
+from ncres.letterplace import WindowTooSmall
 from ncres.linalg import rank
 from ncres.syzygy import (ModuleGB, elem_sdeg, minimalize_graded,
                           syzygies_over_quotient)
@@ -15,7 +16,11 @@ X = ((0, 1),)
 Y = ((1, 1),)
 Z = ((2, 1),)
 one = ()
-FREE = RingGB(F, ())  # the polynomial ring itself
+
+
+def free(cap):
+    """The polynomial ring itself, truncated at cap."""
+    return RingGB(F, (), cap=cap)
 
 
 def C(n):
@@ -24,28 +29,28 @@ def C(n):
 
 def test_two_variables_single_component():
     gens = [{(0, X): C(1)}, {(0, Y): C(1)}]
-    res = syzygies_over_quotient(F, gens, [0], FREE, cap=4)
+    res = syzygies_over_quotient(free(4), gens, [0])
     assert res.generators == [{(0, Y): C(1), (1, X): C(-1)}]
     assert res.degrees == [2]
 
 
 def test_repeated_generator():
     gens = [{(0, X): C(1)}, {(0, X): C(1)}]
-    res = syzygies_over_quotient(F, gens, [0], FREE, cap=4)
+    res = syzygies_over_quotient(free(4), gens, [0])
     assert res.generators == [{(0, one): C(1), (1, one): C(-1)}]
     assert res.degrees == [1]
 
 
 def test_single_generator_is_free():
-    res = syzygies_over_quotient(F, [{(0, X): C(1)}], [0], FREE, cap=6)
+    res = syzygies_over_quotient(free(6), [{(0, X): C(1)}], [0])
     assert res.generators == []
 
 
 def test_quotient_single_generator_of_the_ring():
     # over k[x,y]/(xy) the class of x is annihilated by y
     ideal = [{mono_mul(X, Y): C(1)}]
-    res = syzygies_over_quotient(F, [{(0, X): C(1)}], [0],
-                                 RingGB(F, ideal, cap=4), cap=4)
+    res = syzygies_over_quotient(RingGB(F, ideal, cap=4), [{(0, X): C(1)}],
+                                 [0])
     assert {(0, Y): C(1)} in res.generators
 
 
@@ -53,8 +58,8 @@ def test_quotient_unit_generator_has_no_syzygies():
     # coefficients live in the quotient, so ideal multiples of the unit
     # generator reduce to nothing
     ideal = [{mono_mul(X, X): C(1)}]
-    res = syzygies_over_quotient(F, [{(0, one): C(1)}], [0],
-                                 RingGB(F, ideal, cap=5), cap=5)
+    res = syzygies_over_quotient(RingGB(F, ideal, cap=5),
+                                 [{(0, one): C(1)}], [0])
     assert res.generators == []
 
 
@@ -64,7 +69,7 @@ def test_coprime_module_pair_keeps_its_koszul_syzygy():
     # y e_0 is coprime too but carries the Koszul syzygy, so it must stay
     ring = RingGB(F, [{mono_mul(Z, Z): C(1)}], cap=4)
     gens = [{(0, X): C(1)}, {(0, Y): C(1)}]
-    res = syzygies_over_quotient(F, gens, [0], ring, cap=4)
+    res = syzygies_over_quotient(ring, gens, [0])
     assert res.generators == [{(0, Y): C(1), (1, X): C(-1)}]
     assert res.degrees == [2]
 
@@ -72,7 +77,7 @@ def test_coprime_module_pair_keeps_its_koszul_syzygy():
 def test_coprime_module_by_ring_pairs_are_not_queued():
     ring = RingGB(F, [{mono_mul(Z, Z): C(1)}, {mono_mul(X, Z): C(1)}],
                   cap=4)
-    gb = ModuleGB(F, [0], ring, cap=4)
+    gb = ModuleGB(ring, [0])
     gb.add_generator({(0, X): C(1)})
     ring_pairs = [(gb.ring.elements[k][0], gb.elements[t][0][1])
                   for _, kind, _, _, k, t in gb.pairs if kind == 1]
@@ -90,7 +95,7 @@ def test_ghost_terms_never_lead(second):
     shifts = [3, 0]
     gens = [{(0, one): C(1), (1, mono_mul(X, mono_mul(X, X))): C(1)},
             {(1, second): C(1)}]
-    gb = ModuleGB(F, shifts, FREE, cap=6)
+    gb = ModuleGB(free(6), shifts)
     for j, g in enumerate(gens):
         gb.add_generator({**g, (len(shifts) + j, one): C(1)})
     gb.complete_to(6)
@@ -98,7 +103,7 @@ def test_ghost_terms_never_lead(second):
     assert all(comp < len(shifts) for comp, _ in leads)
     assert (0, one) in leads
     assert gb.syzygies == []
-    res = syzygies_over_quotient(F, gens, shifts, FREE, cap=6)
+    res = syzygies_over_quotient(free(6), gens, shifts)
     assert res.generators == [] and res.degrees == []
 
 
@@ -194,7 +199,7 @@ def test_syzygies_match_kernel_dimension_free(seed):
     if not gens:
         return
     cap = 6
-    res = syzygies_over_quotient(F, gens, shifts, FREE, cap=cap)
+    res = syzygies_over_quotient(free(cap), gens, shifts)
     gen_degs = [elem_sdeg(shifts, g) for g in gens]
     for s in res.generators:
         assert _apply_syzygy(s, gens) == {}
@@ -229,8 +234,7 @@ def test_syzygies_match_kernel_dimension_quotient(seed):
     gens = [e for e in (_nf_componentwise(g, gb_full) for g in gens) if e]
     if not gens:
         return
-    res = syzygies_over_quotient(F, gens, shifts, RingGB(F, ideal, cap=cap),
-                                 cap=cap)
+    res = syzygies_over_quotient(RingGB(F, ideal, cap=cap), gens, shifts)
     gen_degs = [elem_sdeg(shifts, g) for g in gens]
     for s in res.generators:
         image = _apply_syzygy(s, gens)
@@ -247,7 +251,7 @@ def test_minimalize_drops_multiples():
             {(0, mono_mul(X, Y)): C(1)},
             {(0, Y): C(2)},
             {(0, X): C(3)}]
-    kept = minimalize_graded(F, gens, [0], FREE)
+    kept = minimalize_graded(free(2), gens, [0])
     assert kept == [0, 2]
 
 
@@ -259,7 +263,7 @@ def test_minimalize_counts_are_order_independent():
     for trial in range(6):
         perm = list(range(len(gens)))
         rng.shuffle(perm)
-        kept = minimalize_graded(F, [gens[i] for i in perm], [0], FREE)
+        kept = minimalize_graded(free(3), [gens[i] for i in perm], [0])
         degs = sorted(elem_sdeg([0], gens[perm[i]]) for i in kept)
         if base is None:
             base = degs
@@ -269,10 +273,27 @@ def test_minimalize_counts_are_order_independent():
 
 def test_module_gb_normal_form_membership():
     gens = [{(0, X): C(1), (1, Y): C(-1)}]
-    gb = ModuleGB(F, [0, 0], FREE, cap=5)
+    gb = ModuleGB(free(5), [0, 0])
     gb.add_generator(gens[0])
     gb.complete_to(5)
     member = {(0, mono_mul(X, Y)): C(3), (1, mono_mul(Y, Y)): C(-3)}
     assert gb.normal_form(member) == {}
     non = {(0, mono_mul(X, Y)): C(3), (1, mono_mul(Y, Y)): C(3)}
     assert gb.normal_form(non) != {}
+
+
+def test_module_basis_needs_a_truncated_ring():
+    with pytest.raises(ValueError, match="truncated"):
+        ModuleGB(RingGB(F, ()), [0])
+
+
+def test_generator_above_the_window_is_rejected():
+    # x^3 e_0 has degree 3 over a ring truncated at 2
+    cubic = {(0, mono_mul(X, mono_mul(X, X))): C(1)}
+    with pytest.raises(WindowTooSmall):
+        syzygies_over_quotient(free(2), [{(0, X): C(1)}, cubic], [0])
+    with pytest.raises(WindowTooSmall):
+        minimalize_graded(free(2), [{(0, Y): C(1)}, cubic], [0])
+    # the shift counts: y e_0 sits in degree 3 when e_0 has shift 2
+    with pytest.raises(WindowTooSmall):
+        ModuleGB(free(2), [2]).add_generator({(0, Y): C(1)})
