@@ -14,7 +14,7 @@ from typing import Iterable, List, Optional, Sequence, Set
 
 from .freealg import (AlgebraPresentation, ModulePresentation, NcPoly, Word,
                       homogeneous_degree)
-from .linalg import rank, rref
+from .linalg import _eliminate, rank, rref
 
 
 def words_of_degree(n: int, d: int) -> Iterable[Word]:
@@ -72,8 +72,11 @@ def module_component_dim(mod: ModulePresentation, d: int) -> int:
             continue
         for v in words_of_degree(n, d - e):
             gen_rows.append({(comp, w + v): c for (comp, w), c in g.items()})
-    base = rank(ideal_rows, alg.field)
-    return rank(ideal_rows + gen_rows, alg.field) - base
+    # the pivots the generator rows add to the ideal rows' pivot map
+    key = lambda c: c
+    pivots = _eliminate(ideal_rows, alg.field, key)
+    base = len(pivots)
+    return len(_eliminate(gen_rows, alg.field, key, pivots)) - base
 
 
 def leading_word_basis(alg: AlgebraPresentation, d: int,

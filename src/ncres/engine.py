@@ -8,13 +8,19 @@ means a GREATER variable, matching the place-major letterplace precedence.
 The Groebner machinery is plain Buchberger with the Gebauer-Moeller pair
 criteria and an optional degree cap: S-pairs whose lcm degree exceeds the
 cap are discarded, which for homogeneous input yields a truncated basis
-that is complete through the cap degree.  The module bases of syzygy.py
-prune far less: only the product criterion on module-by-ring pairs,
-whose syzygies vanish over the quotient; pairs of two module elements
-all stay, because they carry the Koszul generators of the syzygy module.
+that is complete through the cap degree.  An element is bare when its
+term list is its lead alone.  Two bare elements never form a pair: their
+S-polynomial is exactly zero.  So a monomial ideal costs no pair at all,
+and the quadrics of a letterplace ideal form none among themselves.  The
+module bases of syzygy.py prune far less: the same bare-pair rule, and
+the product criterion on module-by-ring pairs, whose syzygies vanish
+over the quotient; other pairs of two module elements all stay, because
+they carry the Koszul generators of the syzygy module.
 
 Cost model of RingGB's pair bookkeeping.  A new element forms one
-candidate pair with each earlier one.  Candidates whose lcm degree
+candidate pair with each earlier one, a bare new element only with the
+earlier elements that have a tail (RingGB._tailed), so a monomial costs
+O(#polynomials), not O(#elements).  Candidates whose lcm degree
 exceeds the cap are dropped first: such an lcm could only dominate lcms
 of its own degree or higher, so the M, F and B criteria give the same
 survivors without them.  The M criterion compares a candidate only with
@@ -166,6 +172,7 @@ class RingGB:
         self.cap = cap
         self.keys = _KeyTable()
         self.elements: List[tuple] = []  # (lead, terms)
+        self._tailed: List[int] = []  # indices of elements with a tail
         # reducers bucketed by the smallest variable of their lead (-1 for
         # the unit), each (lead, mask, terms)
         self.buckets: Dict[int, list] = {}
@@ -225,7 +232,7 @@ class RingGB:
         if not p:
             return
         lead, terms = self._monic_terms(p)
-        self._update_pairs(len(self.elements), lead)
+        self._update_pairs(len(self.elements), lead, len(terms) == 1)
         self._install(lead, terms)
 
     def _sorted_items(self, p: Poly):
@@ -244,24 +251,30 @@ class RingGB:
         return lead, [(m, mul(inv, c)) for m, c in items]
 
     def _install(self, lead: Mono, terms) -> None:
+        if len(terms) > 1:
+            self._tailed.append(len(self.elements))
         self.elements.append((lead, terms))
         key = lead[0][0] if lead else -1
         self.buckets.setdefault(key, []).append((lead, mono_mask(lead), terms))
 
-    def _update_pairs(self, t: int, lead_t: Mono) -> None:
+    def _update_pairs(self, t: int, lead_t: Mono, bare: bool) -> None:
         """Gebauer-Moeller update: M, F and B criteria on the new pairs,
-        chain criterion on the pending ones."""
-        lcms = [mono_lcm(lead_i, lead_t) for lead_i, _ in self.elements]
+        chain criterion on the pending ones.  A bare element t pairs only
+        with elements that have a tail."""
+        elements = self.elements
+        lcms = {i: mono_lcm(elements[i][0], lead_t)
+                for i in (self._tailed if bare else range(t))}
         cap = self.cap
         cand = []
-        for i, l in enumerate(lcms):
+        for i, l in lcms.items():
             deg = mono_deg(l)
             if cap is None or deg <= cap:
                 cand.append((deg, i, l, mono_mask(l)))
         cand.sort()  # by degree, then index; indices are distinct
         # F: among equal lcms keep the first.  M: drop a pair whose lcm is
         # a proper multiple of another's; a proper divisor has lower degree,
-        # and so has a minimal one.  B: coprime leads reduce to zero anyway.
+        # and so has a minimal one.  B: coprime leads reduce to zero anyway,
+        # as do two bare elements, which were never candidates.
         seen = set()
         lower: list = []  # M survivors of lower degree than the current
         level: list = []  # M survivors of the current degree
@@ -277,14 +290,20 @@ class RingGB:
                 continue
             seen.add(l)
             level.append((deg, l, mask))
-            if not mono_coprime(self.elements[i][0], lead_t):
+            if not mono_coprime(elements[i][0], lead_t):
                 new.append((deg, l, i, mask))
-        # chain criterion on the pending pairs
+
+        # chain criterion on the pending pairs; a pending pair has at most
+        # one bare member, whose lcm with a bare t is computed here
+        def lcm_t(i):
+            l = lcms.get(i)
+            return mono_lcm(elements[i][0], lead_t) if l is None else l
+
         tmask = mono_mask(lead_t)
         lcms_pending = self._lcms
         dead = [ij for ij, (l, mask) in lcms_pending.items()
                 if tmask & mask == tmask and mono_div(l, lead_t) is not None
-                and lcms[ij[0]] != l and lcms[ij[1]] != l]
+                and lcm_t(ij[0]) != l and lcm_t(ij[1]) != l]
         for ij in dead:
             del lcms_pending[ij]
         for deg, l, i, mask in new:
@@ -330,6 +349,7 @@ class RingGB:
                        for k, m, _ in minimal):
                 minimal.append((lead, mask, terms))
         self.elements = []
+        self._tailed = []
         self.buckets = {}
         for lead, _, terms in minimal:
             tail = self._reduce_full(dict(terms[1:]))

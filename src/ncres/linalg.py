@@ -10,15 +10,17 @@ generator representatives.
 from __future__ import annotations
 
 
-def _eliminate(rows, field, col_key):
-    """Forward-eliminate rows into a pivot map {pivot_col: row}.
+def _eliminate(rows, field, col_key, basis=None):
+    """Forward-eliminate rows into a pivot map {pivot_col: row}, a new one
+    or `basis` (extended in place; its rows keep their pivots).
 
     Each stored row is scaled monic on its pivot, and the pivot of every
     stored row is the minimal (by col_key) column of that row.
     """
     sub, mul, inv = field.sub, field.mul, field.inv
     zero = field.zero
-    basis = {}
+    if basis is None:
+        basis = {}
     for row in rows:
         work = dict(row)
         while work:

@@ -15,16 +15,24 @@ every element records its cofactors; when an S-polynomial's main part
 reduces to zero, its ghost part, renumbered from 0, is a syzygy.
 
 Which S-pairs are formed.  Ring-by-ring pairs never are: the ring basis
-is finished before any module element arrives.  A module element h and
-a ring element r whose leads are coprime form no pair either (the
-product criterion): the S-polynomial equals r*tail(h) - tail(r)*h, which
-has a standard representation, and in a collecting basis the pair's
-syzygy is r*ghost(h) modulo the syzygies of other pairs, which is zero
-over the quotient (Schreyer's argument; La Scala & Stillman, J. Symb.
-Comp. 26 (1998); Erocal, Motsak, Schreyer & Steenpass, J. Symb. Comp. 74
-(2016)).  Every pair of two module elements in the same component is
-kept, coprime or not: no product criterion holds between two module
-elements, and those pairs carry the Koszul syzygies of the generators.
+is finished before any module element arrives.  Two bare elements, each
+a lead with no other term, form no pair, module-by-module or
+module-by-ring: their S-polynomial is exactly zero.  Ghost terms count
+as terms, and every element of a collecting basis carries one (its main
+part is its ghost part applied to the generators, modulo the ring, so an
+element with no ghost term would reduce to zero).  So a collecting basis
+keeps all its pairs; only the non-collecting bases of
+resolver.syzygy_step and minimalize_graded lose pairs to this rule.  A
+module element h and a ring element r whose leads are coprime form no
+pair either (the product criterion): the S-polynomial equals
+r*tail(h) - tail(r)*h, which has a standard representation, and in a
+collecting basis the pair's syzygy is r*ghost(h) modulo the syzygies of
+other pairs, which is zero over the quotient (Schreyer's argument; La
+Scala & Stillman, J. Symb. Comp. 26 (1998); Erocal, Motsak, Schreyer &
+Steenpass, J. Symb. Comp. 74 (2016)).  Every other pair of two module
+elements in the same component is kept, coprime or not: no product
+criterion holds between two module elements, and those pairs carry the
+Koszul syzygies of the generators.
 """
 
 from __future__ import annotations
@@ -66,8 +74,9 @@ class ModuleGB:
         self.field = ring.field
         self.shifts = list(main_shifts)
         self.ring = ring
-        self._ring_leads = [(lead, mono_mask(lead))
-                            for lead, _ in ring.elements]
+        # (lead, mask, bare): bare ring elements are monomials
+        self._ring_leads = [(lead, mono_mask(lead), len(terms) == 1)
+                            for lead, terms in ring.elements]
         self.cap = ring.cap
         self.elements: List[tuple] = []  # (lead_term, terms), ghosts last
         # (comp, first variable of the lead) -> [(lead, terms, n_main)]
@@ -164,22 +173,23 @@ class ModuleGB:
     # -- basis growth --------------------------------------------------------
 
     def _push_pairs(self, t: int) -> None:
-        lead_t, _ = self.elements[t]
+        lead_t, terms_t = self.elements[t]
+        bare = len(terms_t) == 1  # ghost terms count: see module docstring
         comp, m = lead_t
         shift = self.shifts[comp]
         for i in range(t):
-            lead_i, _ = self.elements[i]
-            if lead_i[0] != comp:
+            lead_i, terms_i = self.elements[i]
+            if lead_i[0] != comp or bare and len(terms_i) == 1:
                 continue
             l = mono_lcm(lead_i[1], m)
             deg = mono_deg(l) + shift
             if deg <= self.cap:
                 heapq.heappush(self.pairs, (deg, 0, l, comp, i, t))
         mask = mono_mask(m)
-        for k, (rlead, rmask) in enumerate(self._ring_leads):
-            # product criterion (module docstring); disjoint masks mean
-            # coprime leads, overlapping ones need the exact test
-            if not rmask & mask or mono_coprime(rlead, m):
+        for k, (rlead, rmask, rbare) in enumerate(self._ring_leads):
+            # bare pair, then product criterion (module docstring); disjoint
+            # masks mean coprime leads, overlapping ones need the exact test
+            if bare and rbare or not rmask & mask or mono_coprime(rlead, m):
                 continue
             l = mono_lcm(rlead, m)
             deg = mono_deg(l) + shift

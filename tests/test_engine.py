@@ -8,6 +8,7 @@ from helpers import nilpotent_enveloping, random_presentation
 from ncres.engine import (RingGB, mono_deg, mono_div, mono_key, mono_lcm,
                           mono_mul, normal_form)
 from ncres.field import rationals
+from ncres.freealg import AlgebraPresentation
 from ncres.homog import extend_algebra
 from ncres.letterplace import PlaceWindow, letterplace_ideal_gens
 from ncres.linalg import rank
@@ -277,3 +278,38 @@ def test_reference_letterplace_basis_sizes():
     alg = nilpotent_enveloping()
     assert len(_letterplace_basis(alg, 10)[1].elements) == 131
     assert len(_letterplace_basis(extend_algebra(alg), 9)[1].elements) == 152
+
+
+def test_monomials_form_no_pairs_among_themselves():
+    gb = RingGB(F, (), cap=6)
+    for exps in [(2, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 2), (0, 3, 0),
+                 (1, 1, 1)]:
+        gb._insert(P((exps, 1)))
+        assert gb._pairs == []
+
+
+def test_monomial_letterplace_basis_is_the_minimal_generators():
+    """Over a monomial presentation every generator of the letterplace
+    ideal is a monomial, so the basis is the divisibility-minimal subset
+    of the generators, in ascending order."""
+    rng = random.Random(5)
+    for trial in range(20):
+        n = rng.randint(1, 3)
+        rels = [{tuple(rng.randrange(n) for _ in range(rng.randint(2, 4))):
+                 F.one} for _ in range(rng.randint(0, 4))]
+        base = AlgebraPresentation(F, tuple("abc"[:n]), rels)
+        alg = extend_algebra(base) if trial % 2 else base
+        width = rng.randint(2, 6)
+        gens, gb = _letterplace_basis(alg, width)
+        monos = {next(iter(g)) for g in gens}
+        minimal = [m for m in monos
+                   if not any(d != m and mono_div(m, d) is not None
+                              for d in monos)]
+        assert gb.polys() == [{m: F.one}
+                              for m in sorted(minimal, key=mono_key)], trial
+
+
+def test_monomial_still_pairs_with_a_polynomial():
+    # S(x^2, xy + y^2) reduces to y^3, which only that pair produces
+    gb = RingGB(F, [P(((2, 0), 1)), P(((1, 1), 1), ((0, 2), 1))])
+    assert P(((0, 3), 1)) in gb.polys()

@@ -78,11 +78,34 @@ def test_coprime_module_by_ring_pairs_are_not_queued():
     ring = RingGB(F, [{mono_mul(Z, Z): C(1)}, {mono_mul(X, Z): C(1)}],
                   cap=4)
     gb = ModuleGB(ring, [0])
-    gb.add_generator({(0, X): C(1)})
+    gb.add_generator({(0, X): C(1), (1, one): C(1)})
     ring_pairs = [(gb.ring.elements[k][0], gb.elements[t][0][1])
                   for _, kind, _, _, k, t in gb.pairs if kind == 1]
     assert ring_pairs == [(mono_mul(X, Z), X)]
     assert not any(mono_coprime(r, m) for r, m in ring_pairs)
+
+
+def test_bare_module_element_pairs_with_a_ring_element_with_a_tail():
+    # over k[x,y]/(xy + y^2) the bare x e_0 must still pair with
+    # xy + y^2: their S-polynomial puts y^2 e_0 into the submodule
+    ring = RingGB(F, [{mono_mul(X, Y): C(1), mono_mul(Y, Y): C(1)}], cap=4)
+    gb = ModuleGB(ring, [0])
+    gb.add_generator({(0, X): C(1)})
+    gb.complete_to(2)
+    assert gb.normal_form({(0, mono_mul(Y, Y)): C(1)}) == {}
+
+
+def test_bare_module_elements_queue_no_pair_between_them():
+    # no ghosts: x e_0 and y e_0 are bare, and so is the ring element xz;
+    # only y e_0 with the ring element y^2 + yz, which has a tail, pairs
+    ring = RingGB(F, [{mono_mul(X, Z): C(1)},
+                      {mono_mul(Y, Y): C(1), mono_mul(Y, Z): C(1)}], cap=4)
+    gb = ModuleGB(ring, [0])
+    gb.add_generator({(0, X): C(1)})
+    gb.add_generator({(0, Y): C(1)})
+    queued = [(kind, ring.elements[k][0] if kind else k, t)
+              for _, kind, _, _, k, t in gb.pairs]
+    assert queued == [(1, mono_mul(Y, Y), 1)]
 
 
 @pytest.mark.parametrize("second", [X, one])
