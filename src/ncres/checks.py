@@ -12,11 +12,13 @@ exactness against the same direct linear algebra.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .dims import (graded_component_dim, ideal_component_dim,
-                   module_component_dim, words_of_degree)
+from .dims import (graded_component_dim, ideal_component_dim, ideal_pivots,
+                   module_component_dim, module_component_dim_from,
+                   words_of_degree)
 from .engine import RingGB, mono_mul
 from .freealg import (AlgebraPresentation, ModulePresentation, NcModElem,
                       NcPoly, elem_degree)
@@ -139,7 +141,8 @@ def check_hilbert_identity(module: ModulePresentation,
     level's syzygies were never computed (the length bound cut the
     resolution), up to that level's smallest shift: a further level only
     starts one degree above it.  Only dims is used, no encoding and no
-    Groebner basis.  The identity is necessary, not sufficient, for
+    Groebner basis; each degree's ideal rows are eliminated once and serve
+    both sides.  The identity is necessary, not sufficient, for
     exactness: homology can cancel in the alternating sum.
     """
     levels = res.level_shifts
@@ -150,16 +153,17 @@ def check_hilbert_identity(module: ModulePresentation,
     if len(res.steps) < last:
         tops.append(min(levels[last]))
     alg = module.algebra
-    dim_a: Dict[int, int] = {}
+    # each degree's ideal rows, eliminated once for both sides
+    ideal_at = functools.cache(lambda e: ideal_pivots(alg, e))
     failures = []
     for d in range(min(tops) + 1):
         total = 0
         for i in range(1, last + 1):
             for s in levels[i]:
-                if d - s not in dim_a:
-                    dim_a[d - s] = graded_component_dim(alg, d - s)
-                total += (-1) ** (i + 1) * dim_a[d - s]
-        direct = module_component_dim(module, d)
+                if d >= s:  # dim A_(d-s)
+                    total += (-1) ** (i + 1) * (
+                        alg.n_letters ** (d - s) - len(ideal_at(d - s)))
+        direct = module_component_dim_from(module, d, ideal_at)
         if total != direct:
             failures.append(f"degree {d}: alternating sum {total}, "
                             f"submodule dimension {direct}")

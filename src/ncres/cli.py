@@ -25,13 +25,15 @@ from .resolver import (Resolution, ResolutionRequest, ResourceLimit,
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8: {exc}")
 
 
 def _monomial_view(module: ModulePresentation

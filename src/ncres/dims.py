@@ -10,11 +10,11 @@ code path beyond the field arithmetic.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Callable, Iterable, List, Optional, Sequence, Set
 
 from .freealg import (AlgebraPresentation, ModulePresentation, NcPoly, Word,
                       homogeneous_degree)
-from .linalg import _eliminate, rank, rref
+from .linalg import _eliminate, rref
 
 
 def words_of_degree(n: int, d: int) -> Iterable[Word]:
@@ -38,30 +38,45 @@ def _ideal_rows(alg: AlgebraPresentation, d: int) -> List[dict]:
     return rows
 
 
+def ideal_pivots(alg: AlgebraPresentation, d: int) -> dict:
+    """The degree-d ideal rows eliminated into a pivot map {word: row};
+    its size is the dimension of the ideal's degree-d component."""
+    return _eliminate(_ideal_rows(alg, d), alg.field, lambda c: c)
+
+
 def graded_component_dim(alg: AlgebraPresentation, d: int) -> int:
     """dim of the degree-d component of the presented algebra."""
     if d < 0:
         return 0
     if d == 0:
         return 1
-    n = alg.n_letters
-    return n ** d - rank(_ideal_rows(alg, d), alg.field)
+    return alg.n_letters ** d - len(ideal_pivots(alg, d))
 
 
 def ideal_component_dim(alg: AlgebraPresentation, d: int) -> int:
-    return rank(_ideal_rows(alg, d), alg.field)
+    return len(ideal_pivots(alg, d))
 
 
 def module_component_dim(mod: ModulePresentation, d: int) -> int:
     """dim of the degree-d component of the submodule spanned by the
     generators inside the free module (coefficients taken in the algebra,
     i.e. ideal multiples count as zero)."""
+    return module_component_dim_from(
+        mod, d, lambda e: ideal_pivots(mod.algebra, e))
+
+
+def module_component_dim_from(mod: ModulePresentation, d: int,
+                              ideal_at: Callable[[int], dict]) -> int:
+    """module_component_dim(mod, d), where ideal_at(e) returns
+    ideal_pivots(mod.algebra, e).  Component comp's ideal rows are those of
+    degree d - shifts[comp], tagged by comp, so one pivot map per degree
+    serves every component, and a caller that keeps them eliminates each
+    degree once for all its counts."""
     alg = mod.algebra
     n = alg.n_letters
-    ideal_rows = []
-    for comp, s in enumerate(mod.shifts):
-        for row in _ideal_rows(alg, d - s):
-            ideal_rows.append({(comp, w): c for w, c in row.items()})
+    pivots = {(comp, piv): {(comp, w): c for w, c in row.items()}
+              for comp, s in enumerate(mod.shifts)
+              for piv, row in ideal_at(d - s).items()}
     gen_rows = []
     for g in mod.generators:
         degs = {len(w) + mod.shifts[comp] for comp, w in g}
@@ -73,10 +88,8 @@ def module_component_dim(mod: ModulePresentation, d: int) -> int:
         for v in words_of_degree(n, d - e):
             gen_rows.append({(comp, w + v): c for (comp, w), c in g.items()})
     # the pivots the generator rows add to the ideal rows' pivot map
-    key = lambda c: c
-    pivots = _eliminate(ideal_rows, alg.field, key)
     base = len(pivots)
-    return len(_eliminate(gen_rows, alg.field, key, pivots)) - base
+    return len(_eliminate(gen_rows, alg.field, lambda c: c, pivots)) - base
 
 
 def leading_word_basis(alg: AlgebraPresentation, d: int,

@@ -65,11 +65,16 @@ def mono_key(m: Mono) -> tuple:
     return (d,) + tuple((-v, -e) for v, e in reversed(m))
 
 
-class _KeyTable(dict):
-    """mono -> mono_key(mono), filled on first lookup."""
+class KeyTable(dict):
+    """x -> key(x), filled on first lookup: a memo whose hits cost one
+    dict lookup, so its __getitem__ is a cheap sort key."""
 
-    def __missing__(self, m: Mono) -> tuple:
-        k = self[m] = mono_key(m)
+    def __init__(self, key):
+        super().__init__()
+        self.key = key
+
+    def __missing__(self, x) -> tuple:
+        k = self[x] = self.key(x)
         return k
 
 
@@ -170,11 +175,11 @@ class RingGB:
     def __init__(self, field, gens: Sequence[Poly], cap: Optional[int] = None):
         self.field = field
         self.cap = cap
-        self.keys = _KeyTable()
+        self.keys = KeyTable(mono_key)
         self.elements: List[tuple] = []  # (lead, terms)
         self._tailed: List[int] = []  # indices of elements with a tail
         # reducers bucketed by the smallest variable of their lead (-1 for
-        # the unit), each (lead, mask, terms)
+        # the unit), each (lead, mask, tail)
         self.buckets: Dict[int, list] = {}
         self._pairs: list = []
         self._lcms: Dict[Tuple[int, int], Tuple[Mono, int]] = {}  # pending
@@ -201,8 +206,8 @@ class RingGB:
             if hit is None:
                 out[m] = c
                 continue
-            q, terms = hit
-            for tm, tc in terms[1:]:
+            q, tail = hit
+            for tm, tc in tail:
                 key = mono_mul(tm, q) if q else tm
                 s = sub(work.get(key, zero), mul(c, tc))
                 if s == zero:
@@ -212,16 +217,17 @@ class RingGB:
         return out
 
     def _find(self, m: Mono):
+        """(q, tail) of a reducer whose lead times q is m, or None."""
         mmask = mono_mask(m)
         for v, _ in m:
             lst = self.buckets.get(v)
             if lst is None:
                 continue
-            for lead, mask, terms in lst:
+            for lead, mask, tail in lst:
                 if mask & mmask == mask:
                     q = mono_div(m, lead)
                     if q is not None:
-                        return q, terms
+                        return q, tail
         unit = self.buckets.get(-1)
         if unit:
             return (), unit[0][2]
@@ -255,7 +261,8 @@ class RingGB:
             self._tailed.append(len(self.elements))
         self.elements.append((lead, terms))
         key = lead[0][0] if lead else -1
-        self.buckets.setdefault(key, []).append((lead, mono_mask(lead), terms))
+        self.buckets.setdefault(key, []).append(
+            (lead, mono_mask(lead), terms[1:]))
 
     def _update_pairs(self, t: int, lead_t: Mono, bare: bool) -> None:
         """Gebauer-Moeller update: M, F and B criteria on the new pairs,

@@ -170,6 +170,8 @@ def parse_input(text: str, validate: bool = True) -> ModulePresentation:
         doc = json.loads(text)
     except ValueError as e:  # JSONDecodeError, or an over-long integer
         raise InputError(f"not valid JSON: {e}")
+    except RecursionError:
+        raise InputError("not valid JSON: nested too deeply")
     module = module_from_document(doc)
     if validate:
         problems = validate_presentation(module)

@@ -46,9 +46,9 @@ from .homog import HomogenizationContext, eta_apply, homogenization_context
 from .letterplace import (LpModElem, PlaceWindow, WindowTooSmall, build_C,
                           iota_inverse_word, iota_module_elem,
                           letterplace_ideal_gens)
-from .linalg import _eliminate, rref
+from .linalg import rref
 from .syzygy import (ModuleGB, elem_sdeg, minimalize_graded,
-                     reduce_components, syzygies_over_quotient)
+                     syzygies_over_quotient)
 
 STAIR_GUARD = 10_000
 
@@ -152,27 +152,30 @@ def _frame_kernel(field, images: Sequence[dict]):
     """RREF basis of {w : sum_s w_s * images[s] = 0} in frame coordinates,
     rows in ascending pivot order.
 
-    Augment each image row with a unit tag, eliminate with image columns
-    first; surviving rows supported on tags alone are the kernel.
+    Augment each image row with a unit tag and take the RREF with image
+    columns first: the rows whose pivot is a tag are supported on tags
+    alone, and they are the kernel's own RREF.
     """
     rows = []
     for pos, img in enumerate(images):
         row = {(0, key): c for key, c in img.items()}
         row[(1, pos)] = field.one
         rows.append(row)
-    basis = _eliminate(rows, field, col_key=lambda c: c)
-    kernel = [{key[1]: c for key, c in row.items()}
-              for piv, row in basis.items() if piv[0] == 1]
-    return rref(kernel, field)[0]
+    reduced, pivots = rref(rows, field)
+    return [{key[1]: c for key, c in row.items()}
+            for row, piv in zip(reduced, pivots) if piv[0] == 1]
 
 
 def _ev_image(enc: _StepEncoding, j: int, mono: tuple) -> dict:
     """Image of the frame vector e_j * mono under evaluation against the
-    encoded generators, in normal-form coordinates.  Multiplying by one
-    monomial is injective, so no two terms of g_j land on one key."""
-    image = {(comp, mono_mul(gm, mono)): c
-             for (comp, gm), c in enc.gens_lp[j].items()}
-    return reduce_components(enc.ring, image)
+    encoded generators, in normal-form coordinates: each component's
+    coefficient reduced modulo the ring.  Multiplying by one monomial is
+    injective, so no two terms of g_j land on one key."""
+    by_comp: Dict[int, dict] = {}
+    for (comp, gm), c in enc.gens_lp[j].items():
+        by_comp.setdefault(comp, {})[mono_mul(gm, mono)] = c
+    return {(comp, m): c for comp, poly in by_comp.items()
+            for m, c in enc.ring.normal_form(poly).items()}
 
 
 @dataclass

@@ -8,11 +8,14 @@ monomial keys of the term order (ring.keys).
 Module terms are (component, monomial) pairs.  The main components
 0 .. r-1 are ordered by shifted degree, then by the ring order, with the
 lower component index winning ties.  Components from r on are ghosts:
-their terms sort below every main term, so they never lead and are never
-reduced.  Syzygies are collected Schreyer-style: input generator g_j
-carries eps_j, the unit of ghost component r + j, so the ghost part of
-every element records its cofactors; when an S-polynomial's main part
-reduces to zero, its ghost part, renumbered from 0, is a syzygy.
+their terms sort below every main term, so they never lead.  A ghost
+term is otherwise an ordinary term: no module element leads in a ghost
+component, so the ring alone reduces it.  Syzygies are collected
+Schreyer-style: input generator g_j carries eps_j, the unit of ghost
+component r + j, so the ghost part of every element records its
+cofactors modulo the ring; when an S-polynomial's main part reduces to
+zero, its ghost part, renumbered from 0, is a syzygy, already in normal
+form modulo the ring.
 
 Which S-pairs are formed.  Ring-by-ring pairs never are: the ring basis
 is finished before any module element arrives.  Two bare elements, each
@@ -41,13 +44,12 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .engine import (Mono, Poly, RingGB, mono_coprime, mono_deg, mono_div,
-                     mono_lcm, mono_mask, mono_mul)
+from .engine import (KeyTable, Mono, RingGB, mono_coprime, mono_deg,
+                     mono_div, mono_lcm, mono_mask, mono_mul)
 from .letterplace import WindowTooSmall
 
 Term = Tuple[int, Mono]
 ModElem = Dict[Term, object]
-_GHOST_KEY = (float("-inf"),)  # below every main term's key
 
 
 def elem_sdeg(shifts: Sequence[int], elem: ModElem) -> int:
@@ -64,8 +66,8 @@ class ModuleGB:
     component; RingGB(field, (), cap=D) is the polynomial ring itself.
     Field, window (ring.cap) and monomial keys (ring.keys) all come from
     ring.  The main block ends at len(main_shifts); components past it
-    are ghosts, and syzygies collects the ghost parts found (module
-    docstring).
+    are ghosts, reduced by the ring only, and syzygies collects the ghost
+    parts found (module docstring).
     """
 
     def __init__(self, ring: RingGB, main_shifts: Sequence[int]):
@@ -78,93 +80,77 @@ class ModuleGB:
         self._ring_leads = [(lead, mono_mask(lead), len(terms) == 1)
                             for lead, terms in ring.elements]
         self.cap = ring.cap
-        self.elements: List[tuple] = []  # (lead_term, terms), ghosts last
-        # (comp, first variable of the lead) -> [(lead, terms, n_main)]
+        self.elements: List[tuple] = []  # (lead_term, descending terms)
+        # (main comp, smallest variable of the lead, -1 for the unit)
+        # -> [(lead monomial, tail)]
         self.buckets: Dict[Tuple[int, int], list] = {}
         self.pairs: list = []
         self.syzygies: List[ModElem] = []
-        self._kc: Dict[Term, tuple] = {}
+        keys, shifts = ring.keys, self.shifts
 
-    # -- order ------------------------------------------------------------
-
-    def _term_key(self, term: Term):
-        k = self._kc.get(term)
-        if k is None:
+        def key(term: Term) -> tuple:
+            # shifted degree, ring order, lower component first; a ghost
+            # term's degree is -inf, so it sorts below every main term
+            # and is otherwise ordered like one
             comp, m = term
-            if comp >= len(self.shifts):
-                return _GHOST_KEY
-            mk = self.ring.keys[m]  # mk[0] is the degree of m
-            k = (mk[0] + self.shifts[comp], mk, -comp)
-            self._kc[term] = k
-        return k
+            mk = keys[m]  # mk[0] is the degree of m
+            d = mk[0] + shifts[comp] if comp < len(shifts) else float("-inf")
+            return (d, mk, -comp)
+        self._term_key = KeyTable(key).__getitem__  # no cycle through self
 
     # -- reducer lookup ----------------------------------------------------
 
     def _find_module(self, comp: int, m: Mono):
         lst = self.buckets.get((comp, -1))
         if lst:
-            lead, tail, ghosts = lst[0]
-            return m, tail, ghosts
+            return m, lst[0][1]
         for v, _ in m:
             lst = self.buckets.get((comp, v))
             if lst is None:
                 continue
-            for lead, tail, ghosts in lst:
+            for lead, tail in lst:
                 q = mono_div(m, lead)
                 if q is not None:
-                    return q, tail, ghosts
+                    return q, tail
         return None
 
     # -- reduction ----------------------------------------------------------
 
-    def _nf(self, main: ModElem) -> ModElem:
-        """Full normal form; consumes main.  Ghost terms get a dict of
-        their own, so max() scans main terms only; the result has the
-        reduced main terms in descending order, then the ghost terms."""
+    def _nf(self, work: ModElem) -> ModElem:
+        """Full normal form; consumes work.  The result lists its terms
+        in descending order, so main terms come before ghost terms."""
         field = self.field
         sub, mul = field.sub, field.mul
         zero = field.zero
-        r = len(self.shifts)
-        ghost = {t: c for t, c in main.items() if t[0] >= r}
-        if ghost:  # a fresh dict: popping would leave holes max() walks
-            main = {t: c for t, c in main.items() if t[0] < r}
         out: ModElem = {}
         key_of = self._term_key
-        while main:
-            term = max(main, key=key_of)
-            c = main.pop(term)
+        while work:
+            term = max(work, key=key_of)
+            c = work.pop(term)
             comp, m = term
             hit = self._find_module(comp, m)
             if hit is not None:
-                q, tail, ghosts = hit
+                q, tail = hit
                 for (tc2, tm), tcoef in tail:  # below `term`: never in out
                     key = (tc2, mono_mul(tm, q) if q else tm)
-                    s = sub(main.get(key, zero), mul(c, tcoef))
+                    s = sub(work.get(key, zero), mul(c, tcoef))
                     if s == zero:
-                        main.pop(key, None)
+                        work.pop(key, None)
                     else:
-                        main[key] = s
-                for (tc2, tm), tcoef in ghosts:
-                    key = (tc2, mono_mul(tm, q) if q else tm)
-                    s = sub(ghost.get(key, zero), mul(c, tcoef))
-                    if s == zero:
-                        ghost.pop(key, None)
-                    else:
-                        ghost[key] = s
+                        work[key] = s
                 continue
-            rhit = self.ring._find(m)
-            if rhit is not None:
-                q, rterms = rhit
-                for tm, tcoef in rterms[1:]:
+            hit = self.ring._find(m)
+            if hit is not None:
+                q, tail = hit
+                for tm, tcoef in tail:
                     key = (comp, mono_mul(tm, q) if q else tm)
-                    s = sub(main.get(key, zero), mul(c, tcoef))
+                    s = sub(work.get(key, zero), mul(c, tcoef))
                     if s == zero:
-                        main.pop(key, None)
+                        work.pop(key, None)
                     else:
-                        main[key] = s
+                        work[key] = s
                 continue
             out[term] = c
-        out.update(ghost)
         return out
 
     def normal_form(self, elem: ModElem) -> ModElem:
@@ -199,27 +185,25 @@ class ModuleGB:
     def _install(self, elem: ModElem) -> None:
         """Add elem, made monic; its largest term is a main term."""
         terms = sorted(elem.items(), key=lambda t: self._term_key(t[0]),
-                       reverse=True)  # stable: ghosts keep their order
+                       reverse=True)
         lead, lc = terms[0]
         if lc != self.field.one:
             inv = self.field.inv(lc)
             terms = [(t, self.field.mul(inv, c)) for t, c in terms]
-        n_main = sum(1 for comp, _ in elem if comp < len(self.shifts))
         self.elements.append((lead, terms))
         comp, m = lead
         self.buckets.setdefault((comp, m[0][0] if m else -1), []).append(
-            (m, terms[1:n_main], terms[n_main:]))
+            (m, terms[1:]))
         self._push_pairs(len(self.elements) - 1)
 
     def add_generator(self, elem: ModElem) -> None:
         """Insert elem, unreduced.  Ghost terms (components from
         len(main_shifts) on) never lead, so elem needs a main term, and
         its shifted degree must lie within the window."""
-        r = len(self.shifts)
-        main = next((t for t in elem if t[0] < r), None)
-        if main is None:
+        lead = max(elem, key=self._term_key)
+        if lead[0] >= len(self.shifts):
             raise ValueError("generator has no main term")
-        d = self._term_key(main)[0]
+        d = self._term_key(lead)[0]
         if d > self.cap:
             raise WindowTooSmall(
                 f"generator of degree {d} exceeds the window {self.cap}")
@@ -271,36 +255,19 @@ class SyzygyResult:
     degrees: List[int]
 
 
-def reduce_components(ring: RingGB, elem: ModElem) -> ModElem:
-    """elem with each component's coefficient in normal form modulo ring;
-    components are kept in first-appearance order."""
-    by_comp: Dict[int, Poly] = {}
-    for (j, m), c in elem.items():
-        by_comp.setdefault(j, {})[m] = c
-    return {(j, m): c for j, poly in by_comp.items()
-            for m, c in ring.normal_form(poly).items()}
-
-
 def syzygies_over_quotient(ring: RingGB, gens: Sequence[ModElem],
                            main_shifts: Sequence[int]) -> SyzygyResult:
     """Generators of the syzygy module of gens over the quotient by the
-    finished ring basis, complete through shifted degree ring.cap.
-    Coefficients are returned in normal form modulo the ring; syzygies
-    reducing entirely to zero are dropped."""
+    finished ring basis, complete through shifted degree ring.cap, with
+    coefficients in normal form modulo the ring."""
     gen_degs = [elem_sdeg(main_shifts, g) for g in gens]
     gb = ModuleGB(ring, main_shifts)
     one = ring.field.one
     for j, g in enumerate(gens):  # g_j carries the unit of ghost eps_j
         gb.add_generator({**g, (len(main_shifts) + j, ()): one})
     gb.complete_to(ring.cap)
-    kept: List[ModElem] = []
-    degrees: List[int] = []
-    for syz in gb.syzygies:
-        syz = reduce_components(ring, syz)
-        if syz:
-            kept.append(syz)
-            degrees.append(elem_sdeg(gen_degs, syz))
-    return SyzygyResult(kept, degrees)
+    return SyzygyResult(gb.syzygies,
+                        [elem_sdeg(gen_degs, syz) for syz in gb.syzygies])
 
 
 def minimalize_graded(ring: RingGB, gens: Sequence[ModElem],

@@ -10,7 +10,7 @@ import ncres.jsonio  # noqa: F401  (the tracer wraps every ncres layer)
 import ncres.monores  # noqa: F401
 import ncres.resolver
 import ncres.syzygy
-from helpers import augmentation_module
+from helpers import augmentation_module, nilpotent_enveloping
 from ncres.field import rationals
 from ncres.freealg import AlgebraPresentation
 from ncres.resolver import ResolutionRequest
@@ -55,3 +55,23 @@ def test_traced_resolve_fills_the_layer_counters():
     assert metrics["resolver.generators_out"] > 0
     assert metrics["syzygy.candidates"] == len(mod.generators)
     assert ncres.resolver.minimalize_graded is ncres.syzygy.minimalize_graded
+
+
+def test_traced_flagship_resolve_fires_every_pipeline_target():
+    # a refactor that stops calling a traced function must fail here,
+    # not only in the benchmark's own self-test; parsing, rendering and
+    # the monomial oracle are outside resolve
+    tracing = _load_tracing()
+    mod = augmentation_module(nilpotent_enveloping())
+    tracer = tracing.Tracer("flagship")
+    tracer.install()
+    try:
+        ncres.resolver.resolve(ResolutionRequest(mod, degree_bound=5,
+                                                 length_bound=7))
+    finally:
+        tracer.uninstall()
+    fired = {span[0] for span in tracer.spans}
+    silent = [name for module, _, name, _ in tracing.TARGETS
+              if module not in ("ncres.jsonio", "ncres.monores")
+              and name not in fired]
+    assert silent == []

@@ -238,3 +238,19 @@ def test_over_long_integers_exit_1_with_one_line(tmp_path, capsys, command,
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["resolve", "check"])
+@pytest.mark.parametrize("data", [
+    SQUARE.replace('"Q"', '"é"').encode("latin-1"),
+    b"[" * 200_000,
+], ids=["not-utf8", "deeply-nested"])
+def test_hostile_bytes_exit_1_with_one_line(tmp_path, capsys, command, data):
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    rc = cli.main([command, str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

@@ -108,6 +108,20 @@ def test_bare_module_elements_queue_no_pair_between_them():
     assert queued == [(1, mono_mul(Y, Y), 1)]
 
 
+def test_ghost_terms_are_reduced_by_the_ring_only():
+    # over k[x,y]/(x^2 + xy) the ghost term x^2 eps becomes -xy eps and
+    # cancels half of 2xy eps; x e_0 leads in component 0 only, so it
+    # leaves the ghost xy eps alone
+    ring = RingGB(F, [{mono_mul(X, X): C(1), mono_mul(X, Y): C(1)}], cap=4)
+    gb = ModuleGB(ring, [0])
+    gb.add_generator({(0, X): C(1)})
+    nf = gb.normal_form({(0, mono_mul(Y, Y)): C(1),
+                         (1, mono_mul(X, X)): C(1),
+                         (1, mono_mul(X, Y)): C(2)})
+    assert list(nf.items()) == [((0, mono_mul(Y, Y)), C(1)),
+                                ((1, mono_mul(X, Y)), C(1))]
+
+
 @pytest.mark.parametrize("second", [X, one])
 def test_ghost_terms_never_lead(second):
     # main shifts [3, 0], g0 = e0 + x^3 e1, g1 = x^a e1: the S-polynomial
@@ -262,6 +276,7 @@ def test_syzygies_match_kernel_dimension_quotient(seed):
     for s in res.generators:
         image = _apply_syzygy(s, gens)
         assert _nf_componentwise(image, gb_full) == {}
+        assert s == _nf_componentwise(s, gb_full)  # collected reduced
     normal = {"gb": gb_full}
     for d in range(cap + 1):
         want = _kernel_dim(gens, shifts, normal, nvars, d)
