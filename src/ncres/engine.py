@@ -11,16 +11,28 @@ cap are discarded, which for homogeneous input yields a truncated basis
 that is complete through the cap degree.  An element is bare when its
 term list is its lead alone.  Two bare elements never form a pair: their
 S-polynomial is exactly zero.  So a monomial ideal costs no pair at all,
-and the quadrics of a letterplace ideal form none among themselves.  The
-module bases of syzygy.py prune far less: the same bare-pair rule, and
+and the quadrics of a letterplace ideal form none among themselves.
+
+A RingGB told the alphabet size L of its letterplace window (variable v
+sits at place v // L) also forms no pair with a collision monomial, a
+bare element x_a(p)x_b(p) or x_a(p)^2.  Its generators must be collision
+monomials or place-multihomogeneous: every term covers the same places,
+one variable at each.  Then so is every other element, and the pair of
+a collision x_a(p)x_b(p) with a tailed f whose lead holds x_a(p) has
+S = x_b(p)*tail(f), every term of which holds a collision at place p: a
+standard representation.  Such pairs still take part in the M and F
+criteria, like coprime pairs, and the chain criterion is unchanged.  A
+plain RingGB (no L) keeps every such pair.  The module bases of
+syzygy.py prune far less: the same bare-pair and collision rules, and
 the product criterion on module-by-ring pairs, whose syzygies vanish
 over the quotient; other pairs of two module elements all stay, because
 they carry the Koszul generators of the syzygy module.
 
 Cost model of RingGB's pair bookkeeping.  A new element forms one
 candidate pair with each earlier one, a bare new element only with the
-earlier elements that have a tail (RingGB._tailed), so a monomial costs
-O(#polynomials), not O(#elements).  Candidates whose lcm degree
+earlier elements that have a tail (RingGB._tailed), a collision monomial
+with none, so a monomial costs O(#polynomials), not O(#elements).
+Candidates whose lcm degree
 exceeds the cap are dropped first: such an lcm could only dominate lcms
 of its own degree or higher, so the M, F and B criteria give the same
 survivors without them.  The M criterion compares a candidate only with
@@ -166,18 +178,56 @@ def mono_mask(m: Mono) -> int:
     return mask
 
 
+def place_collision(m: Mono, n_letters: int) -> bool:
+    """m is x_a(p)x_b(p) or x_a(p)^2 in a letterplace window of n_letters
+    letters, where variable v sits at place v // n_letters."""
+    if len(m) == 1:
+        return m[0][1] == 2
+    return len(m) == 2 and m[0][1] == m[1][1] == 1 and \
+        m[0][0] // n_letters == m[1][0] // n_letters
+
+
+def place_multihomogeneous(p: Poly, n_letters: int) -> bool:
+    """Every term of p covers the same places, with one variable, to the
+    first power, at each."""
+    first = None
+    for m in p:
+        places = [v // n_letters for v, e in m if e == 1]
+        if len(places) != len(m) or len(set(places)) != len(m):
+            return False
+        if first is None:
+            first = places
+        elif places != first:
+            return False
+    return True
+
+
 class RingGB:
     """Truncated reduced Groebner basis over the polynomial ring: plain
     Buchberger with the Gebauer-Moeller criteria, then interreduction.
     Elements are (lead, descending monic term list); keys is the basis's
-    own memo of mono_key."""
+    own memo of mono_key.
 
-    def __init__(self, field, gens: Sequence[Poly], cap: Optional[int] = None):
+    n_letters, when given, is the alphabet size of a letterplace window:
+    every generator must then be a place-collision monomial or
+    place-multihomogeneous (ValueError otherwise), and the collision
+    criterion of the module docstring applies."""
+
+    def __init__(self, field, gens: Sequence[Poly], cap: Optional[int] = None,
+                 n_letters: Optional[int] = None):
         self.field = field
         self.cap = cap
+        self.n_letters = n_letters
+        if n_letters is not None:
+            for g in gens:
+                if g and not (self._is_collision(next(iter(g)), len(g) == 1)
+                              or place_multihomogeneous(g, n_letters)):
+                    raise ValueError("letterplace generator is not "
+                                     "place-multihomogeneous")
         self.keys = KeyTable(mono_key)
         self.elements: List[tuple] = []  # (lead, terms)
         self._tailed: List[int] = []  # indices of elements with a tail
+        self.collisions: set = set()  # indices of collision monomials
         # reducers bucketed by the smallest variable of their lead (-1 for
         # the unit), each (lead, mask, tail)
         self.buckets: Dict[int, list] = {}
@@ -241,6 +291,10 @@ class RingGB:
         self._update_pairs(len(self.elements), lead, len(terms) == 1)
         self._install(lead, terms)
 
+    def _is_collision(self, lead: Mono, bare: bool) -> bool:
+        L = self.n_letters
+        return bare and L is not None and place_collision(lead, L)
+
     def _sorted_items(self, p: Poly):
         keys = self.keys
         return sorted(p.items(), key=lambda t: keys[t[0]], reverse=True)
@@ -259,6 +313,8 @@ class RingGB:
     def _install(self, lead: Mono, terms) -> None:
         if len(terms) > 1:
             self._tailed.append(len(self.elements))
+        elif self._is_collision(lead, True):
+            self.collisions.add(len(self.elements))
         self.elements.append((lead, terms))
         key = lead[0][0] if lead else -1
         self.buckets.setdefault(key, []).append(
@@ -267,10 +323,11 @@ class RingGB:
     def _update_pairs(self, t: int, lead_t: Mono, bare: bool) -> None:
         """Gebauer-Moeller update: M, F and B criteria on the new pairs,
         chain criterion on the pending ones.  A bare element t pairs only
-        with elements that have a tail."""
+        with elements that have a tail, a collision monomial with none."""
         elements = self.elements
-        lcms = {i: mono_lcm(elements[i][0], lead_t)
-                for i in (self._tailed if bare else range(t))}
+        lcms = {} if self._is_collision(lead_t, bare) else {
+            i: mono_lcm(elements[i][0], lead_t)
+            for i in (self._tailed if bare else range(t))}
         cap = self.cap
         cand = []
         for i, l in lcms.items():
@@ -281,7 +338,9 @@ class RingGB:
         # F: among equal lcms keep the first.  M: drop a pair whose lcm is
         # a proper multiple of another's; a proper divisor has lower degree,
         # and so has a minimal one.  B: coprime leads reduce to zero anyway,
-        # as do two bare elements, which were never candidates.
+        # and so does a pair with a collision monomial; two bare elements
+        # were never candidates.
+        collisions = self.collisions
         seen = set()
         lower: list = []  # M survivors of lower degree than the current
         level: list = []  # M survivors of the current degree
@@ -297,7 +356,7 @@ class RingGB:
                 continue
             seen.add(l)
             level.append((deg, l, mask))
-            if not mono_coprime(elements[i][0], lead_t):
+            if not (i in collisions or mono_coprime(elements[i][0], lead_t)):
                 new.append((deg, l, i, mask))
 
         # chain criterion on the pending pairs; a pending pair has at most
@@ -357,6 +416,7 @@ class RingGB:
                 minimal.append((lead, mask, terms))
         self.elements = []
         self._tailed = []
+        self.collisions = set()
         self.buckets = {}
         for lead, _, terms in minimal:
             tail = self._reduce_full(dict(terms[1:]))

@@ -32,6 +32,16 @@ def _expect(cond: bool, msg: str) -> None:
         raise InputError(msg)
 
 
+def _quote(obj, limit: int = 60) -> str:
+    """repr(obj) cut to `limit` characters, so that an error line quoting
+    a hostile value stays one short line."""
+    try:
+        text = repr(obj)
+    except RecursionError:
+        return "<nested too deeply>"
+    return text if len(text) <= limit else text[:limit] + "…"
+
+
 def _is_int(obj) -> bool:
     """A JSON integer; JSON booleans load as bool, a subclass of int."""
     return isinstance(obj, int) and not isinstance(obj, bool)
@@ -39,9 +49,10 @@ def _is_int(obj) -> bool:
 
 def parse_coeff(field: Field, text) -> object:
     _expect(isinstance(text, str),
-            f"coefficient must be a string, got {text!r}")
+            f"coefficient must be a string, got {_quote(text)}")
     _expect(COEFF_RE.match(text) is not None,
-            f"coefficient {text!r} is not an exact integer or a/b ratio")
+            f"coefficient {_quote(text)} is not an exact integer or a/b "
+            f"ratio")
     try:
         if "/" in text:
             num, den = text.split("/")
@@ -53,7 +64,7 @@ def parse_coeff(field: Field, text) -> object:
                          f"long to convert")
     if field.char:
         _expect(den % field.char != 0,
-                f"coefficient {text!r} has denominator divisible by "
+                f"coefficient {_quote(text)} has denominator divisible by "
                 f"{field.char}")
     return field.from_ratio(num, den)
 
@@ -63,12 +74,12 @@ def parse_field(obj) -> Field:
         return rationals()
     if isinstance(obj, dict) and set(obj) == {"Fp"}:
         p = obj["Fp"]
-        _expect(isinstance(p, int) and p >= 2, f"bad modulus {p!r}")
+        _expect(isinstance(p, int) and p >= 2, f"bad modulus {_quote(p)}")
         try:
             return prime_field(p)
         except ValueError as e:
             raise InputError(str(e))
-    raise InputError(f'field must be "Q" or {{"Fp": p}}, got {obj!r}')
+    raise InputError(f'field must be "Q" or {{"Fp": p}}, got {_quote(obj)}')
 
 
 def _parse_word(names_index: Dict[str, int], obj, where: str) -> Tuple[int, ...]:
@@ -76,8 +87,9 @@ def _parse_word(names_index: Dict[str, int], obj, where: str) -> Tuple[int, ...]
     letters = []
     for name in obj:
         _expect(isinstance(name, str),
-                f"{where}: letter {name!r} is not a generator name")
-        _expect(name in names_index, f"{where}: unknown generator {name!r}")
+                f"{where}: letter {_quote(name)} is not a generator name")
+        _expect(name in names_index,
+                f"{where}: unknown generator {_quote(name)}")
         letters.append(names_index[name])
     return tuple(letters)
 
@@ -111,7 +123,7 @@ def _parse_module_elem(field: Field, names_index: Dict[str, int], rank: int,
                 f"{slot}: expected keys coeff, component and word")
         comp = term["component"]
         _expect(_is_int(comp) and 0 <= comp < rank,
-                f"{slot}: component {comp!r} outside 0..{rank - 1}")
+                f"{slot}: component {_quote(comp)} outside 0..{rank - 1}")
         c = parse_coeff(field, term["coeff"])
         w = _parse_word(names_index, term["word"], slot)
         s = field.add(elem.get((comp, w), field.zero), c)
@@ -125,7 +137,7 @@ def _parse_module_elem(field: Field, names_index: Dict[str, int], rank: int,
 def module_from_document(doc) -> ModulePresentation:
     _expect(isinstance(doc, dict), "top level must be an object")
     extra = set(doc) - {"field", "generators", "relations", "module"}
-    _expect(not extra, f"unknown top-level keys {sorted(extra)}")
+    _expect(not extra, f"unknown top-level keys {_quote(sorted(extra))}")
     for key in ("field", "generators", "relations", "module"):
         _expect(key in doc, f"missing top-level key {key!r}")
 
@@ -133,7 +145,8 @@ def module_from_document(doc) -> ModulePresentation:
     names = doc["generators"]
     _expect(isinstance(names, list) and names, "generators must be nonempty")
     for name in names:
-        _expect(isinstance(name, str) and name, f"bad generator name {name!r}")
+        _expect(isinstance(name, str) and name,
+                f"bad generator name {_quote(name)}")
         _expect(name != RESERVED_NAME,
                 f"generator name {RESERVED_NAME!r} is reserved")
     _expect(len(set(names)) == len(names), "generator names must be unique")

@@ -46,7 +46,7 @@ from .homog import HomogenizationContext, eta_apply, homogenization_context
 from .letterplace import (LpModElem, PlaceWindow, WindowTooSmall, build_C,
                           iota_inverse_word, iota_module_elem,
                           letterplace_ideal_gens)
-from .linalg import rref
+from .linalg import _eliminate, rref
 from .syzygy import (ModuleGB, elem_sdeg, minimalize_graded,
                      syzygies_over_quotient)
 
@@ -108,7 +108,7 @@ def _encode_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
     zero_shifts = [0] * len(ambient_shifts)
     lp = [iota_module_elem(win, g, zero_shifts) for g in hgens]
     ring = RingGB(alg.field, letterplace_ideal_gens(win, active),
-                  cap=win.width)
+                  cap=win.width, n_letters=win.n_letters)
     return _StepEncoding(ctx, win, m, lp, [d - m for d in degs], ring,
                          alg.n_letters)
 
@@ -152,18 +152,20 @@ def _frame_kernel(field, images: Sequence[dict]):
     """RREF basis of {w : sum_s w_s * images[s] = 0} in frame coordinates,
     rows in ascending pivot order.
 
-    Augment each image row with a unit tag and take the RREF with image
-    columns first: the rows whose pivot is a tag are supported on tags
-    alone, and they are the kernel's own RREF.
+    Augment each image row with a unit tag and eliminate forward with
+    image columns first: the rows whose pivot is a tag are supported on
+    tags alone and span the kernel.  Only they are back-substituted, into
+    the kernel's own RREF; the image-pivot rows are dropped unreduced.
     """
     rows = []
     for pos, img in enumerate(images):
         row = {(0, key): c for key, c in img.items()}
         row[(1, pos)] = field.one
         rows.append(row)
-    reduced, pivots = rref(rows, field)
-    return [{key[1]: c for key, c in row.items()}
-            for row, piv in zip(reduced, pivots) if piv[0] == 1]
+    echelon = _eliminate(rows, field, lambda c: c)
+    kernel = [{key[1]: c for key, c in row.items()}
+              for piv, row in echelon.items() if piv[0] == 1]
+    return rref(kernel, field)[0]
 
 
 def _ev_image(enc: _StepEncoding, j: int, mono: tuple) -> dict:

@@ -36,6 +36,24 @@ Steenpass, J. Symb. Comp. 74 (2016)).  Every other pair of two module
 elements in the same component is kept, coprime or not: no product
 criterion holds between two module elements, and those pairs carry the
 Koszul syzygies of the generators.
+
+Over a ring told its alphabet size (engine docstring), no module element
+pairs with a place-collision monomial x_a(p)x_b(p) or x_a(p)^2 either
+(La Scala & Levandovskyy, J. Symb. Comp. 44 (2009)).  This holds in the
+collecting basis, in the resolver's single pass and in
+minimalize_graded.  Proof that nothing is lost: the encoded generators'
+main terms are place-multihomogeneous, and ring reduction keeps them
+so; so if h's lead holds x_a(p), the dropped pair's S-polynomial is
+x_b(p)*tail(h).  Each of its terms is of one of two kinds:
+- a main term holding a place collision, which the ring reduces to
+  zero, so no new module element is lost;
+- a ghost term, or in the single pass a term of component k, that is a
+  multiple of a forced-block element e_k*x(p') with p' <= d_k
+  (letterplace.build_C): a variable at or below generator k's places.
+So over a letterplace ring syzygies_over_quotient returns generators of
+the syzygy module modulo the forced block, and the single pass, which
+installs the block at each degree before it asks what the raw syzygies
+of that degree need, certifies the same module as with every pair.
 """
 
 from __future__ import annotations
@@ -76,9 +94,11 @@ class ModuleGB:
         self.field = ring.field
         self.shifts = list(main_shifts)
         self.ring = ring
-        # (lead, mask, bare): bare ring elements are monomials
-        self._ring_leads = [(lead, mono_mask(lead), len(terms) == 1)
-                            for lead, terms in ring.elements]
+        # (index, lead, mask, bare) of every ring element but the
+        # collision monomials, which form no pair (module docstring)
+        self._ring_leads = [(k, lead, mono_mask(lead), len(terms) == 1)
+                            for k, (lead, terms) in enumerate(ring.elements)
+                            if k not in ring.collisions]
         self.cap = ring.cap
         self.elements: List[tuple] = []  # (lead_term, descending terms)
         # (main comp, smallest variable of the lead, -1 for the unit)
@@ -172,7 +192,7 @@ class ModuleGB:
             if deg <= self.cap:
                 heapq.heappush(self.pairs, (deg, 0, l, comp, i, t))
         mask = mono_mask(m)
-        for k, (rlead, rmask, rbare) in enumerate(self._ring_leads):
+        for k, rlead, rmask, rbare in self._ring_leads:
             # bare pair, then product criterion (module docstring); disjoint
             # masks mean coprime leads, overlapping ones need the exact test
             if bare and rbare or not rmask & mask or mono_coprime(rlead, m):

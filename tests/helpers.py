@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 
 from ncres.field import rationals
-from ncres.freealg import AlgebraPresentation, ModulePresentation
+from ncres.freealg import (AlgebraPresentation, ModulePresentation,
+                           validate_presentation)
 
 
 def nilpotent_enveloping() -> AlgebraPresentation:
@@ -81,3 +82,18 @@ def random_module(rng: random.Random, alg: AlgebraPresentation,
     if not gens:
         gens = [{(0, tuple(0 for _ in range(max(1, shifts[0])))): QQ.one}]
     return ModulePresentation(alg, shifts, gens)
+
+
+def nonmonomial_modules(seed, count):
+    """The first `count` valid random modules from random.Random(seed)
+    whose algebra has a relation with at least two terms."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        alg = random_presentation(rng, max_rel_deg=3)
+        mod = random_module(rng, alg)
+        if validate_presentation(mod):
+            continue
+        if any(len(r) > 1 for r in alg.relations):
+            out.append(mod)
+    return out

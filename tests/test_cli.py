@@ -254,3 +254,19 @@ def test_hostile_bytes_exit_1_with_one_line(tmp_path, capsys, command, data):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["resolve", "check"])
+def test_deeply_nested_letter_quotes_a_short_value(tmp_path, capsys, command):
+    doc = json.loads(SQUARE)
+    letter = "x"
+    for _ in range(900):
+        letter = [letter]
+    doc["relations"] = [[{"coeff": "1", "word": [letter]}]]
+    rc = cli.main([command, write(tmp_path, json.dumps(doc))])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert len(lines[0]) < 200

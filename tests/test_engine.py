@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -313,3 +314,38 @@ def test_monomial_still_pairs_with_a_polynomial():
     # S(x^2, xy + y^2) reduces to y^3, which only that pair produces
     gb = RingGB(F, [P(((2, 0), 1)), P(((1, 1), 1), ((0, 2), 1))])
     assert P(((0, 3), 1)) in gb.polys()
+
+
+def test_collision_criterion_keeps_the_letterplace_basis():
+    """Told its alphabet size, RingGB forms no pair with a place-collision
+    monomial; the basis must equal the one built without that criterion,
+    element for element, over the base and the t-extended alphabet."""
+    rng = random.Random(11)
+    cases = [(nilpotent_enveloping(), 8)]
+    cases += [(random_presentation(rng, max_rel_deg=3), 3 + k % 5)
+              for k in range(40)]
+    for k, (base, width) in enumerate(cases):
+        for alg in (base, extend_algebra(base)):
+            gens, plain = _letterplace_basis(alg, width)
+            told = RingGB(alg.field, gens, cap=width,
+                          n_letters=alg.n_letters)
+            assert told.elements == plain.elements, (k, alg.names, width)
+            # nothing of degree below 2 divides a collision monomial
+            L = alg.n_letters
+            assert len(told.collisions) == L * (L + 1) // 2 * width
+
+
+def test_collision_criterion_needs_place_multihomogeneous_generators():
+    # over 2 letters x_a(p) is variable 2(p - 1) + a: a(1)b(2) - a(1)a(1)
+    # covers place 1 twice in its second term
+    bad = {((0, 1), (3, 1)): F.one, ((0, 2),): F.neg(F.one)}
+    with pytest.raises(ValueError, match="place-multihomogeneous"):
+        RingGB(F, [bad], cap=4, n_letters=2)
+    # terms covering different places
+    bad = {((0, 1), (3, 1)): F.one, ((2, 1), (5, 1)): F.one}
+    with pytest.raises(ValueError, match="place-multihomogeneous"):
+        RingGB(F, [bad], cap=4, n_letters=2)
+    good = {((0, 1), (3, 1)): F.one, ((1, 1), (2, 1)): F.one}
+    collision = {((0, 1), (1, 1)): F.one}
+    assert RingGB(F, [good, collision], cap=4, n_letters=2).collisions
+    assert not RingGB(F, [good, collision], cap=4).collisions

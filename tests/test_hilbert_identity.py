@@ -3,14 +3,12 @@ resolutions: the alternating sum of the free modules' graded dimensions
 must equal the submodule's, both counted by dims alone."""
 
 import dataclasses
-import random
 
 import pytest
 
 from helpers import (augmentation_module, nilpotent_enveloping,
-                     random_module, random_presentation)
+                     nonmonomial_modules)
 from ncres.checks import check_hilbert_identity
-from ncres.freealg import validate_presentation
 from ncres.resolver import ResolutionRequest, resolve
 
 
@@ -20,21 +18,6 @@ def flagship():
     mod = augmentation_module(nilpotent_enveloping())
     return mod, resolve(ResolutionRequest(mod, degree_bound=6,
                                           length_bound=7))
-
-
-def nonmonomial_modules(seed, count):
-    """The first `count` valid random modules from random.Random(seed)
-    whose algebra has a relation with at least two terms."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        alg = random_presentation(rng, max_rel_deg=3)
-        mod = random_module(rng, alg)
-        if validate_presentation(mod):
-            continue
-        if any(len(r) > 1 for r in alg.relations):
-            out.append(mod)
-    return out
 
 
 @pytest.mark.parametrize("tshift", [True, False])

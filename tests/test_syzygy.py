@@ -3,11 +3,15 @@ import random
 
 import pytest
 
+from helpers import (augmentation_module, nilpotent_enveloping,
+                     nonmonomial_modules)
 from ncres.engine import (RingGB, mono_coprime, mono_deg, mono_div, mono_key,
                           mono_mul, normal_form)
 from ncres.field import rationals
-from ncres.letterplace import WindowTooSmall
+from ncres.letterplace import (WindowTooSmall, build_C,
+                               letterplace_ideal_gens)
 from ncres.linalg import rank
+from ncres.resolver import ResolutionRequest, _encode_step, resolve
 from ncres.syzygy import (ModuleGB, elem_sdeg, minimalize_graded,
                           syzygies_over_quotient)
 
@@ -335,3 +339,56 @@ def test_generator_above_the_window_is_rejected():
     # the shift counts: y e_0 sits in degree 3 when e_0 has shift 2
     with pytest.raises(WindowTooSmall):
         ModuleGB(free(2), [2]).add_generator({(0, Y): C(1)})
+
+
+def _step_inputs(res):
+    """(ambient shifts, generators, window) of every step of res."""
+    gens = res.minimal_input
+    for step in res.steps:
+        yield step.ambient_shifts, gens, step.window
+        gens = step.generators
+
+
+def _collision_syzygies_dropped(mod, bound, length, tshift):
+    """Resolve mod (every step must certify, or resolve raises), then
+    check each step's raw syzygies over the ring told its alphabet size
+    against those over the plain ring; returns how many fewer the told
+    ring gave."""
+    alg = mod.algebra
+    res = resolve(ResolutionRequest(mod, degree_bound=bound,
+                                    length_bound=length, tshift=tshift))
+    dropped = 0
+    for shifts, gens, window in _step_inputs(res):
+        enc = _encode_step(alg, shifts, gens, window, tshift)
+        active = enc.ctx.extended if enc.ctx else alg
+        plain = RingGB(alg.field, letterplace_ideal_gens(enc.win, active),
+                       cap=enc.win.width)
+        assert enc.ring.collisions and not plain.collisions
+        zero = [0] * len(shifts)
+        told = syzygies_over_quotient(enc.ring, enc.gens_lp, zero)
+        full = syzygies_over_quotient(plain, enc.gens_lp, zero)
+        for syz in told.generators:
+            assert not _nf_componentwise(_apply_syzygy(syz, enc.gens_lp),
+                                         plain.polys())
+        span = ModuleGB(plain, enc.gen_degrees)
+        block = build_C(enc.win, alg.field, enc.gen_degrees)
+        for e in told.generators + block:
+            if elem_sdeg(enc.gen_degrees, e) <= plain.cap:
+                span.add_generator(e)
+        span.complete_to(plain.cap)
+        assert not any(span.normal_form(syz) for syz in full.generators)
+        dropped += len(full.generators) - len(told.generators)
+    return dropped
+
+
+@pytest.mark.parametrize("tshift", [True, False])
+def test_collision_pairs_lose_only_forced_block_syzygies(tshift):
+    """Over a ring told its alphabet size, the collecting basis forms no
+    pair with a place-collision monomial.  Its raw syzygies must still
+    be syzygies, and together with the forced block they must generate
+    every raw syzygy found over the plain ring."""
+    modules = [(augmentation_module(nilpotent_enveloping()), 6, 7)]
+    modules += [(mod, 5, 4) for mod in nonmonomial_modules(7, 30)]
+    dropped = [_collision_syzygies_dropped(mod, bound, length, tshift)
+               for mod, bound, length in modules]
+    assert dropped[0] > 0  # the criterion is active on the flagship
