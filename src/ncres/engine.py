@@ -28,6 +28,21 @@ the product criterion on module-by-ring pairs, whose syzygies vanish
 over the quotient; other pairs of two module elements all stay, because
 they carry the Koszul generators of the syzygy module.
 
+Such a basis also serves every narrower window and the alphabet extended
+by a relation-free last letter t, with no Buchberger run
+(RingGB.restrict).  The letterplace ideal is graded by places (a
+variable at place p has degree e_p), and its part supported on places
+below w is the ideal of the w-place window; every element of a reduced
+basis is graded, so the elements whose lead ends below place w form that
+window's reduced basis.  Over L + 1 letters variable v becomes
+(v // L)(L + 1) + v % L, which keeps the order, so leads and tails stay
+as they are, and the new generators are the t-collisions x_a(p)t(p) and
+t(p)^2.  No t-free term is divisible by one, and the pair of one with a
+tailed f whose lead holds x_a(p) gives t(p)*tail(f), all collisions: the
+basis gains exactly those monomials.  Installed in ascending lead key,
+the order _interreduce leaves, the result equals the basis built from
+the window's generators element for element.
+
 Cost model of RingGB's pair bookkeeping.  A new element forms one
 candidate pair with each earlier one, a bare new element only with the
 earlier elements that have a tail (RingGB._tailed), a collision monomial
@@ -45,8 +60,9 @@ Interreduction reduces each tail once, in ascending lead order.
 
 mono_key is pure; each RingGB memoizes it in a table of its own
 (RingGB.keys) that dies with the basis, so a resolution leaves no state
-behind.  A finished truncated RingGB is the whole context of the module
-bases over it (syzygy.py): field, window (cap) and key table.
+behind; a restricted basis starts a fresh table.  A finished truncated
+RingGB is the whole context of the module bases over it (syzygy.py):
+field, window (cap) and key table.
 """
 
 from __future__ import annotations
@@ -215,15 +231,24 @@ class RingGB:
 
     def __init__(self, field, gens: Sequence[Poly], cap: Optional[int] = None,
                  n_letters: Optional[int] = None):
-        self.field = field
-        self.cap = cap
-        self.n_letters = n_letters
+        self._empty(field, cap, n_letters)
         if n_letters is not None:
             for g in gens:
                 if g and not (self._is_collision(next(iter(g)), len(g) == 1)
                               or place_multihomogeneous(g, n_letters)):
                     raise ValueError("letterplace generator is not "
                                      "place-multihomogeneous")
+        for g in gens:
+            if g:
+                self._insert(g)
+        self._run()
+        self._interreduce()
+
+    def _empty(self, field, cap: Optional[int],
+               n_letters: Optional[int]) -> None:
+        self.field = field
+        self.cap = cap
+        self.n_letters = n_letters
         self.keys = KeyTable(mono_key)
         self.elements: List[tuple] = []  # (lead, terms)
         self._tailed: List[int] = []  # indices of elements with a tail
@@ -233,11 +258,41 @@ class RingGB:
         self.buckets: Dict[int, list] = {}
         self._pairs: list = []
         self._lcms: Dict[Tuple[int, int], Tuple[Mono, int]] = {}  # pending
-        for g in gens:
-            if g:
-                self._insert(g)
-        self._run()
-        self._interreduce()
+
+    def restrict(self, width: int, n_letters: int) -> "RingGB":
+        """The basis of the same relations over the first `width` places,
+        over this basis's alphabet of L letters (n_letters == L) or over
+        it plus a relation-free last letter t (n_letters == L + 1), read
+        off this finished letterplace basis with no Buchberger run; the
+        result has a key table of its own.  See the module docstring."""
+        L = self.n_letters
+        if L is None or n_letters not in (L, L + 1) or \
+                not 0 <= width <= self.cap:
+            raise ValueError(f"cannot restrict a basis over {L} letters "
+                             f"and {self.cap} places to {n_letters} "
+                             f"letters and {width} places")
+        top = width * L  # the first variable past the window
+        kept = [(lead, terms, k in self.collisions)
+                for k, (lead, terms) in enumerate(self.elements)
+                if lead[-1][0] < top]
+        if n_letters > L:
+            def renumber(m):
+                return tuple(((v // L) * n_letters + v % L, e)
+                             for v, e in m)
+            kept = [(renumber(lead), [(renumber(m), c) for m, c in terms],
+                     collision) for lead, terms, collision in kept]
+            one = self.field.one
+            for t in range(L, width * n_letters, n_letters):  # t(p)
+                for m in [((a, 1), (t, 1)) for a in range(t - L, t)] + \
+                        [((t, 2),)]:
+                    kept.append((m, [(m, one)], True))
+        out = RingGB.__new__(RingGB)
+        out._empty(self.field, width, n_letters)
+        keys = out.keys
+        kept.sort(key=lambda e: keys[e[0]])
+        for lead, terms, collision in kept:
+            out._install(lead, terms, collision)
+        return out
 
     # -- construction ---------------------------------------------------
 
@@ -288,8 +343,10 @@ class RingGB:
         if not p:
             return
         lead, terms = self._monic_terms(p)
-        self._update_pairs(len(self.elements), lead, len(terms) == 1)
-        self._install(lead, terms)
+        bare = len(terms) == 1
+        collision = self._is_collision(lead, bare)
+        self._update_pairs(len(self.elements), lead, bare, collision)
+        self._install(lead, terms, collision)
 
     def _is_collision(self, lead: Mono, bare: bool) -> bool:
         L = self.n_letters
@@ -310,22 +367,23 @@ class RingGB:
         mul = field.mul
         return lead, [(m, mul(inv, c)) for m, c in items]
 
-    def _install(self, lead: Mono, terms) -> None:
+    def _install(self, lead: Mono, terms, collision: bool) -> None:
         if len(terms) > 1:
             self._tailed.append(len(self.elements))
-        elif self._is_collision(lead, True):
+        elif collision:
             self.collisions.add(len(self.elements))
         self.elements.append((lead, terms))
         key = lead[0][0] if lead else -1
         self.buckets.setdefault(key, []).append(
             (lead, mono_mask(lead), terms[1:]))
 
-    def _update_pairs(self, t: int, lead_t: Mono, bare: bool) -> None:
+    def _update_pairs(self, t: int, lead_t: Mono, bare: bool,
+                      collision: bool) -> None:
         """Gebauer-Moeller update: M, F and B criteria on the new pairs,
         chain criterion on the pending ones.  A bare element t pairs only
         with elements that have a tail, a collision monomial with none."""
         elements = self.elements
-        lcms = {} if self._is_collision(lead_t, bare) else {
+        lcms = {} if collision else {
             i: mono_lcm(elements[i][0], lead_t)
             for i in (self._tailed if bare else range(t))}
         cap = self.cap
@@ -408,19 +466,23 @@ class RingGB:
         smaller leads ever act on it: one pass in ascending lead order,
         each element installed after its tail is reduced, is final."""
         keys = self.keys
+        elements, collisions = self.elements, self.collisions
         minimal: List[tuple] = []
-        for lead, terms in sorted(self.elements, key=lambda e: keys[e[0]]):
+        for k in sorted(range(len(elements)),
+                        key=lambda k: keys[elements[k][0]]):
+            lead, terms = elements[k]
             mask = mono_mask(lead)
-            if not any(m & mask == m and mono_div(lead, k) is not None
-                       for k, m, _ in minimal):
-                minimal.append((lead, mask, terms))
+            if not any(m & mask == m and mono_div(lead, d) is not None
+                       for d, m, _, _ in minimal):
+                minimal.append((lead, mask, terms, k in collisions))
         self.elements = []
         self._tailed = []
         self.collisions = set()
         self.buckets = {}
-        for lead, _, terms in minimal:
+        for lead, _, terms, collision in minimal:
             tail = self._reduce_full(dict(terms[1:]))
-            self._install(lead, [terms[0]] + self._sorted_items(tail))
+            self._install(lead, [terms[0]] + self._sorted_items(tail),
+                          collision)
 
     # -- queries ---------------------------------------------------------
 
@@ -441,5 +503,5 @@ def normal_form(field, f: Poly, basis: Sequence[Poly]) -> Poly:
     for p in basis:
         if p:
             lead, terms = gb._monic_terms(p)
-            gb._install(lead, terms)
+            gb._install(lead, terms, False)
     return gb.normal_form(f)

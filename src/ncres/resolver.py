@@ -4,11 +4,19 @@ A step takes the current minimal generators g_1..g_s of a submodule of
 (+)_i A(-delta_i), makes every component shift zero by prefixing the
 reserved letter t^(delta_i - m), where the offset m is the smallest shift
 (0 without compression), encodes words into the one-letter-per-place
-window narrowed by m, builds the truncated Groebner basis of the encoded
-quotient ring once, computes syzygies of the encoded family over that
-ring, strips the forced block coming from the encoding, and decodes the
+window narrowed by m, takes the truncated Groebner basis of the encoded
+quotient ring, computes syzygies of the encoded family over that ring,
+strips the forced block coming from the encoding, and decodes the
 survivors back over the original algebra.  The finished ring basis is
 the only thing the module layer (syzygy.py) is told about the algebra.
+
+The ring basis is built once per resolution: resolve() runs Buchberger
+on the letterplace relations over the original alphabet at the widest
+window it knows of (step 1's, under an explicit degree bound), and the
+input minimalization and every step restrict that basis to their own
+window and alphabet (RingGB.restrict, exact by the argument in the
+engine docstring).  Only a heuristic window wider than the basis makes
+it rebuild.
 
 Decoded output is canonical: within each degree the emitted generators
 are the reduced-row-echelon basis of the stair subspace (syzygies whose
@@ -78,12 +86,35 @@ class _StepEncoding:
     n_base: int  # letters of the original algebra (reserved one excluded)
 
 
+def _offset(ambient_shifts: Sequence[int], use_tshift: bool) -> int:
+    """The offset m a step's window narrows by: the smallest shift when
+    compression is on and some shift is positive, else 0."""
+    if use_tshift and any(s > 0 for s in ambient_shifts):
+        return max(min(ambient_shifts), 0)
+    return 0
+
+
+def _ring_basis(alg: AlgebraPresentation, width: int) -> RingGB:
+    """The letterplace basis of alg's relations over `width` places and
+    alg's own alphabet: the one Buchberger run that every step's ring is
+    restricted from (RingGB.restrict).  Its key table is emptied, and it
+    is never a step's ring itself, so no step's keys outlive the step."""
+    win = PlaceWindow(alg.names, width)
+    base = RingGB(alg.field, letterplace_ideal_gens(win, alg), cap=width,
+                  n_letters=win.n_letters)
+    base.keys.clear()
+    return base
+
+
 def _encode_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
                  gens: Sequence[NcModElem], window: int,
-                 use_tshift: bool) -> _StepEncoding:
-    """Homogenize relative to the offset m (the smallest shift when
-    compression is on and some shift is positive, else 0): component i
-    gets the prefix t^(delta_i - m) and the window narrows by m."""
+                 use_tshift: bool,
+                 base: Optional[RingGB] = None) -> _StepEncoding:
+    """Homogenize relative to the offset m: component i gets the prefix
+    t^(delta_i - m) and the window narrows by m.  The ring is `base`
+    (a _ring_basis at least as wide as the narrowed window) restricted to
+    the window and the active alphabet; without a base, one is built at
+    the window's width."""
     degs = []
     for g in gens:
         d = elem_degree(ambient_shifts, g)
@@ -94,7 +125,7 @@ def _encode_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
         raise WindowTooSmall(
             f"generator degree {max(degs)} exceeds degree bound {window}")
     need_t = any(s > 0 for s in ambient_shifts)
-    m = max(min(ambient_shifts), 0) if use_tshift and need_t else 0
+    m = _offset(ambient_shifts, use_tshift)
     if need_t:
         ctx: Optional[HomogenizationContext] = homogenization_context(
             alg, [s - m for s in ambient_shifts])
@@ -107,8 +138,9 @@ def _encode_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
     win = PlaceWindow(active.names, window - m)
     zero_shifts = [0] * len(ambient_shifts)
     lp = [iota_module_elem(win, g, zero_shifts) for g in hgens]
-    ring = RingGB(alg.field, letterplace_ideal_gens(win, active),
-                  cap=win.width, n_letters=win.n_letters)
+    if base is None:
+        base = _ring_basis(alg, win.width)
+    ring = base.restrict(win.width, win.n_letters)
     return _StepEncoding(ctx, win, m, lp, [d - m for d in degs], ring,
                          alg.n_letters)
 
@@ -197,11 +229,13 @@ class ResolutionStep:
 
 def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
                 gens: Sequence[NcModElem], window: int,
-                use_tshift: bool = True, index: int = 1) -> ResolutionStep:
+                use_tshift: bool = True, index: int = 1,
+                base: Optional[RingGB] = None) -> ResolutionStep:
     """One level of the resolution: the minimal syzygies (complete through
-    `window`) of a minimal homogeneous generating family."""
+    `window`) of a minimal homogeneous generating family.  The ring is
+    restricted from `base` as in _encode_step."""
     field = alg.field
-    enc = _encode_step(alg, ambient_shifts, gens, window, use_tshift)
+    enc = _encode_step(alg, ambient_shifts, gens, window, use_tshift, base)
     raw = syzygies_over_quotient(enc.ring, enc.gens_lp,
                                  [0] * len(ambient_shifts))
     block = build_C(enc.win, field, enc.gen_degrees)
@@ -323,13 +357,34 @@ def resolve(req: ResolutionRequest) -> Resolution:
     gens = [dict(g) for g in module.generators]
     degs = [elem_degree(shifts, g) for g in gens]
     rel_deg = max((homogeneous_degree(r) for r in alg.relations), default=0)
+
+    def step_window(level_degs: List[int]) -> int:
+        if req.degree_bound is not None:
+            return req.degree_bound
+        return max(level_degs) + max(rel_deg, 2) - 1
+
+    # one ring basis for the whole resolution, rebuilt only for a step
+    # whose narrowed window is wider than its own
+    base: Optional[RingGB] = None
+
+    def base_for(ambient: Sequence[int], window: int) -> RingGB:
+        nonlocal base
+        width = window - _offset(ambient, req.tshift)
+        if base is None or base.cap < width:
+            base = _ring_basis(alg, width)
+        return base
+
     if gens:
         top = max(degs)
         if req.degree_bound is not None and req.degree_bound < top:
             raise ValueError(
                 f"degree bound {req.degree_bound} below generator degree "
                 f"{top}")
-        enc0 = _encode_step(alg, shifts, gens, max(top, 1), req.tshift)
+        if req.length_bound > 1:
+            # step 1's window; under a degree bound no later one is wider
+            base_for(shifts, step_window(degs))
+        enc0 = _encode_step(alg, shifts, gens, max(top, 1), req.tshift,
+                            base_for(shifts, max(top, 1)))
         kept = minimalize_graded(enc0.ring, enc0.gens_lp, [0] * len(shifts))
         gens = [gens[i] for i in kept]
         degs = [degs[i] for i in kept]
@@ -345,12 +400,10 @@ def resolve(req: ResolutionRequest) -> Resolution:
     for i in range(1, req.length_bound):
         if terminated:
             break
-        if req.degree_bound is not None:
-            D = req.degree_bound
-        else:
-            D = max(basis_degs) + max(rel_deg, 2) - 1
+        D = step_window(basis_degs)
         step = syzygy_step(alg, basis_ambient, basis, D,
-                           use_tshift=req.tshift, index=i)
+                           use_tshift=req.tshift, index=i,
+                           base=base_for(basis_ambient, D))
         steps.append(step)
         windows.append(D)
         if not step.generators:

@@ -349,3 +349,48 @@ def test_collision_criterion_needs_place_multihomogeneous_generators():
     collision = {((0, 1), (1, 1)): F.one}
     assert RingGB(F, [good, collision], cap=4, n_letters=2).collisions
     assert not RingGB(F, [good, collision], cap=4).collisions
+
+
+def _told_basis(alg, width):
+    return RingGB(alg.field,
+                  letterplace_ideal_gens(PlaceWindow(alg.names, width), alg),
+                  cap=width, n_letters=alg.n_letters)
+
+
+def _shape(gb):
+    """Everything a reader of a finished RingGB can see: elements in
+    order, collision and tailed indices, and the reducers bucket by
+    bucket, buckets in creation order."""
+    return (gb.cap, gb.n_letters, gb.elements, gb.collisions, gb._tailed,
+            [(v, [(lead, tail) for lead, _, tail in lst])
+             for v, lst in gb.buckets.items()])
+
+
+def test_restriction_equals_the_basis_from_generators():
+    """One finished letterplace basis over the base alphabet, restricted
+    to any narrower window over the base or the t-extended alphabet, is
+    the basis that Buchberger computes from that window's generators."""
+    rng = random.Random(11)
+    cases = [(nilpotent_enveloping(), 9)]
+    cases += [(random_presentation(rng, max_rel_deg=3), 7)
+              for _ in range(40)]
+    for k, (base, top) in enumerate(cases):
+        big = _told_basis(base, top)
+        for width in range(top + 1):
+            for alg in (base, extend_algebra(base)):
+                got = big.restrict(width, alg.n_letters)
+                assert got.keys is not big.keys
+                assert _shape(got) == _shape(_told_basis(alg, width)), \
+                    (k, width, alg.names)
+
+
+def test_restriction_rejects_what_it_cannot_read_off():
+    alg = nilpotent_enveloping()
+    gb = _told_basis(alg, 4)
+    for width, letters in ((5, 3), (4, 2), (4, 5), (-1, 3)):
+        with pytest.raises(ValueError, match="cannot restrict"):
+            gb.restrict(width, letters)
+    plain = RingGB(F, letterplace_ideal_gens(PlaceWindow(alg.names, 4), alg),
+                   cap=4)
+    with pytest.raises(ValueError, match="cannot restrict"):
+        plain.restrict(4, 3)

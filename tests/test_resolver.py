@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,7 @@ from ncres.letterplace import PlaceWindow, iota_poly, iota_word, \
     letterplace_ideal_gens
 import ncres.resolver as resolver
 from ncres.engine import RingGB
-from ncres.jsonio import render_json, resolution_document
+from ncres.jsonio import parse_input, render_json, resolution_document
 from ncres.resolver import BettiTable, ResolutionRequest, betti_summary, \
     monomial_degree_bound, render_betti_text, resolve, syzygy_step
 
@@ -161,6 +162,88 @@ def test_resolve_leaves_no_key_cache_behind():
     assert _module_container_sizes() == sizes
     again = render_json(resolution_document(resolve(req)))
     assert again == first
+
+
+# --- one ring basis per resolution ------------------------------------------
+
+FLAGSHIP = Path(__file__).resolve().parent / "data" / "flagship.json"
+
+
+def test_explicit_bound_runs_buchberger_once(monkeypatch):
+    """With an explicit degree bound the input minimalization and all six
+    steps of the flagship restrict one basis, built from the generators
+    of step 1's window; no step encodes the relations of its own."""
+    windows = []
+    real_gens = resolver.letterplace_ideal_gens
+    monkeypatch.setattr(resolver, "letterplace_ideal_gens",
+                        lambda win, alg: windows.append(win)
+                        or real_gens(win, alg))
+    built = []
+    real_init = RingGB.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RingGB, "__init__", counting_init)
+    alg = nilpotent_enveloping()
+    res = resolve(ResolutionRequest(augmentation_module(alg),
+                                    degree_bound=10, length_bound=7,
+                                    trust_finite=True))
+    assert len(res.steps) == 6
+    assert windows == [PlaceWindow(alg.names, 10)]
+    assert len(built) == 1
+
+
+def test_growing_heuristic_windows_keep_the_bytes(monkeypatch):
+    """Heuristic windows widen from step to step, so the one basis is
+    rebuilt for a wider window now and then; the rendered resolution
+    must equal the one whose every ring comes from its own generators."""
+    mod = parse_input(FLAGSHIP.read_text(encoding="utf-8"))
+    req = ResolutionRequest(mod, length_bound=7, trust_finite=True)
+    widths = []
+    real_basis = resolver._ring_basis
+    monkeypatch.setattr(resolver, "_ring_basis",
+                        lambda alg, width: widths.append(width)
+                        or real_basis(alg, width))
+    shared = render_json(resolution_document(resolve(req)))
+    assert widths == [3, 4]
+
+    real_encode = resolver._encode_step
+
+    def from_generators(alg, shifts, gens, window, use_tshift, base=None):
+        enc = real_encode(alg, shifts, gens, window, use_tshift)
+        active = enc.ctx.extended if enc.ctx is not None else alg
+        enc.ring = RingGB(alg.field, letterplace_ideal_gens(enc.win, active),
+                          cap=enc.win.width, n_letters=enc.win.n_letters)
+        return enc
+
+    monkeypatch.setattr(resolver, "_encode_step", from_generators)
+    assert render_json(resolution_document(resolve(req))) == shared
+
+
+def test_every_step_ring_has_its_own_key_table(monkeypatch):
+    """A step's module keys land in its own ring's table: the kept basis
+    is never a step's ring, and its table stays empty."""
+    pairs = []
+    real_restrict = RingGB.restrict
+
+    def recording_restrict(self, width, n_letters):
+        out = real_restrict(self, width, n_letters)
+        pairs.append((self, out))
+        return out
+
+    monkeypatch.setattr(RingGB, "restrict", recording_restrict)
+    res = resolve(ResolutionRequest(augmentation_module(
+        nilpotent_enveloping()), degree_bound=6, length_bound=4))
+    assert len(pairs) == 1 + len(res.steps)
+    bases = {id(base) for base, _ in pairs}
+    assert len(bases) == 1
+    base = pairs[0][0]
+    assert len(base.keys) == 0
+    tables = {id(ring.keys) for _, ring in pairs}
+    assert len(tables) == len(pairs) and id(base.keys) not in tables
+    assert all(len(ring.keys) for _, ring in pairs)
 
 
 def _block_formula(alg, step, input_degrees):
