@@ -26,8 +26,10 @@ from .homog import eta_apply, eta_inverse, homogenization_context
 from .letterplace import (PlaceWindow, iota_inverse_elem, iota_module_elem,
                           iota_poly, iota_word, letterplace_ideal_gens,
                           sigma_shift_mono)
-from .resolver import Resolution
+from .resolver import Resolution, ResourceLimit
 from .syzygy import ModuleGB
+
+WORD_GUARD = 20_000  # words one degree of check_dimension_equalities visits
 
 
 def _nonzero_scalar(field, rng):
@@ -87,10 +89,17 @@ def _elem_times_poly(field, elem: NcModElem, f: NcPoly) -> NcModElem:
 def check_dimension_equalities(module: ModulePresentation,
                                dmax: int = 5) -> List[str]:
     """Graded dimensions of the relation ideal and of the submodule,
-    counted directly, against reducible-word counts on the places side."""
+    counted directly, against reducible-word counts on the places side;
+    ResourceLimit when degree dmax visits more than WORD_GUARD words."""
     alg = module.algebra
     field = alg.field
     n = alg.n_letters
+    words = n ** dmax + sum(n ** (dmax - s) for s in module.shifts
+                            if s <= dmax)
+    if words > WORD_GUARD:
+        raise ResourceLimit(
+            f"dimension check visits {words} words at degree {dmax} over "
+            f"{n} letters, beyond {WORD_GUARD}")
     failures = []
     for d in range(1, dmax + 1):
         win = PlaceWindow(alg.names, d)

@@ -198,9 +198,14 @@ def cmd_check(args: argparse.Namespace) -> int:
         for p in problems:
             print(f"    {p}")
         return 1
+    try:
+        results = run_all(module, dmax=4, trials=25, seed=0)
+    except ResourceLimit as exc:
+        print(f"error: resource limit: {exc}", file=sys.stderr)
+        return 5
     print("PASS validation")
     failed = False
-    for name, failures in run_all(module, dmax=4, trials=25, seed=0):
+    for name, failures in results:
         if failures:
             failed = True
             print(f"FAIL {name}")

@@ -14,17 +14,18 @@ S-polynomial is exactly zero.  So a monomial ideal costs no pair at all,
 and the quadrics of a letterplace ideal form none among themselves.
 
 A RingGB told the alphabet size L of its letterplace window (variable v
-sits at place v // L) also forms no pair with a collision monomial, a
-bare element x_a(p)x_b(p) or x_a(p)^2.  Its generators must be collision
-monomials or place-multihomogeneous: every term covers the same places,
-one variable at each.  Then so is every other element, and the pair of
-a collision x_a(p)x_b(p) with a tailed f whose lead holds x_a(p) has
-S = x_b(p)*tail(f), every term of which holds a collision at place p: a
-standard representation.  Such pairs still take part in the M and F
-criteria, like coprime pairs, and the chain criterion is unchanged.  A
-plain RingGB (no L) keeps every such pair.  The module bases of
-syzygy.py prune far less: the same bare-pair and collision rules, and
-the product criterion on module-by-ring pairs, whose syzygies vanish
+sits at place v // L) treats a place collision, x_a(p)x_b(p) or
+x_a(p)^2, as zero: _find sends every monomial holding one to zero, so
+none is ever stored.  Its generators must be sums of collisions, which
+vanish, or place-multihomogeneous: every term covers the same places,
+one variable at each.  Then so is every element, and a pair whose lcm
+holds a collision at p is never formed: each lead holds one letter at
+p, so the S-polynomial consists of collisions only.  Every divisor of a
+collision-free lcm is collision-free, so the M and F criteria lose
+nothing by it.  A plain RingGB (no L) stores the L(L+1)/2 collision
+monomials of each place; the told basis is the plain one without them.
+The module bases of syzygy.py prune far less: the same bare-pair rule,
+and the product criterion on module-by-ring pairs, whose syzygies vanish
 over the quotient; other pairs of two module elements all stay, because
 they carry the Koszul generators of the syzygy module.
 
@@ -36,27 +37,26 @@ below w is the ideal of the w-place window; every element of a reduced
 basis is graded, so the elements whose lead ends below place w form that
 window's reduced basis.  Over L + 1 letters variable v becomes
 (v // L)(L + 1) + v % L, which keeps the order, so leads and tails stay
-as they are, and the new generators are the t-collisions x_a(p)t(p) and
-t(p)^2.  No t-free term is divisible by one, and the pair of one with a
-tailed f whose lead holds x_a(p) gives t(p)*tail(f), all collisions: the
-basis gains exactly those monomials.  Installed in ascending lead key,
-the order _interreduce leaves, the result equals the basis built from
-the window's generators element for element.
+as they are; t occurs in no relation, and its collisions x_a(p)t(p) and
+t(p)^2 are zero like any other, so the basis only renumbers.  Filtering
+and renumbering keep the ascending lead order that _interreduce leaves,
+so the result equals the basis built from the window's generators
+element for element.
 
 Cost model of RingGB's pair bookkeeping.  A new element forms one
 candidate pair with each earlier one, a bare new element only with the
-earlier elements that have a tail (RingGB._tailed), a collision monomial
-with none, so a monomial costs O(#polynomials), not O(#elements).
-Candidates whose lcm degree
-exceeds the cap are dropped first: such an lcm could only dominate lcms
-of its own degree or higher, so the M, F and B criteria give the same
-survivors without them.  The M criterion compares a candidate only with
-the surviving lcms of lower degree.  A mask test (mono_mask, necessary
-for divisibility even when variable indices alias modulo 64) gates every
-mono_div of the criteria.  The chain criterion walks only the pending
-pairs: a pair leaves the pending table when it is processed or
-cancelled, and a heap entry is live exactly while its key is pending.
-Interreduction reduces each tail once, in ascending lead order.
+earlier elements that have a tail (RingGB._tailed), so a monomial costs
+O(#polynomials), not O(#elements).  Candidates whose lcm degree exceeds
+the cap, or in a told ring holds a collision, are dropped first: such an
+lcm could only dominate lcms that are dropped too, so the M, F and B
+criteria give the same survivors without them.  The M criterion compares
+a candidate only with the surviving lcms of lower degree.  A mask test
+(mono_mask, necessary for divisibility even when variable indices alias
+modulo 64) gates every mono_div of the criteria.  The chain criterion
+walks only the pending pairs: a pair leaves the pending table when it is
+processed or cancelled, and a heap entry is live exactly while its key
+is pending.  Interreduction reduces each tail once, in ascending lead
+order.
 
 mono_key is pure; each RingGB memoizes it in a table of its own
 (RingGB.keys) that dies with the basis, so a resolution leaves no state
@@ -195,12 +195,15 @@ def mono_mask(m: Mono) -> int:
 
 
 def place_collision(m: Mono, n_letters: int) -> bool:
-    """m is x_a(p)x_b(p) or x_a(p)^2 in a letterplace window of n_letters
-    letters, where variable v sits at place v // n_letters."""
-    if len(m) == 1:
-        return m[0][1] == 2
-    return len(m) == 2 and m[0][1] == m[1][1] == 1 and \
-        m[0][0] // n_letters == m[1][0] // n_letters
+    """m holds x_a(p)x_b(p) or x_a(p)^2 in a letterplace window of
+    n_letters letters, where variable v sits at place v // n_letters."""
+    prev = -1
+    for v, e in m:
+        place = v // n_letters
+        if e > 1 or place == prev:
+            return True
+        prev = place
+    return False
 
 
 def place_multihomogeneous(p: Poly, n_letters: int) -> bool:
@@ -225,17 +228,17 @@ class RingGB:
     own memo of mono_key.
 
     n_letters, when given, is the alphabet size of a letterplace window:
-    every generator must then be a place-collision monomial or
-    place-multihomogeneous (ValueError otherwise), and the collision
-    criterion of the module docstring applies."""
+    every generator must then be a sum of collisions or
+    place-multihomogeneous (ValueError otherwise), and place collisions
+    are zero (module docstring)."""
 
     def __init__(self, field, gens: Sequence[Poly], cap: Optional[int] = None,
                  n_letters: Optional[int] = None):
         self._empty(field, cap, n_letters)
         if n_letters is not None:
             for g in gens:
-                if g and not (self._is_collision(next(iter(g)), len(g) == 1)
-                              or place_multihomogeneous(g, n_letters)):
+                if not (all(place_collision(m, n_letters) for m in g)
+                        or place_multihomogeneous(g, n_letters)):
                     raise ValueError("letterplace generator is not "
                                      "place-multihomogeneous")
         for g in gens:
@@ -252,7 +255,6 @@ class RingGB:
         self.keys = KeyTable(mono_key)
         self.elements: List[tuple] = []  # (lead, terms)
         self._tailed: List[int] = []  # indices of elements with a tail
-        self.collisions: set = set()  # indices of collision monomials
         # reducers bucketed by the smallest variable of their lead (-1 for
         # the unit), each (lead, mask, tail)
         self.buckets: Dict[int, list] = {}
@@ -271,27 +273,16 @@ class RingGB:
             raise ValueError(f"cannot restrict a basis over {L} letters "
                              f"and {self.cap} places to {n_letters} "
                              f"letters and {width} places")
-        top = width * L  # the first variable past the window
-        kept = [(lead, terms, k in self.collisions)
-                for k, (lead, terms) in enumerate(self.elements)
-                if lead[-1][0] < top]
-        if n_letters > L:
-            def renumber(m):
-                return tuple(((v // L) * n_letters + v % L, e)
-                             for v, e in m)
-            kept = [(renumber(lead), [(renumber(m), c) for m, c in terms],
-                     collision) for lead, terms, collision in kept]
-            one = self.field.one
-            for t in range(L, width * n_letters, n_letters):  # t(p)
-                for m in [((a, 1), (t, 1)) for a in range(t - L, t)] + \
-                        [((t, 2),)]:
-                    kept.append((m, [(m, one)], True))
+        def renumber(m):
+            return tuple(((v // L) * n_letters + v % L, e) for v, e in m)
         out = RingGB.__new__(RingGB)
         out._empty(self.field, width, n_letters)
-        keys = out.keys
-        kept.sort(key=lambda e: keys[e[0]])
-        for lead, terms, collision in kept:
-            out._install(lead, terms, collision)
+        for lead, terms in self.elements:
+            if lead[-1][0] < width * L:  # ends below place `width`
+                if n_letters > L:
+                    lead = renumber(lead)
+                    terms = [(renumber(m), c) for m, c in terms]
+                out._install(lead, terms)
         return out
 
     # -- construction ---------------------------------------------------
@@ -322,7 +313,11 @@ class RingGB:
         return out
 
     def _find(self, m: Mono):
-        """(q, tail) of a reducer whose lead times q is m, or None."""
+        """(q, tail) of a reducer whose lead times q is m, or None; in a
+        told ring ((), ()), the zero reducer, when m holds a collision."""
+        L = self.n_letters
+        if L is not None and place_collision(m, L):
+            return (), ()
         mmask = mono_mask(m)
         for v, _ in m:
             lst = self.buckets.get(v)
@@ -343,14 +338,8 @@ class RingGB:
         if not p:
             return
         lead, terms = self._monic_terms(p)
-        bare = len(terms) == 1
-        collision = self._is_collision(lead, bare)
-        self._update_pairs(len(self.elements), lead, bare, collision)
-        self._install(lead, terms, collision)
-
-    def _is_collision(self, lead: Mono, bare: bool) -> bool:
-        L = self.n_letters
-        return bare and L is not None and place_collision(lead, L)
+        self._update_pairs(len(self.elements), lead, len(terms) == 1)
+        self._install(lead, terms)
 
     def _sorted_items(self, p: Poly):
         keys = self.keys
@@ -367,38 +356,34 @@ class RingGB:
         mul = field.mul
         return lead, [(m, mul(inv, c)) for m, c in items]
 
-    def _install(self, lead: Mono, terms, collision: bool) -> None:
+    def _install(self, lead: Mono, terms) -> None:
         if len(terms) > 1:
             self._tailed.append(len(self.elements))
-        elif collision:
-            self.collisions.add(len(self.elements))
         self.elements.append((lead, terms))
         key = lead[0][0] if lead else -1
         self.buckets.setdefault(key, []).append(
             (lead, mono_mask(lead), terms[1:]))
 
-    def _update_pairs(self, t: int, lead_t: Mono, bare: bool,
-                      collision: bool) -> None:
+    def _update_pairs(self, t: int, lead_t: Mono, bare: bool) -> None:
         """Gebauer-Moeller update: M, F and B criteria on the new pairs,
         chain criterion on the pending ones.  A bare element t pairs only
-        with elements that have a tail, a collision monomial with none."""
+        with elements that have a tail; in a told ring no pair whose lcm
+        holds a collision is formed."""
         elements = self.elements
-        lcms = {} if collision else {
-            i: mono_lcm(elements[i][0], lead_t)
-            for i in (self._tailed if bare else range(t))}
-        cap = self.cap
+        lcms = {i: mono_lcm(elements[i][0], lead_t)
+                for i in (self._tailed if bare else range(t))}
+        cap, L = self.cap, self.n_letters
         cand = []
         for i, l in lcms.items():
             deg = mono_deg(l)
-            if cap is None or deg <= cap:
+            if (cap is None or deg <= cap) and \
+                    (L is None or not place_collision(l, L)):
                 cand.append((deg, i, l, mono_mask(l)))
         cand.sort()  # by degree, then index; indices are distinct
         # F: among equal lcms keep the first.  M: drop a pair whose lcm is
         # a proper multiple of another's; a proper divisor has lower degree,
-        # and so has a minimal one.  B: coprime leads reduce to zero anyway,
-        # and so does a pair with a collision monomial; two bare elements
-        # were never candidates.
-        collisions = self.collisions
+        # and so has a minimal one.  B: coprime leads reduce to zero anyway;
+        # two bare elements were never candidates.
         seen = set()
         lower: list = []  # M survivors of lower degree than the current
         level: list = []  # M survivors of the current degree
@@ -414,7 +399,7 @@ class RingGB:
                 continue
             seen.add(l)
             level.append((deg, l, mask))
-            if not (i in collisions or mono_coprime(elements[i][0], lead_t)):
+            if not mono_coprime(elements[i][0], lead_t):
                 new.append((deg, l, i, mask))
 
         # chain criterion on the pending pairs; a pending pair has at most
@@ -466,23 +451,21 @@ class RingGB:
         smaller leads ever act on it: one pass in ascending lead order,
         each element installed after its tail is reduced, is final."""
         keys = self.keys
-        elements, collisions = self.elements, self.collisions
+        elements = self.elements
         minimal: List[tuple] = []
         for k in sorted(range(len(elements)),
                         key=lambda k: keys[elements[k][0]]):
             lead, terms = elements[k]
             mask = mono_mask(lead)
             if not any(m & mask == m and mono_div(lead, d) is not None
-                       for d, m, _, _ in minimal):
-                minimal.append((lead, mask, terms, k in collisions))
+                       for d, m, _ in minimal):
+                minimal.append((lead, mask, terms))
         self.elements = []
         self._tailed = []
-        self.collisions = set()
         self.buckets = {}
-        for lead, _, terms, collision in minimal:
+        for lead, _, terms in minimal:
             tail = self._reduce_full(dict(terms[1:]))
-            self._install(lead, [terms[0]] + self._sorted_items(tail),
-                          collision)
+            self._install(lead, [terms[0]] + self._sorted_items(tail))
 
     # -- queries ---------------------------------------------------------
 
@@ -503,5 +486,5 @@ def normal_form(field, f: Poly, basis: Sequence[Poly]) -> Poly:
     for p in basis:
         if p:
             lead, terms = gb._monic_terms(p)
-            gb._install(lead, terms, False)
+            gb._install(lead, terms)
     return gb.normal_form(f)

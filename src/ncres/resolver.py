@@ -420,10 +420,10 @@ def resolve(req: ResolutionRequest) -> Resolution:
         if req.trust_finite:
             certified = True
         elif _is_monomial(module):
-            base = max(degs) if degs else 0
+            gen_top = max(degs) if degs else 0
             d_rel = max(rel_deg, 1)
             certified = all(
-                windows[s - 1] >= monomial_degree_bound(base, d_rel, s + 1)
+                windows[s - 1] >= monomial_degree_bound(gen_top, d_rel, s + 1)
                 for s in range(1, len(windows) + 1))
     status = "certified" if certified else f"truncated({top_window})"
     for step in steps:

@@ -37,16 +37,18 @@ elements in the same component is kept, coprime or not: no product
 criterion holds between two module elements, and those pairs carry the
 Koszul syzygies of the generators.
 
-Over a ring told its alphabet size (engine docstring), no module element
-pairs with a place-collision monomial x_a(p)x_b(p) or x_a(p)^2 either
-(La Scala & Levandovskyy, J. Symb. Comp. 44 (2009)).  This holds in the
-collecting basis, in the resolver's single pass and in
-minimalize_graded.  Proof that nothing is lost: the encoded generators'
-main terms are place-multihomogeneous, and ring reduction keeps them
-so; so if h's lead holds x_a(p), the dropped pair's S-polynomial is
-x_b(p)*tail(h).  Each of its terms is of one of two kinds:
-- a main term holding a place collision, which the ring reduces to
-  zero, so no new module element is lost;
+Over a ring told its alphabet size (engine docstring) a place collision
+x_a(p)x_b(p) or x_a(p)^2 is zero: the ring reduces every term holding
+one, main or ghost, to zero, and stores no collision monomial, so no
+module element pairs with one (La Scala & Levandovskyy, J. Symb. Comp.
+44 (2009)).  This holds in the collecting basis, in the resolver's
+single pass and in minimalize_graded.  Proof that nothing is lost
+against a plain ring, which stores them: the encoded generators' main
+terms are place-multihomogeneous, and ring reduction keeps them so; so
+if h's lead holds x_a(p), the pair of h with x_a(p)x_b(p) has the
+S-polynomial x_b(p)*tail(h).  Each of its terms is of one of two kinds:
+- a main term holding a place collision, which is zero, so no new
+  module element is lost;
 - a ghost term, or in the single pass a term of component k, that is a
   multiple of a forced-block element e_k*x(p') with p' <= d_k
   (letterplace.build_C): a variable at or below generator k's places.
@@ -94,11 +96,9 @@ class ModuleGB:
         self.field = ring.field
         self.shifts = list(main_shifts)
         self.ring = ring
-        # (index, lead, mask, bare) of every ring element but the
-        # collision monomials, which form no pair (module docstring)
+        # (index, lead, mask, bare) of every ring element
         self._ring_leads = [(k, lead, mono_mask(lead), len(terms) == 1)
-                            for k, (lead, terms) in enumerate(ring.elements)
-                            if k not in ring.collisions]
+                            for k, (lead, terms) in enumerate(ring.elements)]
         self.cap = ring.cap
         self.elements: List[tuple] = []  # (lead_term, descending terms)
         # (main comp, smallest variable of the lead, -1 for the unit)

@@ -2,6 +2,7 @@
 line. Everything runs in-process through main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -179,6 +180,26 @@ def test_check_passes_on_clean_input(tmp_path, capsys):
     assert "PASS round-trips" in out
     assert "PASS encoding-product-law" in out
     assert "PASS presentation-map-commutes" in out
+
+
+def test_check_on_a_large_alphabet_hits_the_word_guard(tmp_path, capsys):
+    """40 relation-free letters give 40^4 words in degree 4: the check
+    must stop at once with one line and exit 5, not enumerate them."""
+    names = [f"a{i}" for i in range(40)]
+    doc = {"field": "Q", "generators": names, "relations": [],
+           "module": {"shifts": [0],
+                      "generators": [[{"coeff": "1", "component": 0,
+                                       "word": ["a0"]}]]}}
+    start = time.perf_counter()
+    rc = cli.main(["check", write(tmp_path, json.dumps(doc))])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert rc == 5
+    assert elapsed < 1.0
+    assert captured.out == ""
+    assert captured.err.startswith("error: resource limit: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_check_reports_validation_failure(tmp_path, capsys):

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from helpers import nilpotent_enveloping, random_presentation
 from ncres.engine import (RingGB, mono_deg, mono_div, mono_key, mono_lcm,
-                          mono_mul, normal_form)
+                          mono_mul, normal_form, place_collision)
 from ncres.field import rationals
 from ncres.freealg import AlgebraPresentation
 from ncres.homog import extend_algebra
 from ncres.letterplace import PlaceWindow, letterplace_ideal_gens
 from ncres.linalg import rank
+from ncres.syzygy import ModuleGB
 
 F = rationals()
 
@@ -316,23 +317,32 @@ def test_monomial_still_pairs_with_a_polynomial():
     assert P(((0, 3), 1)) in gb.polys()
 
 
+def _without_collisions(gb, n_letters):
+    """The elements of gb whose lead holds no place collision."""
+    return [(lead, terms) for lead, terms in gb.elements
+            if not place_collision(lead, n_letters)]
+
+
 def test_collision_criterion_keeps_the_letterplace_basis():
-    """Told its alphabet size, RingGB forms no pair with a place-collision
-    monomial; the basis must equal the one built without that criterion,
-    element for element, over the base and the t-extended alphabet."""
+    """Told its alphabet size, RingGB treats place collisions as zero; its
+    basis must equal the one built without that rule minus the collision
+    monomials, element for element, over the base and the t-extended
+    alphabet."""
     rng = random.Random(11)
     cases = [(nilpotent_enveloping(), 8)]
     cases += [(random_presentation(rng, max_rel_deg=3), 3 + k % 5)
               for k in range(40)]
     for k, (base, width) in enumerate(cases):
         for alg in (base, extend_algebra(base)):
-            gens, plain = _letterplace_basis(alg, width)
-            told = RingGB(alg.field, gens, cap=width,
-                          n_letters=alg.n_letters)
-            assert told.elements == plain.elements, (k, alg.names, width)
-            # nothing of degree below 2 divides a collision monomial
             L = alg.n_letters
-            assert len(told.collisions) == L * (L + 1) // 2 * width
+            gens, plain = _letterplace_basis(alg, width)
+            told = RingGB(alg.field, gens, cap=width, n_letters=L)
+            kept = _without_collisions(plain, L)
+            assert told.elements == kept, (k, alg.names, width)
+            # nothing of degree below 2 divides a collision monomial, so
+            # exactly the L(L+1)/2 per place are removed
+            assert len(plain.elements) - len(kept) == \
+                L * (L + 1) // 2 * width
 
 
 def test_collision_criterion_needs_place_multihomogeneous_generators():
@@ -347,8 +357,10 @@ def test_collision_criterion_needs_place_multihomogeneous_generators():
         RingGB(F, [bad], cap=4, n_letters=2)
     good = {((0, 1), (3, 1)): F.one, ((1, 1), (2, 1)): F.one}
     collision = {((0, 1), (1, 1)): F.one}
-    assert RingGB(F, [good, collision], cap=4, n_letters=2).collisions
-    assert not RingGB(F, [good, collision], cap=4).collisions
+    told = RingGB(F, [good, collision], cap=4, n_letters=2)
+    plain = RingGB(F, [good, collision], cap=4)
+    assert collision in plain.polys()
+    assert told.elements == _without_collisions(plain, 2)
 
 
 def _told_basis(alg, width):
@@ -359,9 +371,9 @@ def _told_basis(alg, width):
 
 def _shape(gb):
     """Everything a reader of a finished RingGB can see: elements in
-    order, collision and tailed indices, and the reducers bucket by
-    bucket, buckets in creation order."""
-    return (gb.cap, gb.n_letters, gb.elements, gb.collisions, gb._tailed,
+    order, tailed indices, and the reducers bucket by bucket, buckets in
+    creation order."""
+    return (gb.cap, gb.n_letters, gb.elements, gb._tailed,
             [(v, [(lead, tail) for lead, _, tail in lst])
              for v, lst in gb.buckets.items()])
 
@@ -382,6 +394,43 @@ def test_restriction_equals_the_basis_from_generators():
                 assert got.keys is not big.keys
                 assert _shape(got) == _shape(_told_basis(alg, width)), \
                     (k, width, alg.names)
+
+
+def test_told_ring_sends_place_collisions_to_zero():
+    """A told ring, built from generators or restricted, over the base or
+    the t-extended alphabet, reduces every monomial holding a place
+    collision to zero, t-collisions included, in the ring and in a module
+    over it, and stores no collision element; collision-free monomials
+    below the relations' degree survive.  A plain ring stores them all."""
+    alg = nilpotent_enveloping()
+    width = 4
+    big = _told_basis(alg, 6)
+    for ext in (alg, extend_algebra(alg)):
+        L = ext.n_letters
+        plain = RingGB(F, letterplace_ideal_gens(PlaceWindow(ext.names,
+                                                             width), ext),
+                       cap=width)
+        assert len(plain.elements) - len(_without_collisions(plain, L)) \
+            == L * (L + 1) // 2 * width
+        variables = range(width * L)
+        monos = [((u, 1), (v, 1)) if u < v else ((u, 2),)
+                 for u, v in itertools.combinations_with_replacement(
+                     variables, 2)]
+        monos += [mono_mul(m, ((w, 1),)) for m in monos for w in variables]
+        hits = [m for m in monos if place_collision(m, L)]
+        if L > alg.n_letters:  # x_a(p)t(p) and t(p)^2 are among them
+            t = L - 1
+            assert ((0, 1), (t, 1)) in hits and ((t, 2),) in hits
+        for gb in (_told_basis(ext, width), big.restrict(width, L)):
+            assert _without_collisions(gb, L) == gb.elements
+            module = ModuleGB(gb, [0])
+            for m in monos:
+                nf = gb.normal_form({m: F.one})
+                if place_collision(m, L):
+                    assert nf == {}, m
+                    assert module.normal_form({(0, m): F.one}) == {}, m
+                elif mono_deg(m) < 3:
+                    assert nf == {m: F.one}, m
 
 
 def test_restriction_rejects_what_it_cannot_read_off():

@@ -6,7 +6,7 @@ import pytest
 from helpers import (augmentation_module, nilpotent_enveloping,
                      nonmonomial_modules)
 from ncres.engine import (RingGB, mono_coprime, mono_deg, mono_div, mono_key,
-                          mono_mul, normal_form)
+                          mono_mul, normal_form, place_collision)
 from ncres.field import rationals
 from ncres.letterplace import (WindowTooSmall, build_C,
                                letterplace_ideal_gens)
@@ -363,7 +363,11 @@ def _collision_syzygies_dropped(mod, bound, length, tshift):
         active = enc.ctx.extended if enc.ctx else alg
         plain = RingGB(alg.field, letterplace_ideal_gens(enc.win, active),
                        cap=enc.win.width)
-        assert enc.ring.collisions and not plain.collisions
+        L = enc.win.n_letters
+        kept = [e for e in plain.elements if not place_collision(e[0], L)]
+        assert enc.ring.elements == kept
+        assert len(plain.elements) - len(kept) == \
+            L * (L + 1) // 2 * enc.win.width
         zero = [0] * len(shifts)
         told = syzygies_over_quotient(enc.ring, enc.gens_lp, zero)
         full = syzygies_over_quotient(plain, enc.gens_lp, zero)
