@@ -19,14 +19,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .dims import (graded_component_dim, ideal_component_dim, ideal_pivots,
                    module_component_dim, module_component_dim_from,
                    words_of_degree)
-from .engine import RingGB, mono_mul
+from .engine import mono_mul
 from .freealg import (AlgebraPresentation, ModulePresentation, NcModElem,
                       NcPoly, elem_degree)
 from .homog import eta_apply, eta_inverse, homogenization_context
 from .letterplace import (PlaceWindow, iota_inverse_elem, iota_module_elem,
-                          iota_poly, iota_word, letterplace_ideal_gens,
-                          sigma_shift_mono)
-from .resolver import Resolution, ResourceLimit
+                          iota_poly, iota_word, sigma_shift_mono)
+from .resolver import Resolution, ResourceLimit, _ring_basis
 from .syzygy import ModuleGB
 
 WORD_GUARD = 20_000  # words one degree of check_dimension_equalities visits
@@ -89,8 +88,10 @@ def _elem_times_poly(field, elem: NcModElem, f: NcPoly) -> NcModElem:
 def check_dimension_equalities(module: ModulePresentation,
                                dmax: int = 5) -> List[str]:
     """Graded dimensions of the relation ideal and of the submodule,
-    counted directly, against reducible-word counts on the places side;
-    ResourceLimit when degree dmax visits more than WORD_GUARD words."""
+    counted directly, against reducible-word counts on the places side,
+    over the rings resolve() uses: one letterplace basis at dmax places,
+    restricted to each degree.  ResourceLimit when degree dmax visits
+    more than WORD_GUARD words."""
     alg = module.algebra
     field = alg.field
     n = alg.n_letters
@@ -101,9 +102,10 @@ def check_dimension_equalities(module: ModulePresentation,
             f"dimension check visits {words} words at degree {dmax} over "
             f"{n} letters, beyond {WORD_GUARD}")
     failures = []
+    base = _ring_basis(alg, dmax)
     for d in range(1, dmax + 1):
         win = PlaceWindow(alg.names, d)
-        ring = RingGB(field, letterplace_ideal_gens(win, alg), cap=d)
+        ring = base.restrict(d, n)
         reducible = 0
         for w in words_of_degree(n, d):
             m = {iota_word(win, w): field.one}

@@ -5,29 +5,32 @@ index; polynomials are dicts mapping monomials to nonzero field elements.
 The order is degree-reverse-lexicographic where a SMALLER variable index
 means a GREATER variable, matching the place-major letterplace precedence.
 
-The Groebner machinery is plain Buchberger with the Gebauer-Moeller pair
-criteria and an optional degree cap: S-pairs whose lcm degree exceeds the
-cap are discarded, which for homogeneous input yields a truncated basis
-that is complete through the cap degree.  An element is bare when its
-term list is its lead alone.  Two bare elements never form a pair: their
-S-polynomial is exactly zero.  So a monomial ideal costs no pair at all,
-and the quadrics of a letterplace ideal form none among themselves.
+The Groebner machinery is plain Buchberger with an optional degree cap:
+S-pairs whose lcm degree exceeds the cap are discarded, which for
+homogeneous input yields a truncated basis that is complete through the
+cap degree.  Of the Gebauer-Moeller criteria it keeps M, F and B, not the
+chain criterion: with place collisions zero it cancels few pairs on
+letterplace input (none on the reference presentation), and it costs a
+table of pending pairs.  An element is bare when its term list is its
+lead alone.  Two bare elements never form a pair: their S-polynomial is
+exactly zero.  So a monomial ideal costs no pair at all, and the quadrics
+of a letterplace ideal form none among themselves.
 
 A RingGB told the alphabet size L of its letterplace window (variable v
 sits at place v // L) treats a place collision, x_a(p)x_b(p) or
 x_a(p)^2, as zero: _find sends every monomial holding one to zero, so
 none is ever stored.  Its generators must be sums of collisions, which
-vanish, or place-multihomogeneous: every term covers the same places,
-one variable at each.  Then so is every element, and a pair whose lcm
-holds a collision at p is never formed: each lead holds one letter at
-p, so the S-polynomial consists of collisions only.  Every divisor of a
-collision-free lcm is collision-free, so the M and F criteria lose
-nothing by it.  A plain RingGB (no L) stores the L(L+1)/2 collision
-monomials of each place; the told basis is the plain one without them.
-The module bases of syzygy.py prune far less: the same bare-pair rule,
-and the product criterion on module-by-ring pairs, whose syzygies vanish
-over the quotient; other pairs of two module elements all stay, because
-they carry the Koszul generators of the syzygy module.
+are dropped before insertion, or place-multihomogeneous: every term
+covers the same places, one variable at each.  Then so is every element,
+and a pair whose lcm holds a collision at p is never formed: each lead
+holds one letter at p, so the S-polynomial consists of collisions only.
+Every divisor of a collision-free lcm is collision-free, so the M and F
+criteria lose nothing by it.  A plain RingGB (no L) stores the L(L+1)/2
+collision monomials of each place; the told basis is the plain one
+without them.  The module bases of syzygy.py prune far less: the same
+bare-pair rule, and the product criterion on module-by-ring pairs, whose
+syzygies vanish over the quotient; other pairs of two module elements
+all stay, because they carry the Koszul generators of the syzygy module.
 
 Such a basis also serves every narrower window and the alphabet extended
 by a relation-free last letter t, with no Buchberger run
@@ -48,15 +51,18 @@ candidate pair with each earlier one, a bare new element only with the
 earlier elements that have a tail (RingGB._tailed), so a monomial costs
 O(#polynomials), not O(#elements).  Candidates whose lcm degree exceeds
 the cap, or in a told ring holds a collision, are dropped first: such an
-lcm could only dominate lcms that are dropped too, so the M, F and B
-criteria give the same survivors without them.  The M criterion compares
-a candidate only with the surviving lcms of lower degree.  A mask test
-(mono_mask, necessary for divisibility even when variable indices alias
-modulo 64) gates every mono_div of the criteria.  The chain criterion
-walks only the pending pairs: a pair leaves the pending table when it is
-processed or cancelled, and a heap entry is live exactly while its key
-is pending.  Interreduction reduces each tail once, in ascending lead
-order.
+lcm could only dominate lcms that are dropped too, so the criteria give
+the same survivors without them.  Taken by degree, then index, a
+candidate survives unless an earlier survivor's lcm divides its own: of
+lower degree that is the M criterion, an equal lcm the F criterion.  A
+mask test (mono_mask, necessary for divisibility even when variable
+indices alias modulo 64) gates every mono_div.  A survivor whose leads
+are not coprime (B) goes onto a heap ordered by lcm degree; nothing else
+is kept about it, and every popped pair is processed.  Without the chain
+criterion more pairs may be processed, but whatever they add lies in the
+ideal, and interreduction ends at the unique reduced truncated basis, so
+the result is the same.  Interreduction reduces each tail once, in
+ascending lead order.
 
 mono_key is pure; each RingGB memoizes it in a table of its own
 (RingGB.keys) that dies with the basis, so a resolution leaves no state
@@ -223,24 +229,24 @@ def place_multihomogeneous(p: Poly, n_letters: int) -> bool:
 
 class RingGB:
     """Truncated reduced Groebner basis over the polynomial ring: plain
-    Buchberger with the Gebauer-Moeller criteria, then interreduction.
-    Elements are (lead, descending monic term list); keys is the basis's
-    own memo of mono_key.
+    Buchberger with the M, F and B criteria on a heap of S-pairs, then
+    interreduction.  Elements are (lead, descending monic term list);
+    keys is the basis's own memo of mono_key.
 
     n_letters, when given, is the alphabet size of a letterplace window:
-    every generator must then be a sum of collisions or
-    place-multihomogeneous (ValueError otherwise), and place collisions
-    are zero (module docstring)."""
+    every generator must then be a sum of collisions, which is dropped,
+    or place-multihomogeneous (ValueError otherwise), and place
+    collisions are zero (module docstring)."""
 
     def __init__(self, field, gens: Sequence[Poly], cap: Optional[int] = None,
                  n_letters: Optional[int] = None):
         self._empty(field, cap, n_letters)
-        if n_letters is not None:
-            for g in gens:
-                if not (all(place_collision(m, n_letters) for m in g)
-                        or place_multihomogeneous(g, n_letters)):
-                    raise ValueError("letterplace generator is not "
-                                     "place-multihomogeneous")
+        if n_letters is not None:  # a sum of collisions is zero: drop it
+            gens = [g for g in gens
+                    if not all(place_collision(m, n_letters) for m in g)]
+            if not all(place_multihomogeneous(g, n_letters) for g in gens):
+                raise ValueError("letterplace generator is not "
+                                 "place-multihomogeneous")
         for g in gens:
             if g:
                 self._insert(g)
@@ -259,7 +265,6 @@ class RingGB:
         # the unit), each (lead, mask, tail)
         self.buckets: Dict[int, list] = {}
         self._pairs: list = []
-        self._lcms: Dict[Tuple[int, int], Tuple[Mono, int]] = {}  # pending
 
     def restrict(self, width: int, n_letters: int) -> "RingGB":
         """The basis of the same relations over the first `width` places,
@@ -365,59 +370,31 @@ class RingGB:
             (lead, mono_mask(lead), terms[1:]))
 
     def _update_pairs(self, t: int, lead_t: Mono, bare: bool) -> None:
-        """Gebauer-Moeller update: M, F and B criteria on the new pairs,
-        chain criterion on the pending ones.  A bare element t pairs only
-        with elements that have a tail; in a told ring no pair whose lcm
-        holds a collision is formed."""
+        """Queue the S-pairs of new element t that the M, F and B criteria
+        keep.  A bare element t pairs only with elements that have a tail;
+        in a told ring no pair whose lcm holds a collision is formed."""
         elements = self.elements
-        lcms = {i: mono_lcm(elements[i][0], lead_t)
-                for i in (self._tailed if bare else range(t))}
         cap, L = self.cap, self.n_letters
         cand = []
-        for i, l in lcms.items():
+        for i in (self._tailed if bare else range(t)):
+            l = mono_lcm(elements[i][0], lead_t)
             deg = mono_deg(l)
             if (cap is None or deg <= cap) and \
                     (L is None or not place_collision(l, L)):
                 cand.append((deg, i, l, mono_mask(l)))
         cand.sort()  # by degree, then index; indices are distinct
-        # F: among equal lcms keep the first.  M: drop a pair whose lcm is
-        # a proper multiple of another's; a proper divisor has lower degree,
-        # and so has a minimal one.  B: coprime leads reduce to zero anyway;
-        # two bare elements were never candidates.
-        seen = set()
-        lower: list = []  # M survivors of lower degree than the current
-        level: list = []  # M survivors of the current degree
-        new = []
+        # Drop a candidate whose lcm an earlier survivor's lcm divides: of
+        # lower degree that is the M criterion, an equal lcm the F
+        # criterion.  B: coprime leads reduce to zero anyway; two bare
+        # elements were never candidates.
+        kept: list = []  # (lcm, mask) of the survivors
         for deg, i, l, mask in cand:
-            if l in seen:
-                continue
-            if level and level[0][0] < deg:
-                lower.extend(level)
-                level = []
             if any(m & mask == m and mono_div(l, lm) is not None
-                   for _, lm, m in lower):
+                   for lm, m in kept):
                 continue
-            seen.add(l)
-            level.append((deg, l, mask))
+            kept.append((l, mask))
             if not mono_coprime(elements[i][0], lead_t):
-                new.append((deg, l, i, mask))
-
-        # chain criterion on the pending pairs; a pending pair has at most
-        # one bare member, whose lcm with a bare t is computed here
-        def lcm_t(i):
-            l = lcms.get(i)
-            return mono_lcm(elements[i][0], lead_t) if l is None else l
-
-        tmask = mono_mask(lead_t)
-        lcms_pending = self._lcms
-        dead = [ij for ij, (l, mask) in lcms_pending.items()
-                if tmask & mask == tmask and mono_div(l, lead_t) is not None
-                and lcm_t(ij[0]) != l and lcm_t(ij[1]) != l]
-        for ij in dead:
-            del lcms_pending[ij]
-        for deg, l, i, mask in new:
-            lcms_pending[(i, t)] = (l, mask)
-            heapq.heappush(self._pairs, (deg, l, i, t))
+                heapq.heappush(self._pairs, (deg, l, i, t))
 
     def _run(self) -> None:
         field = self.field
@@ -425,8 +402,6 @@ class RingGB:
         zero = field.zero
         while self._pairs:
             deg, l, i, j = heapq.heappop(self._pairs)
-            if self._lcms.pop((i, j), None) is None:
-                continue
             lead_i, terms_i = self.elements[i]
             lead_j, terms_j = self.elements[j]
             qi = mono_div(l, lead_i)

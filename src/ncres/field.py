@@ -11,7 +11,7 @@ from __future__ import annotations
 
 try:
     from gmpy2 import mpq as _ratio
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional (the `gmpy2` extra)
     from fractions import Fraction as _ratio
 
 

@@ -245,35 +245,40 @@ def test_truncation_agrees_below_cap():
     assert canon(trunc) == canon(want)
 
 
-def _letterplace_basis(alg, width, order=None):
+def _letterplace_basis(alg, width, order=None, n_letters=None):
     gens = letterplace_ideal_gens(PlaceWindow(alg.names, width), alg)
     if order is not None:
         gens = [gens[k] for k in order]
-    return gens, RingGB(alg.field, gens, cap=width)
+    return gens, RingGB(alg.field, gens, cap=width, n_letters=n_letters)
 
 
 def test_letterplace_bases_are_truncated_groebner_bases():
     """The pair criteria may only drop pairs that are redundant: on
     letterplace ideals, with and without the relation-free reserved
-    letter, the result reduces every input and every S-polynomial through
-    the cap, and does not depend on the order of the generators."""
+    letter, in a plain ring and in one told the alphabet size, the result
+    reduces every input and every S-polynomial through the cap, and does
+    not depend on the order of the generators."""
     rng = random.Random(2)
     for trial in range(20):
         base = random_presentation(rng)
         for alg, width in itertools.product((base, extend_algebra(base)),
                                             range(3, 7)):
-            gens, gb = _letterplace_basis(alg, width)
-            assert all(not gb.normal_form(g) for g in gens)
-            polys = gb.polys()
-            for f, g in itertools.combinations(polys, 2):
-                lcm = mono_lcm(max(f, key=mono_key), max(g, key=mono_key))
-                if mono_deg(lcm) <= width:
-                    assert not gb.normal_form(spoly(f, g)), (trial, width)
-            order = list(range(len(gens)))
+            order = list(range(len(letterplace_ideal_gens(
+                PlaceWindow(alg.names, width), alg))))
             rng.shuffle(order)
-            _, shuffled = _letterplace_basis(alg, width, order)
-            assert [list(p.items()) for p in shuffled.polys()] == \
-                [list(p.items()) for p in polys]
+            for told in (None, alg.n_letters):
+                gens, gb = _letterplace_basis(alg, width, n_letters=told)
+                assert all(not gb.normal_form(g) for g in gens)
+                polys = gb.polys()
+                for f, g in itertools.combinations(polys, 2):
+                    lcm = mono_lcm(max(f, key=mono_key),
+                                   max(g, key=mono_key))
+                    if mono_deg(lcm) <= width:
+                        assert not gb.normal_form(spoly(f, g)), \
+                            (trial, width, told)
+                _, shuffled = _letterplace_basis(alg, width, order, told)
+                assert [list(p.items()) for p in shuffled.polys()] == \
+                    [list(p.items()) for p in polys], (trial, width, told)
 
 
 def test_reference_letterplace_basis_sizes():
