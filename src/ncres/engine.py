@@ -54,15 +54,17 @@ the cap, or in a told ring holds a collision, are dropped first: such an
 lcm could only dominate lcms that are dropped too, so the criteria give
 the same survivors without them.  Taken by degree, then index, a
 candidate survives unless an earlier survivor's lcm divides its own: of
-lower degree that is the M criterion, an equal lcm the F criterion.  A
-mask test (mono_mask, necessary for divisibility even when variable
-indices alias modulo 64) gates every mono_div.  A survivor whose leads
-are not coprime (B) goes onto a heap ordered by lcm degree; nothing else
-is kept about it, and every popped pair is processed.  Without the chain
-criterion more pairs may be processed, but whatever they add lies in the
-ideal, and interreduction ends at the unique reduced truncated basis, so
-the result is the same.  Interreduction reduces each tail once, in
-ascending lead order.
+lower degree that is the M criterion, an equal lcm the F criterion.  Only
+the lower-degree survivors are scanned for a divisor; the current
+degree's survivor lcms sit in a dict, since one of equal degree divides
+only by being equal.  A mask test (mono_mask, necessary for divisibility
+even when variable indices alias modulo 64) gates every mono_div.  A
+survivor whose leads are not coprime (B) goes onto a heap ordered by lcm
+degree; nothing else is kept about it, and every popped pair is
+processed.  Without the chain criterion more pairs may be processed, but
+whatever they add lies in the ideal, and interreduction ends at the
+unique reduced truncated basis, so the result is the same.
+Interreduction reduces each tail once, in ascending lead order.
 
 mono_key is pure; each RingGB memoizes it in a table of its own
 (RingGB.keys) that dies with the basis, so a resolution leaves no state
@@ -385,14 +387,21 @@ class RingGB:
         cand.sort()  # by degree, then index; indices are distinct
         # Drop a candidate whose lcm an earlier survivor's lcm divides: of
         # lower degree that is the M criterion, an equal lcm the F
-        # criterion.  B: coprime leads reduce to zero anyway; two bare
-        # elements were never candidates.
-        kept: list = []  # (lcm, mask) of the survivors
+        # criterion (a survivor of the same degree divides only by
+        # equality, so it is looked up, not scanned).  B: coprime leads
+        # reduce to zero anyway; two bare elements were never candidates.
+        lower: list = []  # (lcm, mask) of the survivors of lower degree
+        level: dict = {}  # lcm -> mask of the survivors of degree `cur`
+        cur = None
         for deg, i, l, mask in cand:
-            if any(m & mask == m and mono_div(l, lm) is not None
-                   for lm, m in kept):
+            if deg != cur:
+                lower.extend(level.items())
+                level = {}
+                cur = deg
+            if l in level or any(m & mask == m and mono_div(l, lm)
+                                 is not None for lm, m in lower):
                 continue
-            kept.append((l, mask))
+            level[l] = mask
             if not mono_coprime(elements[i][0], lead_t):
                 heapq.heappush(self._pairs, (deg, l, i, t))
 

@@ -1,28 +1,39 @@
 """Exact coefficient arithmetic.
 
 Everything downstream (linear algebra, Groebner bases, syzygies) is exact.
-Over the rationals we use gmpy2.mpq when available and fractions.Fraction
-otherwise; over GF(p) elements are plain ints reduced mod p.  A Field object
-bundles the operations as plain callables so hot loops can bind them to
-locals instead of dispatching through methods.
+Over the rationals we use gmpy2.mpq when available; otherwise an element
+is a Python int when it is integral and a fractions.Fraction when it is
+not, because int arithmetic runs in C while every Fraction operation runs
+in Python with a gcd.  An int and a Fraction of equal value compare and
+hash alike, so callers never see the difference.  The gmpy2 path keeps
+mpq throughout; it is optional, and the tests run it only where gmpy2 is
+installed.
+Over GF(p) elements are plain ints reduced mod p.  A Field object bundles
+the operations as plain callables so hot loops can bind them to locals
+instead of dispatching through methods.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import index
+
 try:
     from gmpy2 import mpq as _ratio
 except ImportError:  # gmpy2 is optional (the `gmpy2` extra)
-    from fractions import Fraction as _ratio
+    _ratio = Fraction
 
 
 class Field:
     """A coefficient field presented as a bag of operations.
 
-    Elements are opaque to callers: rationals are mpq/Fraction, GF(p)
-    elements are ints in [0, p).  `zero` and `one` are constants; `add`,
-    `sub`, `mul`, `neg`, `inv` are binary/unary callables; `from_int`
-    embeds an integer; `from_ratio` embeds a pair (num, den) of ints with
-    den > 0; `to_str` renders an element for output.
+    Elements are opaque to callers: rationals are mpq under gmpy2, and
+    otherwise an int when integral and a Fraction when not (`zero` is the
+    int 0, `one` the Fraction 1); GF(p) elements are ints in [0, p).
+    `zero` and `one` are constants; `add`, `sub`, `mul`, `neg`, `inv` are
+    binary/unary callables; `from_int` embeds an integer; `from_ratio`
+    embeds a pair (num, den) of ints with den > 0; `to_str` renders an
+    element for output.
     """
 
     __slots__ = (
@@ -62,9 +73,47 @@ def _ratio_str(c) -> str:
 
 
 def rationals() -> Field:
-    one = _ratio(1)
-    zero = _ratio(0)
+    if _ratio is not Fraction:
+        return _mpq_rationals()
+    # Each result is demoted to an int when integral, checked inline
+    # because these run in every reduction loop.  `one` stays a Fraction:
+    # the type of `rationals().one` names the backend.
 
+    def add(a, b):
+        r = a + b
+        return r if r.__class__ is int else \
+            (r.numerator if r.denominator == 1 else r)
+
+    def sub(a, b):
+        r = a - b
+        return r if r.__class__ is int else \
+            (r.numerator if r.denominator == 1 else r)
+
+    def mul(a, b):
+        r = a * b
+        return r if r.__class__ is int else \
+            (r.numerator if r.denominator == 1 else r)
+
+    def neg(a):
+        r = -a
+        return r if r.__class__ is int else \
+            (r.numerator if r.denominator == 1 else r)
+
+    def inv(a):
+        if a.__class__ is int:
+            return a if a == 1 or a == -1 else Fraction(1, a)
+        r = 1 / a
+        return r.numerator if r.denominator == 1 else r
+
+    def from_ratio(num, den):
+        q, rem = divmod(num, den)
+        return q if rem == 0 else Fraction(num, den)
+
+    return Field("Q", 0, 0, Fraction(1), add, sub, mul, neg, inv,
+                 index, from_ratio, _ratio_str)
+
+
+def _mpq_rationals() -> Field:
     def add(a, b):
         return a + b
 
@@ -83,7 +132,7 @@ def rationals() -> Field:
     def from_ratio(num, den):
         return _ratio(num) / den
 
-    return Field("Q", 0, zero, one, add, sub, mul, neg, inv,
+    return Field("Q", 0, _ratio(0), _ratio(1), add, sub, mul, neg, inv,
                  _ratio, from_ratio, _ratio_str)
 
 

@@ -15,7 +15,9 @@ from ncres.field import rationals
 from ncres.freealg import AlgebraPresentation
 from ncres.resolver import ResolutionRequest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+WORKER = PERFBENCH / "worker.py"
 
 
 def _load_tracing():
@@ -75,3 +77,13 @@ def test_traced_flagship_resolve_fires_every_pipeline_target():
               if module not in ("ncres.jsonio", "ncres.monores")
               and name not in fired]
     assert silent == []
+
+
+def test_backend_probe_reads_a_rational_backend():
+    # the bench files name the coefficient backend after the type of
+    # `rationals().one`; a field change that made it report, say,
+    # `builtins` would mislabel every result
+    probe = 'type(rationals().one).__module__.split(".")[0]'
+    assert probe in WORKER.read_text(encoding="utf-8")
+    assert type(rationals().one).__module__.split(".")[0] in \
+        ("fractions", "gmpy2")

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import nilpotent_enveloping, random_presentation
-from ncres.engine import (RingGB, mono_deg, mono_div, mono_key, mono_lcm,
-                          mono_mul, normal_form, place_collision)
+from ncres.engine import (RingGB, mono_coprime, mono_deg, mono_div,
+                          mono_key, mono_lcm, mono_mul, normal_form,
+                          place_collision)
 from ncres.field import rationals
 from ncres.freealg import AlgebraPresentation
 from ncres.homog import extend_algebra
@@ -279,6 +280,58 @@ def test_letterplace_bases_are_truncated_groebner_bases():
                 _, shuffled = _letterplace_basis(alg, width, order, told)
                 assert [list(p.items()) for p in shuffled.polys()] == \
                     [list(p.items()) for p in polys], (trial, width, told)
+
+
+def _scanned_pairs(gb, t, lead_t, bare):
+    """The pairs of new element t that survive the M, F and B criteria,
+    found by testing every earlier survivor's lcm for divisibility,
+    whatever its degree (the reference for RingGB._update_pairs), and the
+    number of candidates dropped for an lcm equal to a survivor's."""
+    cand = []
+    for i in (gb._tailed if bare else range(t)):
+        l = mono_lcm(gb.elements[i][0], lead_t)
+        if (gb.cap is None or mono_deg(l) <= gb.cap) and \
+                (gb.n_letters is None or not place_collision(l, gb.n_letters)):
+            cand.append((mono_deg(l), i, l))
+    cand.sort()
+    kept, pushed, equal = [], [], 0
+    for deg, i, l in cand:
+        if any(mono_div(l, k) is not None for k in kept):
+            equal += l in kept
+            continue
+        kept.append(l)
+        if not mono_coprime(gb.elements[i][0], lead_t):
+            pushed.append((deg, l, i, t))
+    return sorted(pushed), equal
+
+
+def test_pair_update_pushes_what_the_full_survivor_scan_keeps():
+    """_update_pairs looks up same-degree survivors instead of scanning
+    them; the pairs it pushes must be exactly those that the scan over
+    every earlier survivor keeps, on the flagship base basis at W=13 and
+    20 random presentations over both alphabets."""
+    pushed_total = equal_total = 0
+
+    class Checked(RingGB):
+        def _update_pairs(self, t, lead_t, bare):
+            nonlocal pushed_total, equal_total
+            before = set(self._pairs)
+            super()._update_pairs(t, lead_t, bare)
+            want, equal = _scanned_pairs(self, t, lead_t, bare)
+            assert sorted(set(self._pairs) - before) == want, (t, lead_t)
+            pushed_total += len(want)
+            equal_total += equal
+
+    rng = random.Random(13)
+    cases = [(nilpotent_enveloping(), 13)]
+    cases += [(alg, 7) for base in (random_presentation(rng, max_rel_deg=3)
+                                    for _ in range(20))
+              for alg in (base, extend_algebra(base))]
+    for alg, width in cases:
+        Checked(alg.field,
+                letterplace_ideal_gens(PlaceWindow(alg.names, width), alg),
+                cap=width, n_letters=alg.n_letters)
+    assert pushed_total > 0 and equal_total > 0
 
 
 def test_reference_letterplace_basis_sizes():
