@@ -27,10 +27,9 @@ holds one letter at p, so the S-polynomial consists of collisions only.
 Every divisor of a collision-free lcm is collision-free, so the M and F
 criteria lose nothing by it.  A plain RingGB (no L) stores the L(L+1)/2
 collision monomials of each place; the told basis is the plain one
-without them.  The module bases of syzygy.py prune far less: the same
-bare-pair rule, and the product criterion on module-by-ring pairs, whose
-syzygies vanish over the quotient; other pairs of two module elements
-all stay, because they carry the Koszul generators of the syzygy module.
+without them.  The module bases of syzygy.py over a told ring share this
+pair rule (letterplace_lcm): there a pair's lcm must also hold no
+variable below its component's shift, where no module term lies.
 
 Such a basis also serves every narrower window and the alphabet extended
 by a relation-free last letter t, with no Buchberger run
@@ -214,6 +213,14 @@ def place_collision(m: Mono, n_letters: int) -> bool:
     return False
 
 
+def letterplace_lcm(l: Mono, n_letters: int, floor: int = 0) -> bool:
+    """A told basis, of the ring or of a module over it, forms a pair with
+    lcm l: l holds no place collision and no variable below place
+    `floor`, the shift of the pair's component (syzygy docstring)."""
+    return not (l and l[0][0] < floor * n_letters or
+                place_collision(l, n_letters))
+
+
 def place_multihomogeneous(p: Poly, n_letters: int) -> bool:
     """Every term of p covers the same places, with one variable, to the
     first power, at each."""
@@ -382,7 +389,7 @@ class RingGB:
             l = mono_lcm(elements[i][0], lead_t)
             deg = mono_deg(l)
             if (cap is None or deg <= cap) and \
-                    (L is None or not place_collision(l, L)):
+                    (L is None or letterplace_lcm(l, L)):
                 cand.append((deg, i, l, mono_mask(l)))
         cand.sort()  # by degree, then index; indices are distinct
         # Drop a candidate whose lcm an earlier survivor's lcm divides: of

@@ -26,18 +26,20 @@ spaces are intrinsic to the module data, so the result is independent of
 whether the window was narrowed.
 
 Minimalization and canonicalization share one module Groebner basis,
-grown degree by degree.  At degree d it receives the forced block of
-degree d (each element must be new); the raw syzygies of degree d it does
-not yet contain mark a degree that needs generators, which the stair
-frame supplies: its RREF rows, walked from the last pivot to the first,
-are kept when their normal form is non-zero, and that normal form joins
-the basis.  A pivot is already spanned exactly when its row lies in the
-basis plus the rows after it, so this keeps the rows whose pivots the
-spanned part lacks, emitted in ascending pivot order.  Then every raw
-syzygy of degree d must reduce to zero.  That check certifies the
-step: the emitted generators and the block span the syzygy module
-through the window and are independent modulo lower degrees, so their
-count per degree is the Betti number.
+grown over the raw syzygies' degrees.  It never holds the forced block:
+over the letterplace ring it forms no pair whose lcm holds a variable
+below its component's shift, so it works modulo the block (syzygy
+docstring), and the block is built only to be checked and counted.  The
+raw syzygies of degree d it does not yet contain mark a degree that
+needs generators, which the stair frame supplies: its RREF rows, walked
+from the last pivot to the first, are kept when their normal form is
+non-zero, and that normal form joins the basis.  A pivot is already
+spanned exactly when its row lies in the basis plus the rows after it,
+so this keeps the rows whose pivots the spanned part lacks, emitted in
+ascending pivot order.  Then every raw syzygy of degree d must reduce to
+zero.  That check certifies the step: the emitted generators and the
+block span the syzygy module through the window and are independent
+modulo lower degrees, so their count per degree is the Betti number.
 """
 
 from __future__ import annotations
@@ -146,14 +148,26 @@ def _encode_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
 
 
 def _check_forced_block(enc: _StepEncoding,
-                        block: Sequence[LpModElem]) -> None:
-    """Every forced-block element must be an actual syzygy: a variable at
-    a place at or below a generator's word run collides with it."""
+                        block: Sequence[LpModElem]) -> Counter:
+    """The block's degree histogram, once every element is checked to be
+    new and an actual syzygy (a variable at one of a generator's places
+    collides with its word) and the histogram to be L * deg(g_j)
+    elements in degree deg(g_j) + 1 for each generator g_j."""
+    if len({next(iter(elem)) for elem in block}) != len(block):
+        raise AssertionError("forced-block element is redundant")
     for elem in block:
         j, mono = next(iter(elem))
         if _ev_image(enc, j, mono):
             raise AssertionError(
                 "forced-block element is not a syzygy; encoding broken")
+    hist = Counter(elem_sdeg(enc.gen_degrees, e) for e in block)
+    expected: Counter = Counter()
+    for dj in enc.gen_degrees:
+        if dj:
+            expected[dj + 1] += enc.win.n_letters * dj
+    if +hist != +expected:
+        raise AssertionError("forced-block degree histogram is off")
+    return hist
 
 
 def _stair_frame(enc: _StepEncoding, degree: int) -> List[Tuple[int, tuple]]:
@@ -238,16 +252,10 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
     enc = _encode_step(alg, ambient_shifts, gens, window, use_tshift, base)
     raw = syzygies_over_quotient(enc.ring, enc.gens_lp,
                                  [0] * len(ambient_shifts))
-    block = build_C(enc.win, field, enc.gen_degrees)
-    _check_forced_block(enc, block)
+    hist_block = _check_forced_block(
+        enc, build_C(enc.win, field, enc.gen_degrees))
 
-    deg_of = lambda e: elem_sdeg(enc.gen_degrees, e)
-    # one degree-ordered pass: forced block, then canonical representatives
-    block_at: Dict[int, List[LpModElem]] = {}
-    for e in block:
-        d = deg_of(e)
-        if d <= enc.win.width:  # a top-degree generator's block lies above
-            block_at.setdefault(d, []).append(e)
+    # one degree-ordered pass over the raw syzygies' degrees
     raw_at: Dict[int, List[LpModElem]] = {}
     for e, d in zip(raw.generators, raw.degrees):
         raw_at.setdefault(d, []).append(e)
@@ -255,14 +263,9 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
     hist_rest: Counter = Counter()
     out_elems: List[NcModElem] = []
     out_degrees: List[int] = []
-    for d in sorted(set(block_at) | set(raw_at)):
+    for d in sorted(raw_at):
         gb.complete_to(d)
-        for e in block_at.get(d, ()):
-            nf = gb.normal_form(e)
-            if not nf:
-                raise AssertionError("forced-block element is redundant")
-            gb.add_generator(nf)
-        new = [e for e in raw_at.get(d, ()) if gb.normal_form(e)]
+        new = [e for e in raw_at[d] if gb.normal_form(e)]
         if not new:
             continue
         frame = _stair_frame(enc, d)
@@ -285,15 +288,6 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
             raise AssertionError(
                 f"stair frame at degree {d} does not generate the syzygies")
         hist_rest[d] = len(fresh)
-
-    hist_block = Counter(deg_of(e) for e in block)
-    expected_block: Counter = Counter()
-    n_active = enc.win.n_letters
-    for dj in enc.gen_degrees:
-        if dj:
-            expected_block[dj + 1] += n_active * dj
-    if +hist_block != +expected_block:
-        raise AssertionError("forced-block degree histogram is off")
 
     restore = lambda h: {d + enc.offset: v for d, v in h.items() if v}
     return ResolutionStep(

@@ -23,39 +23,45 @@ a lead with no other term, form no pair, module-by-module or
 module-by-ring: their S-polynomial is exactly zero.  Ghost terms count
 as terms, and every element of a collecting basis carries one (its main
 part is its ghost part applied to the generators, modulo the ring, so an
-element with no ghost term would reduce to zero).  So a collecting basis
-keeps all its pairs; only the non-collecting bases of
-resolver.syzygy_step and minimalize_graded lose pairs to this rule.  A
-module element h and a ring element r whose leads are coprime form no
-pair either (the product criterion): the S-polynomial equals
-r*tail(h) - tail(r)*h, which has a standard representation, and in a
-collecting basis the pair's syzygy is r*ghost(h) modulo the syzygies of
-other pairs, which is zero over the quotient (Schreyer's argument; La
-Scala & Stillman, J. Symb. Comp. 26 (1998); Erocal, Motsak, Schreyer &
-Steenpass, J. Symb. Comp. 74 (2016)).  Every other pair of two module
-elements in the same component is kept, coprime or not: no product
-criterion holds between two module elements, and those pairs carry the
-Koszul syzygies of the generators.
+element with no ghost term would reduce to zero).  A module element h
+and a ring element r whose leads are coprime form no pair either (the
+product criterion): the S-polynomial equals r*tail(h) - tail(r)*h,
+which has a standard representation, and in a collecting basis the
+pair's syzygy is r*ghost(h) modulo the syzygies of other pairs, which is
+zero over the quotient (Schreyer's argument; La Scala & Stillman,
+J. Symb. Comp. 26 (1998); Erocal, Motsak, Schreyer & Steenpass, J. Symb.
+Comp. 74 (2016)).  No product criterion holds between two module
+elements: those pairs carry the Koszul syzygies of the generators.  Over
+a ring told its alphabet size L (engine docstring) one more rule holds,
+the one the told ring applies to its own pairs: no pair is formed whose
+lcm holds a place collision x_a(p)x_b(p) or x_a(p)^2, or a variable
+below place shifts[c] of its component c (engine.letterplace_lcm, floor
+0 in the ring; La Scala & Levandovskyy, J. Symb. Comp. 44 (2009)).  The
+collecting basis and minimalize_graded have zero shifts, so only
+collisions count there; the resolver's single pass has shifts
+deg(g_j).
 
-Over a ring told its alphabet size (engine docstring) a place collision
-x_a(p)x_b(p) or x_a(p)^2 is zero: the ring reduces every term holding
-one, main or ghost, to zero, and stores no collision monomial, so no
-module element pairs with one (La Scala & Levandovskyy, J. Symb. Comp.
-44 (2009)).  This holds in the collecting basis, in the resolver's
-single pass and in minimalize_graded.  Proof that nothing is lost
-against a plain ring, which stores them: the encoded generators' main
-terms are place-multihomogeneous, and ring reduction keeps them so; so
-if h's lead holds x_a(p), the pair of h with x_a(p)x_b(p) has the
-S-polynomial x_b(p)*tail(h).  Each of its terms is of one of two kinds:
-- a main term holding a place collision, which is zero, so no new
-  module element is lost;
-- a ghost term, or in the single pass a term of component k, that is a
-  multiple of a forced-block element e_k*x(p') with p' <= d_k
-  (letterplace.build_C): a variable at or below generator k's places.
-So over a letterplace ring syzygies_over_quotient returns generators of
-the syzygy module modulo the forced block, and the single pass, which
-installs the block at each degree before it asks what the raw syzygies
-of that degree need, certifies the same module as with every pair.
+Proof that nothing is lost.  Call a main term of shifted degree d in
+component c letterplace when its monomial covers places shifts[c] ..
+d - 1, one letter at each, and a ghost term eps_j*u letterplace when u
+covers places deg(g_j) .. d - 1.  The encoded generators, their ghost
+units and the resolver's stair-frame rows are letterplace, and ring
+reduction keeps each term's places.  So when a pair's lcm passes the
+rule, its S-polynomial and that S-polynomial's normal form are
+letterplace: by induction every element is.  When it fails, a cofactor
+holds a variable x(p) at a place that the lead it multiplies already
+covers, or below the floor, and every term of the S-polynomial holds a
+collision, which is zero, or a variable below its own floor.  Such a
+term is a multiple of a forced-block element e_k*x(p), p < deg(g_k)
+(letterplace.build_C): in the single pass directly, in a collecting
+basis as a ghost term beside a main part that is zero, so the pair's
+syzygy lies in the block.  The terms below a floor span a monomial
+submodule B that no element, raw syzygy or frame row meets.  So over a
+told ring syzygies_over_quotient returns generators of the syzygy module
+modulo B, and no ghost term of a raw syzygy lies below its generator's
+degree; the single pass runs Buchberger in the free module modulo B
+without installing B, and certifies the same module as with every pair
+formed and the block installed.
 """
 
 from __future__ import annotations
@@ -64,8 +70,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .engine import (KeyTable, Mono, RingGB, mono_coprime, mono_deg,
-                     mono_div, mono_lcm, mono_mask, mono_mul)
+from .engine import (KeyTable, Mono, RingGB, letterplace_lcm, mono_coprime,
+                     mono_deg, mono_div, mono_lcm, mono_mask, mono_mul)
 from .letterplace import WindowTooSmall
 
 Term = Tuple[int, Mono]
@@ -87,7 +93,9 @@ class ModuleGB:
     Field, window (ring.cap) and monomial keys (ring.keys) all come from
     ring.  The main block ends at len(main_shifts); components past it
     are ghosts, reduced by the ring only, and syzygies collects the ghost
-    parts found (module docstring).
+    parts found (module docstring).  Over a ring told its alphabet size,
+    a term of main component c is read from place main_shifts[c] on, and
+    the basis is complete modulo the terms below that place.
     """
 
     def __init__(self, ring: RingGB, main_shifts: Sequence[int]):
@@ -182,25 +190,22 @@ class ModuleGB:
         lead_t, terms_t = self.elements[t]
         bare = len(terms_t) == 1  # ghost terms count: see module docstring
         comp, m = lead_t
-        shift = self.shifts[comp]
-        for i in range(t):
-            lead_i, terms_i = self.elements[i]
-            if lead_i[0] != comp or bare and len(terms_i) == 1:
-                continue
-            l = mono_lcm(lead_i[1], m)
-            deg = mono_deg(l) + shift
-            if deg <= self.cap:
-                heapq.heappush(self.pairs, (deg, 0, l, comp, i, t))
+        shift, L = self.shifts[comp], self.ring.n_letters
+        lcms = [(0, i, mono_lcm(lead_i[1], m))
+                for i, (lead_i, terms_i) in enumerate(self.elements[:t])
+                if lead_i[0] == comp and not (bare and len(terms_i) == 1)]
         mask = mono_mask(m)
-        for k, rlead, rmask, rbare in self._ring_leads:
-            # bare pair, then product criterion (module docstring); disjoint
-            # masks mean coprime leads, overlapping ones need the exact test
-            if bare and rbare or not rmask & mask or mono_coprime(rlead, m):
-                continue
-            l = mono_lcm(rlead, m)
+        # bare pair, then product criterion (module docstring); disjoint
+        # masks mean coprime leads, overlapping ones need the exact test
+        lcms += [(1, k, mono_lcm(rlead, m))
+                 for k, rlead, rmask, rbare in self._ring_leads
+                 if not (bare and rbare or not rmask & mask
+                         or mono_coprime(rlead, m))]
+        for kind, i, l in lcms:
             deg = mono_deg(l) + shift
-            if deg <= self.cap:
-                heapq.heappush(self.pairs, (deg, 1, l, comp, k, t))
+            if deg <= self.cap and (L is None or
+                                    letterplace_lcm(l, L, shift)):
+                heapq.heappush(self.pairs, (deg, kind, l, comp, i, t))
 
     def _install(self, elem: ModElem) -> None:
         """Add elem, made monic; its largest term is a main term."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from ncres.field import rationals
 from ncres.freealg import AlgebraPresentation, ModulePresentation
 from ncres.letterplace import PlaceWindow, iota_poly, iota_word, \
     letterplace_ideal_gens
+import ncres.cli as cli
 import ncres.resolver as resolver
 from ncres.engine import RingGB
 from ncres.jsonio import parse_input, render_json, resolution_document
@@ -125,6 +127,42 @@ def test_redundant_forced_block_element_is_an_internal_error(monkeypatch):
     with pytest.raises(AssertionError,
                        match="forced-block element is redundant"):
         syzygy_step(_poly_ring_2(), [0], gens, window=3)
+
+
+def test_short_forced_block_is_an_internal_error(monkeypatch):
+    build_C = resolver.build_C
+    monkeypatch.setattr(resolver, "build_C",
+                        lambda *args: build_C(*args)[:-1])
+    gens = [{(0, (0,)): ONE}, {(0, (1,)): ONE}]
+    with pytest.raises(AssertionError,
+                       match="forced-block degree histogram is off"):
+        syzygy_step(_poly_ring_2(), [0], gens, window=3)
+
+
+def test_forced_block_non_syzygy_is_an_internal_error(monkeypatch, tmp_path,
+                                                      capsys):
+    build_C = resolver.build_C
+
+    def with_non_syzygy(win, field, gen_degrees):
+        # component 0 times the first letter just past generator 0's places
+        mono = ((gen_degrees[0] * win.n_letters, 1),)
+        return build_C(win, field, gen_degrees) + [{(0, mono): field.one}]
+
+    monkeypatch.setattr(resolver, "build_C", with_non_syzygy)
+    gens = [{(0, (0,)): ONE}, {(0, (1,)): ONE}]
+    with pytest.raises(AssertionError,
+                       match="forced-block element is not a syzygy"):
+        syzygy_step(_poly_ring_2(), [0], gens, window=3)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({
+        "field": "Q", "generators": ["x", "y"],
+        "relations": [[{"coeff": "1", "word": ["x", "y"]},
+                       {"coeff": "-1", "word": ["y", "x"]}]],
+        "module": {"shifts": [0], "generators": [
+            [{"coeff": "1", "component": 0, "word": ["x"]}],
+            [{"coeff": "1", "component": 0, "word": ["y"]}]]}}))
+    assert cli.main(["resolve", str(path), "--degree-bound", "3"]) == 4
+    assert "not a syzygy" in capsys.readouterr().err
 
 
 def test_incomplete_stair_frame_is_an_internal_error(monkeypatch):

@@ -8,7 +8,7 @@ from helpers import (augmentation_module, nilpotent_enveloping,
 from ncres.engine import (RingGB, mono_coprime, mono_deg, mono_div, mono_key,
                           mono_mul, normal_form, place_collision)
 from ncres.field import rationals
-from ncres.letterplace import (WindowTooSmall, build_C,
+from ncres.letterplace import (WindowTooSmall, build_C, iota_word,
                                letterplace_ideal_gens)
 from ncres.linalg import rank
 from ncres.resolver import ResolutionRequest, _encode_step, resolve
@@ -374,6 +374,10 @@ def _collision_syzygies_dropped(mod, bound, length, tshift):
         for syz in told.generators:
             assert not _nf_componentwise(_apply_syzygy(syz, enc.gens_lp),
                                          plain.polys())
+            # no ghost term below its generator's places: the single pass
+            # needs no forced block to reduce the raw syzygies
+            assert all(not u or u[0][0] >= enc.gen_degrees[j] * L
+                       for j, u in syz)
         span = ModuleGB(plain, enc.gen_degrees)
         block = build_C(enc.win, alg.field, enc.gen_degrees)
         for e in told.generators + block:
@@ -396,3 +400,39 @@ def test_collision_pairs_lose_only_forced_block_syzygies(tshift):
     dropped = [_collision_syzygies_dropped(mod, bound, length, tshift)
                for mod, bound, length in modules]
     assert dropped[0] > 0  # the criterion is active on the flagship
+
+
+def _queued_lcms_are_letterplace(gb, n_letters):
+    """No queued pair of gb has an lcm with a place collision or with a
+    variable below the shift of its component."""
+    return all(not place_collision(l, n_letters) and
+               (not l or l[0][0] // n_letters >= gb.shifts[comp])
+               for _, _, l, comp, _, _ in gb.pairs)
+
+
+@pytest.mark.parametrize("tshift", [True, False])
+def test_told_module_bases_queue_only_letterplace_pairs(tshift):
+    """On the flagship's steps, neither the collecting basis nor a basis
+    shaped like the resolver's single pass (shifts the generator degrees,
+    elements the step's encoded output) queues a pair whose lcm holds a
+    place collision or a variable below its component's shift."""
+    mod = augmentation_module(nilpotent_enveloping())
+    alg = mod.algebra
+    res = resolve(ResolutionRequest(mod, degree_bound=7, length_bound=7,
+                                    tshift=tshift))
+    queued = 0
+    for (shifts, gens, window), step in zip(_step_inputs(res), res.steps):
+        enc = _encode_step(alg, shifts, gens, window, tshift)
+        L, r, one = enc.win.n_letters, len(shifts), alg.field.one
+        collect = ModuleGB(enc.ring, [0] * r)
+        for j, g in enumerate(enc.gens_lp):
+            collect.add_generator({**g, (r + j, ()): one})
+            assert _queued_lcms_are_letterplace(collect, L)
+        single = ModuleGB(enc.ring, enc.gen_degrees)
+        for elem in step.generators:
+            single.add_generator(
+                {(j, iota_word(enc.win, w, enc.gen_degrees[j])): c
+                 for (j, w), c in elem.items()})
+            assert _queued_lcms_are_letterplace(single, L)
+        queued += len(collect.pairs) + len(single.pairs)
+    assert queued > 0
