@@ -5,10 +5,11 @@ index; polynomials are dicts mapping monomials to nonzero field elements.
 The order is degree-reverse-lexicographic where a SMALLER variable index
 means a GREATER variable, matching the place-major letterplace precedence.
 
-The Groebner machinery is plain Buchberger with an optional degree cap:
-S-pairs whose lcm degree exceeds the cap are discarded, which for
-homogeneous input yields a truncated basis that is complete through the
-cap degree.  Of the Gebauer-Moeller criteria it keeps M, F and B, not the
+The Groebner machinery of RingGB is plain Buchberger with an optional
+degree cap: S-pairs whose lcm degree exceeds the cap are discarded, which
+for homogeneous input yields a truncated basis that is complete through
+the cap degree (the pipeline's letterplace basis is built by ShiftRingGB
+instead, below).  Of the Gebauer-Moeller criteria it keeps M, F and B, not the
 chain criterion: with place collisions zero it cancels few pairs on
 letterplace input (none on the reference presentation), and it costs a
 table of pending pairs.  An element is bare when its term list is its
@@ -45,6 +46,38 @@ and renumbering keep the ascending lead order that _interreduce leaves,
 so the result equals the basis built from the window's generators
 element for element.
 
+Shift invariance (ShiftRingGB).  Let sigma move every variable one
+place on (v to v + L).  The told letterplace ideal over W places is
+invariant under sigma wherever the result fits in the window: its
+generators are all window shifts of the relations, and collisions are
+zero at every place.  Place-major degrevlex commutes with sigma (every
+index moves by L, so every comparison keeps its outcome), so sigma maps
+leads to leads and reductions to reductions.  Every element covers one
+interval of places: a relation does; a pair is formed only when the two
+leads share a place (coprime leads are dropped by B, a collision at a
+shared place by the pair rule), so its lcm covers the union of two
+overlapping intervals; and a reduction step keeps the places of the term
+it rewrites.  Call an element anchored when it covers place 0.  An
+S-polynomial with an anchored member is then anchored, and so is its
+normal form.  A pair (sigma^a f, sigma^b g) with a <= b is sigma^a of the
+anchored pair (f, sigma^(b-a) g), and a reduction of the latter to zero
+shifts into one of the former, since each reducer covers places inside
+the pair's lcm, which fits.  So ShiftRingGB forms only the anchored
+pairs whose leads overlap and whose lcm holds no collision, and installs
+every window shift of each new anchored element as a reducer; when the
+queue is empty, the set of all those shifts is a Groebner basis of the
+window.  The reduced basis is then every window shift of the anchored
+elements whose lead no other lead divides, each with its tail replaced
+by the tail's normal form (unique modulo a Groebner basis, so the
+reduced tail), installed in ascending lead order: the basis RingGB
+computes from the same generators, element for element and bucket for
+bucket.  The generators must be exactly the window shifts of those at
+place 0, as letterplace_ideal_gens gives them (ValueError otherwise:
+other input would name a different ideal).  The work no longer grows
+with the window: on the reference presentation it forms 16 pairs and
+makes 33 reductions at W = 10, 22 and 50, where Buchberger takes 85,
+241 and 605 pairs and 220, 580 and 1,420 reductions.
+
 Cost model of RingGB's pair bookkeeping.  A new element forms one
 candidate pair with each earlier one, a bare new element only with the
 earlier elements that have a tail (RingGB._tailed), so a monomial costs
@@ -67,7 +100,15 @@ Interreduction reduces each tail once, in ascending lead order.
 
 mono_key is pure; each RingGB memoizes it in a table of its own
 (RingGB.keys) that dies with the basis, so a resolution leaves no state
-behind; a restricted basis starts a fresh table.  A finished truncated
+behind; a restricted basis starts a fresh table.  Normal forms are
+linear, so each RingGB also memoizes the normal form of each monomial it
+is asked for (mono_normal_form), in a plain dict of its own that a
+restricted basis starts empty: a step's ring reduces each distinct
+monomial once, and no step or resolution sees another's entries.  The
+memo is a dict read by a method, not a KeyTable whose key function
+closes over the basis: that closure would be a reference cycle, keeping
+each step's ring alive until the cyclic collector ran.  Its values are
+shared, so no caller may mutate them.  A finished truncated
 RingGB is the whole context of the module bases over it (syzygy.py):
 field, window (cap) and key table.
 """
@@ -236,6 +277,12 @@ def place_multihomogeneous(p: Poly, n_letters: int) -> bool:
     return True
 
 
+def _require_multihomogeneous(gens: Sequence[Poly], n_letters: int) -> None:
+    if not all(place_multihomogeneous(g, n_letters) for g in gens):
+        raise ValueError("letterplace generator is not "
+                         "place-multihomogeneous")
+
+
 class RingGB:
     """Truncated reduced Groebner basis over the polynomial ring: plain
     Buchberger with the M, F and B criteria on a heap of S-pairs, then
@@ -253,12 +300,13 @@ class RingGB:
         if n_letters is not None:  # a sum of collisions is zero: drop it
             gens = [g for g in gens
                     if not all(place_collision(m, n_letters) for m in g)]
-            if not all(place_multihomogeneous(g, n_letters) for g in gens):
-                raise ValueError("letterplace generator is not "
-                                 "place-multihomogeneous")
+        self._build([g for g in gens if g])
+
+    def _build(self, gens: List[Poly]) -> None:
+        if self.n_letters is not None:
+            _require_multihomogeneous(gens, self.n_letters)
         for g in gens:
-            if g:
-                self._insert(g)
+            self._insert(g)
         self._run()
         self._interreduce()
 
@@ -268,6 +316,7 @@ class RingGB:
         self.cap = cap
         self.n_letters = n_letters
         self.keys = KeyTable(mono_key)
+        self._mono_nf: Dict[Mono, Poly] = {}  # mono_normal_form's memo
         self.elements: List[tuple] = []  # (lead, terms)
         self._tailed: List[int] = []  # indices of elements with a tail
         # reducers bucketed by the smallest variable of their lead (-1 for
@@ -292,7 +341,7 @@ class RingGB:
         out = RingGB.__new__(RingGB)
         out._empty(self.field, width, n_letters)
         for lead, terms in self.elements:
-            if lead[-1][0] < width * L:  # ends below place `width`
+            if not lead or lead[-1][0] < width * L:  # ends below `width`
                 if n_letters > L:
                     lead = renumber(lead)
                     terms = [(renumber(m), c) for m, c in terms]
@@ -310,7 +359,8 @@ class RingGB:
         work = dict(p)
         out: Poly = {}
         while work:
-            m = max(work, key=key_of)
+            # a lone term is the largest without computing its sort key
+            m = max(work, key=key_of) if len(work) > 1 else next(iter(work))
             c = work.pop(m)
             hit = self._find(m)
             if hit is None:
@@ -413,26 +463,27 @@ class RingGB:
                 heapq.heappush(self._pairs, (deg, l, i, t))
 
     def _run(self) -> None:
-        field = self.field
-        sub = field.sub
-        zero = field.zero
         while self._pairs:
             deg, l, i, j = heapq.heappop(self._pairs)
-            lead_i, terms_i = self.elements[i]
-            lead_j, terms_j = self.elements[j]
-            qi = mono_div(l, lead_i)
-            qj = mono_div(l, lead_j)
-            spoly: Poly = {}
-            for tm, tc in terms_i:
-                spoly[mono_mul(tm, qi) if qi else tm] = tc
-            for tm, tc in terms_j:
-                key = mono_mul(tm, qj) if qj else tm
-                s = sub(spoly.get(key, zero), tc)
-                if s == zero:
-                    spoly.pop(key, None)
-                else:
-                    spoly[key] = s
-            self._insert(spoly)
+            self._insert(self._spoly(l, self.elements[i], self.elements[j]))
+
+    def _spoly(self, l: Mono, elem_i: tuple, elem_j: tuple) -> Poly:
+        """S-polynomial of two monic elements (lead, terms) with lcm l."""
+        sub, zero = self.field.sub, self.field.zero
+        (lead_i, terms_i), (lead_j, terms_j) = elem_i, elem_j
+        qi = mono_div(l, lead_i)
+        qj = mono_div(l, lead_j)
+        spoly: Poly = {}
+        for tm, tc in terms_i:
+            spoly[mono_mul(tm, qi) if qi else tm] = tc
+        for tm, tc in terms_j:
+            key = mono_mul(tm, qj) if qj else tm
+            s = sub(spoly.get(key, zero), tc)
+            if s == zero:
+                spoly.pop(key, None)
+            else:
+                spoly[key] = s
+        return spoly
 
     def _interreduce(self) -> None:
         """Shrink to the unique (truncated) reduced basis.
@@ -463,8 +514,156 @@ class RingGB:
     def normal_form(self, p: Poly) -> Poly:
         return self._reduce_full(p)
 
+    def mono_normal_form(self, m: Mono) -> Poly:
+        """Normal form of the monomial m, memoized for the life of this
+        basis.  The value is shared: callers must not mutate it."""
+        nf = self._mono_nf.get(m)
+        if nf is None:
+            nf = self._mono_nf[m] = self.normal_form(
+                {m: self.field.from_int(1)})
+        return nf
+
     def polys(self) -> List[Poly]:
         return [dict(terms) for _, terms in self.elements]
+
+
+def shift_mono(m: Mono, k: int) -> Mono:
+    """m with every variable index raised by k."""
+    return tuple((v + k, e) for v, e in m)
+
+
+class ShiftRingGB(RingGB):
+    """The told letterplace basis over `cap` places of a generator set
+    that is closed under window shifts, built from its anchored elements
+    (those covering place 0) and their shifts: the same elements, tails
+    and buckets as RingGB from the same generators (module docstring).
+    It is entered through RingGB.__init__ and needs cap and n_letters."""
+
+    def _build(self, gens: List[Poly]) -> None:
+        if self.n_letters is None or self.cap is None:
+            raise ValueError("a shift-built basis needs n_letters and cap")
+        # _shifts[k][c] is anchored element k moved c places on, as
+        # (lead, terms); every one of them is installed as a reducer
+        self._shifts: List[List[tuple]] = []
+        for g in _anchored_generators(gens, self.n_letters, self.cap):
+            self._insert(g)
+        self._run()
+        self._interreduce()
+
+    def _window_shifts(self, elem: tuple) -> List[tuple]:
+        """elem = (lead, terms) at place 0 and at every later start that
+        still fits in the window."""
+        L = self.n_letters
+        lead, terms = elem
+        room = self.cap - 1 - lead[-1][0] // L if lead else 0
+        return [elem] + [
+            (shift_mono(lead, c * L), [(shift_mono(m, c * L), x)
+                                       for m, x in terms])
+            for c in range(1, room + 1)]
+
+    def _insert(self, p: Poly) -> None:
+        """Reduce p (anchored) by every element so far; if it survives,
+        install all its window shifts and queue its pairs."""
+        p = self._reduce_full(p)
+        if not p:
+            return
+        copies = self._window_shifts(self._monic_terms(p))
+        self._shifts.append(copies)
+        for lead, terms in copies:
+            self._install(lead, terms)
+        self._queue_pairs(len(self._shifts) - 1)
+
+    def _queue_pairs(self, t: int) -> None:
+        """Queue each pair of new anchored element t with an element
+        sigma^c(b) whose leads overlap and whose lcm holds no collision:
+        (t, sigma^c(b)) for b < t from c = 0, and (t, sigma^c(t)),
+        (b, sigma^c(t)) from c = 1.  Every other pair is a shift."""
+        shifts, L = self._shifts, self.n_letters
+        bare = len(shifts[t][0][1]) == 1
+        for b in range(t + 1):
+            if bare and len(shifts[b][0][1]) == 1:
+                continue  # two bare elements: the S-polynomial is zero
+            for a, s in ((t, b), (b, t)) if b < t else ((t, t),):
+                lead_a = shifts[a][0][0]
+                last_a = lead_a[-1][0] // L if lead_a else -1
+                for c in range(int(s == t), min(last_a + 1, len(shifts[s]))):
+                    lead_s = shifts[s][c][0]
+                    if mono_coprime(lead_a, lead_s):
+                        continue
+                    l = mono_lcm(lead_a, lead_s)
+                    if letterplace_lcm(l, L):
+                        heapq.heappush(self._pairs,
+                                       (mono_deg(l), l, a, s, c))
+
+    def _run(self) -> None:
+        shifts = self._shifts
+        while self._pairs:
+            _, l, a, s, c = heapq.heappop(self._pairs)
+            self._insert(self._spoly(l, shifts[a][0], shifts[s][c]))
+
+    def _interreduce(self) -> None:
+        """Keep the anchored elements whose lead no other element's lead
+        divides, reduce their tails by all elements (a Groebner basis, so
+        the tail's normal form is the reduced basis's tail), and install
+        every window shift of them in ascending lead order."""
+        keys, L = self.keys, self.n_letters
+        out = []
+        for k, copies in enumerate(self._shifts):
+            lead, terms = copies[0]
+            last = lead[-1][0] // L if lead else -1
+            if any(mono_div(lead, other[c][0]) is not None
+                   for j, other in enumerate(self._shifts)
+                   for c in range(int(j == k), min(last + 1, len(other)))):
+                continue
+            tail = self._sorted_items(self._reduce_full(dict(terms[1:])))
+            if tail != terms[1:]:
+                copies = self._window_shifts((lead, [terms[0]] + tail))
+            out += copies
+        del self._shifts
+        self.elements = []
+        self._tailed = []
+        self.buckets = {}
+        for lead, terms in sorted(out, key=lambda e: keys[e[0]]):
+            self._install(lead, terms)
+
+
+def _anchored_generators(gens: Sequence[Poly], n_letters: int,
+                         cap: int) -> List[Poly]:
+    """The generators covering place 0, once the whole list is checked to
+    be exactly their window shifts (ValueError otherwise).  Only those
+    at place 0 are checked to be place-multihomogeneous: any other that
+    passes is a shift of one of them, so one term gives its places."""
+    unclosed = ValueError("letterplace generators are not the window "
+                          "shifts of those at place 0")
+    anchored: List[Poly] = []
+    shifted = []  # (first place, generator moved back to place 0)
+    room = 0  # window shifts of the anchored generators, place 0 included
+    for g in gens:
+        m = next(iter(g))
+        first, last = (m[0][0] // n_letters, m[-1][0] // n_letters) \
+            if m else (0, -1)
+        if last >= cap:
+            raise unclosed
+        if first:
+            k = first * n_letters
+            shifted.append((first, {tuple((v - k, e) for v, e in m): x
+                                    for m, x in g.items()}))
+        else:
+            anchored.append(g)
+            room += cap - last if m else 1  # a constant is its own shift
+    _require_multihomogeneous(anchored, n_letters)
+    index: Dict[frozenset, List[int]] = {}
+    for k, g in enumerate(anchored):
+        index.setdefault(frozenset(g), []).append(k)
+    found = {(k, 0) for k in range(len(anchored))}
+    for first, g in shifted:
+        hits = [k for k in index.get(frozenset(g), ()) if anchored[k] == g]
+        if not hits:
+            raise unclosed
+        found.update((k, first) for k in hits)
+    if len(found) != room:  # found holds only shifts that fit
+        raise unclosed
+    return anchored
 
 
 def normal_form(field, f: Poly, basis: Sequence[Poly]) -> Poly:

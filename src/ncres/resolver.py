@@ -10,13 +10,14 @@ strips the forced block coming from the encoding, and decodes the
 survivors back over the original algebra.  The finished ring basis is
 the only thing the module layer (syzygy.py) is told about the algebra.
 
-The ring basis is built once per resolution: resolve() runs Buchberger
-on the letterplace relations over the original alphabet at the widest
-window it knows of (step 1's, under an explicit degree bound), and the
-input minimalization and every step restrict that basis to their own
-window and alphabet (RingGB.restrict, exact by the argument in the
-engine docstring).  Only a heuristic window wider than the basis makes
-it rebuild.
+The ring basis is built once per resolution: resolve() builds the
+letterplace basis of the relations over the original alphabet at the
+widest window it knows of (step 1's, under an explicit degree bound),
+from its anchored elements by shifting (ShiftRingGB), and the input
+minimalization and every step restrict that basis to their own window
+and alphabet (RingGB.restrict, exact by the arguments in the engine
+docstring).  Only a heuristic window wider than the basis makes it
+rebuild.
 
 Decoded output is canonical: within each degree the emitted generators
 are the reduced-row-echelon basis of the stair subspace (syzygies whose
@@ -49,7 +50,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .engine import RingGB, mono_mul
+from .engine import RingGB, ShiftRingGB, mono_mul
 from .freealg import (AlgebraPresentation, ModulePresentation, NcModElem,
                       elem_degree, homogeneous_degree, validate_presentation)
 from .homog import HomogenizationContext, eta_apply, homogenization_context
@@ -98,12 +99,14 @@ def _offset(ambient_shifts: Sequence[int], use_tshift: bool) -> int:
 
 def _ring_basis(alg: AlgebraPresentation, width: int) -> RingGB:
     """The letterplace basis of alg's relations over `width` places and
-    alg's own alphabet: the one Buchberger run that every step's ring is
-    restricted from (RingGB.restrict).  Its key table is emptied, and it
-    is never a step's ring itself, so no step's keys outlive the step."""
+    alg's own alphabet, built from its anchored elements by shifting
+    (ShiftRingGB; the Buchberger RingGB gives the same basis): the one
+    basis every step's ring is restricted from (RingGB.restrict).  Its key
+    table is emptied, and it is never a step's ring itself, so no step's
+    keys or monomial normal forms outlive the step."""
     win = PlaceWindow(alg.names, width)
-    base = RingGB(alg.field, letterplace_ideal_gens(win, alg), cap=width,
-                  n_letters=win.n_letters)
+    base = ShiftRingGB(alg.field, letterplace_ideal_gens(win, alg),
+                       cap=width, n_letters=win.n_letters)
     base.keys.clear()
     return base
 
@@ -217,13 +220,29 @@ def _frame_kernel(field, images: Sequence[dict]):
 def _ev_image(enc: _StepEncoding, j: int, mono: tuple) -> dict:
     """Image of the frame vector e_j * mono under evaluation against the
     encoded generators, in normal-form coordinates: each component's
-    coefficient reduced modulo the ring.  Multiplying by one monomial is
-    injective, so no two terms of g_j land on one key."""
-    by_comp: Dict[int, dict] = {}
+    coefficient reduced modulo the ring.  Normal forms are linear, so the
+    image sums the terms' monomial normal forms, which the ring memoizes:
+    each distinct monomial is reduced once per step.  A monomial in its
+    own normal form is standard, and that normal form is the monomial
+    itself, so its coefficient is taken as it is."""
+    ring = enc.ring
+    add, mul, zero = ring.field.add, ring.field.mul, ring.field.zero
+    image: dict = {}
     for (comp, gm), c in enc.gens_lp[j].items():
-        by_comp.setdefault(comp, {})[mono_mul(gm, mono)] = c
-    return {(comp, m): c for comp, poly in by_comp.items()
-            for m, c in enc.ring.normal_form(poly).items()}
+        m = mono_mul(gm, mono)
+        nf = ring.mono_normal_form(m)
+        for n, x in ((m, c),) if m in nf else \
+                [(n, mul(c, a)) for n, a in nf.items()]:
+            key = (comp, n)
+            if key not in image:
+                image[key] = x
+            else:
+                s = add(image[key], x)
+                if s == zero:
+                    del image[key]
+                else:
+                    image[key] = s
+    return image
 
 
 @dataclass

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import nilpotent_enveloping, random_presentation
-from ncres.engine import (RingGB, mono_coprime, mono_deg, mono_div,
-                          mono_key, mono_lcm, mono_mul, normal_form,
-                          place_collision)
+from ncres.engine import (RingGB, ShiftRingGB, mono_coprime, mono_deg,
+                          mono_div, mono_key, mono_lcm, mono_mul, normal_form,
+                          place_collision, shift_mono)
 from ncres.field import rationals
 from ncres.freealg import AlgebraPresentation
 from ncres.homog import extend_algebra
@@ -501,3 +501,109 @@ def test_restriction_rejects_what_it_cannot_read_off():
                    cap=4)
     with pytest.raises(ValueError, match="cannot restrict"):
         plain.restrict(4, 3)
+
+
+# --- the shift-built letterplace basis ----------------------------------------
+
+def _edge_presentations():
+    """(algebra, widths): a degree-1 relation, no relations, a one-letter
+    alphabet, windows below every relation degree, and the unit ideal."""
+    one, m1 = F.one, F.neg(F.one)
+    return [
+        (AlgebraPresentation(F, ("a", "b"), [{(0,): one, (1,): m1},
+                                             {(0, 1): one, (1, 0): one}]),
+         range(6)),
+        (AlgebraPresentation(F, ("a", "b"), [{(0,): one}]), range(5)),
+        (AlgebraPresentation(F, ("a", "b"), []), range(5)),
+        (AlgebraPresentation(F, ("a",), [{(0, 0, 0): one}]), range(7)),
+        (AlgebraPresentation(F, ("a", "b", "c"),
+                             [{(0, 1, 2, 0): one, (2, 1, 0, 0): m1}]),
+         range(4)),
+        (AlgebraPresentation(F, ("a", "b"), [{(): one}, {(0, 1): one}]),
+         range(4)),
+    ]
+
+
+def test_shift_built_basis_equals_the_buchberger_basis():
+    """ShiftRingGB, which reduces only pairs with a place-0 member and
+    places every other element by shifting, builds the basis that
+    Buchberger builds from the same generators, element for element and
+    bucket for bucket, and so restricts to the same rings."""
+    rng = random.Random(17)
+    cases = [(nilpotent_enveloping(), list(range(23)) + [50])]
+    for _ in range(40):
+        base = random_presentation(rng, max_rel_deg=3)
+        cases += [(alg, range(9)) for alg in (base, extend_algebra(base))]
+    cases += _edge_presentations()
+    for alg, widths in cases:
+        L = alg.n_letters
+        for width in widths:
+            gens = letterplace_ideal_gens(PlaceWindow(alg.names, width), alg)
+            oracle = RingGB(alg.field, gens, cap=width, n_letters=L)
+            built = ShiftRingGB(alg.field, gens, cap=width, n_letters=L)
+            assert _shape(built) == _shape(oracle), (alg, width)
+            for w, letters in itertools.product(range(width + 1), (L, L + 1)):
+                assert _shape(built.restrict(w, letters)) == \
+                    _shape(oracle.restrict(w, letters)), (alg, width, w)
+
+
+def test_shift_built_basis_reduces_only_anchored_pairs():
+    """On the reference presentation the anchored construction reduces
+    the same few S-pairs whatever the window, where Buchberger's count
+    grows with it."""
+    alg = nilpotent_enveloping()
+    counts = []
+
+    class Counted(ShiftRingGB):
+        def _spoly(self, l, elem_i, elem_j):
+            counts[-1] += 1
+            return super()._spoly(l, elem_i, elem_j)
+
+    for width in (10, 22, 50):
+        counts.append(0)
+        Counted(alg.field,
+                letterplace_ideal_gens(PlaceWindow(alg.names, width), alg),
+                cap=width, n_letters=alg.n_letters)
+    assert counts == [16, 16, 16]
+
+
+def test_shift_built_basis_needs_shift_closed_generators():
+    """Input that is not exactly the window shifts of its place-0
+    generators names another ideal than their shifts do: a ValueError,
+    never a different basis."""
+    # over 2 letters x_a(p) is variable 2(p - 1) + a; `good` covers
+    # places 1 and 2, so at 4 places it has shifts to places 2-3 and 3-4
+    good = {((0, 1), (3, 1)): F.one, ((1, 1), (2, 1)): F.one}
+    shifted = [{shift_mono(m, 2 * c): x for m, x in good.items()}
+               for c in range(3)]
+    twice = {m: F.from_int(2) for m in shifted[1]}
+    for gens in ([good], shifted[1:], [good, shifted[1]],
+                 [good, twice, shifted[2]], shifted + [{((1, 1),): F.one}]):
+        with pytest.raises(ValueError, match="window shifts") as err:
+            ShiftRingGB(F, gens, cap=4, n_letters=2)
+        assert "\n" not in str(err.value)
+    built = ShiftRingGB(F, shifted[::-1] + [good], cap=4, n_letters=2)
+    assert _shape(built) == _shape(RingGB(F, shifted, cap=4, n_letters=2))
+    bad = {((0, 1), (3, 1)): F.one, ((0, 2),): F.neg(F.one)}
+    with pytest.raises(ValueError, match="place-multihomogeneous"):
+        ShiftRingGB(F, [bad], cap=2, n_letters=2)
+    with pytest.raises(ValueError, match="n_letters and cap"):
+        ShiftRingGB(F, [good], cap=4)
+
+
+def test_monomial_normal_forms_are_memoized_per_basis():
+    """mono_normal_form equals normal_form of the monomial, computes it
+    once per basis, and a restricted basis starts with an empty memo."""
+    alg = nilpotent_enveloping()
+    big = _told_basis(alg, 6)
+    ring = big.restrict(5, alg.n_letters)
+    assert ring._mono_nf == {} and big._mono_nf == {}
+    monos = [((0, 1), (3 + a, 1), (6 + b, 1)) for a in range(3)
+             for b in range(3)]
+    for m in monos:
+        nf = ring.mono_normal_form(m)
+        assert nf == ring.normal_form({m: F.one}), m
+        assert ring.mono_normal_form(m) is nf
+    assert set(ring._mono_nf) == set(monos)
+    assert big._mono_nf == {}
+    assert big.restrict(5, alg.n_letters)._mono_nf == {}

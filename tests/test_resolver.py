@@ -11,11 +11,11 @@ import pytest
 from helpers import augmentation_module, nilpotent_enveloping
 from ncres.field import rationals
 from ncres.freealg import AlgebraPresentation, ModulePresentation
-from ncres.letterplace import PlaceWindow, iota_poly, iota_word, \
+from ncres.letterplace import PlaceWindow, build_C, iota_poly, iota_word, \
     letterplace_ideal_gens
 import ncres.cli as cli
 import ncres.resolver as resolver
-from ncres.engine import RingGB
+from ncres.engine import RingGB, mono_mul
 from ncres.jsonio import parse_input, render_json, resolution_document
 from ncres.resolver import BettiTable, ResolutionRequest, betti_summary, \
     monomial_degree_bound, render_betti_text, resolve, syzygy_step
@@ -282,6 +282,53 @@ def test_every_step_ring_has_its_own_key_table(monkeypatch):
     tables = {id(ring.keys) for _, ring in pairs}
     assert len(tables) == len(pairs) and id(base.keys) not in tables
     assert all(len(ring.keys) for _, ring in pairs)
+
+
+@pytest.mark.parametrize("tshift", [True, False])
+def test_ev_image_matches_one_normal_form_per_component(monkeypatch, tshift):
+    """_ev_image sums memoized monomial normal forms; it must equal the
+    image that reduces each component's polynomial in one normal_form,
+    for every stair-frame vector and forced-block element of every step
+    of the flagship at D=7.  Every step ring starts with an empty memo
+    of its own, and the kept basis never fills one."""
+    frames, pairs = [], []
+    real_frame = resolver._stair_frame
+    monkeypatch.setattr(resolver, "_stair_frame",
+                        lambda enc, d: frames.append((enc, real_frame(enc, d)))
+                        or frames[-1][1])
+    real_restrict = RingGB.restrict
+
+    def recording_restrict(self, width, n_letters):
+        out = real_restrict(self, width, n_letters)
+        assert out._mono_nf == {}
+        pairs.append((self, out))
+        return out
+
+    monkeypatch.setattr(RingGB, "restrict", recording_restrict)
+    res = resolve(ResolutionRequest(augmentation_module(
+        nilpotent_enveloping()), degree_bound=7, length_bound=7,
+        tshift=tshift))
+
+    def oracle(enc, j, mono):
+        by_comp = {}
+        for (comp, gm), c in enc.gens_lp[j].items():
+            by_comp.setdefault(comp, {})[mono_mul(gm, mono)] = c
+        return {(comp, m): c for comp, poly in by_comp.items()
+                for m, c in enc.ring.normal_form(poly).items()}
+
+    checked = 0
+    for enc, frame in frames:
+        block = build_C(enc.win, enc.ring.field, enc.gen_degrees)
+        vectors = frame + [next(iter(elem)) for elem in block]
+        for j, mono in vectors:
+            assert resolver._ev_image(enc, j, mono) == oracle(enc, j, mono)
+        checked += len(vectors)
+    assert checked > 300 and len(frames) >= len(res.steps) > 3
+    assert len({id(base) for base, _ in pairs}) == 1
+    assert pairs[0][0]._mono_nf == {}
+    memos = {id(ring._mono_nf) for _, ring in pairs}
+    assert len(memos) == len(pairs)
+    assert all(ring._mono_nf for _, ring in pairs[1:])
 
 
 def _block_formula(alg, step, input_degrees):
