@@ -128,7 +128,7 @@ def letterplace_ideal_gens(win: PlaceWindow,
             raise ValueError("relations must be homogeneous")
         for shift in range(win.width - d + 1):
             gens.append(iota_poly(win, f, shift))
-    L = win.n_letters
+    L, one = win.n_letters, alg.field.from_int(1)
     for place0 in range(win.width):
         base = place0 * L
         for i in range(L):
@@ -137,7 +137,7 @@ def letterplace_ideal_gens(win: PlaceWindow,
                     mono: LpMono = ((base + i, 2),)
                 else:
                     mono = ((base + i, 1), (base + j, 1))
-                gens.append({mono: alg.field.one})
+                gens.append({mono: one})
     return gens
 
 

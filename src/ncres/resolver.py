@@ -32,20 +32,36 @@ over the letterplace ring it forms no pair whose lcm holds a variable
 below its component's shift, so it works modulo the block (syzygy
 docstring), and the block is built only to be checked and counted.  The
 raw syzygies of degree d it does not yet contain mark a degree that
-needs generators, which the stair frame supplies: its RREF rows, walked
-from the last pivot to the first, are kept when their normal form is
-non-zero, and that normal form joins the basis.  A pivot is already
-spanned exactly when its row lies in the basis plus the rows after it,
-so this keeps the rows whose pivots the spanned part lacks, emitted in
-ascending pivot order.  Then every raw syzygy of degree d must reduce to
-zero.  That check certifies the step: the emitted generators and the
-block span the syzygy module through the window and are independent
-modulo lower degrees, so their count per degree is the Betti number.
+needs generators, and the raw syzygies also supply that degree's stair
+subspace: it is spanned by the rows NF(r * u), for every raw syzygy r of
+degree at most d and every standard plain word u on places deg r ..
+d - 1.  The syzygy module is graded by places, and by the places that
+hold the reserved letter past a component's prefix: the ring's relations
+are plain, and an encoded generator holds the letter exactly on its
+prefix.  The stair subspace is its part that covers places 0 .. d - 1
+once each and holds no reserved letter past a prefix.  The raw syzygies
+generate the module modulo the forced block, each is homogeneous and
+plain (an S-pair's cofactors divide leads of one component, whose
+reserved letters lie on its prefix), and no block element covers each
+place once (each holds a doubled place); so that part is the sum of r
+times the plain words on the places r leaves free.  The RREF of the
+rows, keyed (component, monomial) in natural order, is the unique RREF
+of the stair subspace, so it does not depend on which rows span it.
+Its rows, walked from the last pivot to the first, are kept when their
+normal form is non-zero, and that normal form joins the basis.  A pivot
+is already spanned exactly when its row lies in the basis plus the rows
+after it, so this keeps the rows whose pivots the spanned part lacks,
+emitted in ascending pivot order.  Then two checks certify the step: every kept row
+must evaluate to zero against the encoded generators, and every raw
+syzygy of degree d must reduce to zero.  A raw syzygy that is not one
+would leave a kept row that is not one, since everything the basis holds
+is spanned by kept rows and the block.  So the emitted generators and
+the block span the syzygy module through the window and are independent
+modulo lower degrees, and their count per degree is the Betti number.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -57,7 +73,7 @@ from .homog import HomogenizationContext, eta_apply, homogenization_context
 from .letterplace import (LpModElem, PlaceWindow, WindowTooSmall, build_C,
                           iota_inverse_word, iota_module_elem,
                           letterplace_ideal_gens)
-from .linalg import _eliminate, rref
+from .linalg import rref
 from .syzygy import (ModuleGB, elem_sdeg, minimalize_graded,
                      syzygies_over_quotient)
 
@@ -173,76 +189,106 @@ def _check_forced_block(enc: _StepEncoding,
     return hist
 
 
-def _stair_frame(enc: _StepEncoding, degree: int) -> List[Tuple[int, tuple]]:
-    """Coordinate frame for degree-`degree` syzygies whose coefficients
-    are plain words: pairs (component j, encoded normal word of length
-    degree - deg_j over the original letters, starting after the
-    generator's places)."""
-    frame: List[Tuple[int, tuple]] = []
-    L = enc.win.n_letters
-    total = 0
-    for j, dj in enumerate(enc.gen_degrees):
-        k = degree - dj
-        if k < 0 or degree > enc.win.width:
-            continue
-        total += enc.n_base ** k
-        if total > STAIR_GUARD:
-            raise ResourceLimit(
-                f"stair frame beyond {STAIR_GUARD} columns at degree "
-                f"{degree}; this instance is out of desk scale")
-        for u in itertools.product(range(enc.n_base), repeat=k):
-            mono = tuple(((dj + p) * L + a, 1) for p, a in enumerate(u))
-            if enc.ring._find(mono) is None:
-                frame.append((j, mono))
-    return frame
-
-
-def _frame_kernel(field, images: Sequence[dict]):
-    """RREF basis of {w : sum_s w_s * images[s] = 0} in frame coordinates,
-    rows in ascending pivot order.
-
-    Augment each image row with a unit tag and eliminate forward with
-    image columns first: the rows whose pivot is a tag are supported on
-    tags alone and span the kernel.  Only they are back-substituted, into
-    the kernel's own RREF; the image-pivot rows are dropped unreduced.
-    """
-    rows = []
-    for pos, img in enumerate(images):
-        row = {(0, key): c for key, c in img.items()}
-        row[(1, pos)] = field.one
-        rows.append(row)
-    echelon = _eliminate(rows, field, lambda c: c)
-    kernel = [{key[1]: c for key, c in row.items()}
-              for piv, row in echelon.items() if piv[0] == 1]
-    return rref(kernel, field)[0]
-
-
-def _ev_image(enc: _StepEncoding, j: int, mono: tuple) -> dict:
-    """Image of the frame vector e_j * mono under evaluation against the
-    encoded generators, in normal-form coordinates: each component's
-    coefficient reduced modulo the ring.  Normal forms are linear, so the
-    image sums the terms' monomial normal forms, which the ring memoizes:
+def _nf_sum(ring: RingGB, terms) -> dict:
+    """Sum of c * NF(m) in component comp over the (comp, m, c) of
+    `terms`, keyed (component, monomial).  Normal forms are linear, so the
+    sum adds the terms' monomial normal forms, which the ring memoizes:
     each distinct monomial is reduced once per step.  A monomial in its
     own normal form is standard, and that normal form is the monomial
     itself, so its coefficient is taken as it is."""
-    ring = enc.ring
     add, mul, zero = ring.field.add, ring.field.mul, ring.field.zero
-    image: dict = {}
-    for (comp, gm), c in enc.gens_lp[j].items():
-        m = mono_mul(gm, mono)
+    out: dict = {}
+    for comp, m, c in terms:
         nf = ring.mono_normal_form(m)
         for n, x in ((m, c),) if m in nf else \
                 [(n, mul(c, a)) for n, a in nf.items()]:
             key = (comp, n)
-            if key not in image:
-                image[key] = x
+            if key not in out:
+                out[key] = x
             else:
-                s = add(image[key], x)
+                s = add(out[key], x)
                 if s == zero:
-                    del image[key]
+                    del out[key]
                 else:
-                    image[key] = s
-    return image
+                    out[key] = s
+    return out
+
+
+def _ev_image(enc: _StepEncoding, j: int, mono: tuple) -> dict:
+    """Image of the column e_j * mono under evaluation against the
+    encoded generators, in normal-form coordinates: each component's
+    coefficient reduced modulo the ring (_nf_sum)."""
+    return _nf_sum(enc.ring, ((comp, mono_mul(gm, mono), c)
+                              for (comp, gm), c in enc.gens_lp[j].items()))
+
+
+def _normal_words(enc: _StepEncoding, start: int, stop: int) -> List[tuple]:
+    """The standard monomials of the plain words (original letters only)
+    on places start .. stop - 1, in ascending order.  A word with a
+    reducible prefix is reducible, so each place extends only the
+    standard words of the places before it."""
+    L, ring = enc.win.n_letters, enc.ring
+    words: List[tuple] = [()]
+    for p in range(start, stop):
+        words = [w for u in words
+                 for w in (u + ((p * L + a, 1),) for a in range(enc.n_base))
+                 if ring._find(w) is None]
+        if len(words) > STAIR_GUARD:
+            raise ResourceLimit(
+                f"more than {STAIR_GUARD} stair words on places {start + 1}"
+                f"..{stop}; this instance is out of desk scale")
+    return words
+
+
+def _stair_rows(enc: _StepEncoding, raw: Sequence[Tuple[LpModElem, int]],
+                degree: int) -> List[dict]:
+    """RREF basis, rows in ascending pivot order, of the degree-`degree`
+    syzygies whose coefficients are plain words, keyed (component j,
+    encoded word on places deg(g_j) .. degree - 1): the span of NF(r * u)
+    over the (r, deg r) of `raw` with deg r <= degree and the standard
+    plain words u on places deg r .. degree - 1 (module docstring).  A
+    reducible u is a combination of smaller standard words modulo the
+    ring, so its row is one of theirs."""
+    rows: List[dict] = []
+    words_at: Dict[int, List[tuple]] = {}
+    for r, dr in raw:
+        if dr > degree:
+            continue
+        words = words_at.get(dr)
+        if words is None:
+            words = words_at[dr] = _normal_words(enc, dr, degree)
+        if len(rows) + len(words) > STAIR_GUARD:
+            raise ResourceLimit(
+                f"more than {STAIR_GUARD} stair rows at degree {degree}; "
+                f"this instance is out of desk scale")
+        rows += [_nf_sum(enc.ring, ((j, mono_mul(m, u), c)
+                                    for (j, m), c in r.items()))
+                 for u in words]
+    return rref(rows, enc.ring.field)[0]
+
+
+def _check_syzygies(enc: _StepEncoding, elems: Sequence[LpModElem],
+                    degree: int) -> None:
+    """Every element of `elems` must evaluate to zero against the encoded
+    generators: in each component, the sum of c * g_j * mono over its
+    terms (j, mono) must reduce to zero modulo the ring.  The sum is
+    formed before it is reduced, so its cancellations cost nothing."""
+    field = enc.ring.field
+    add, mul, zero = field.add, field.mul, field.zero
+    for elem in elems:
+        image: Dict[int, dict] = {}
+        for (j, mono), c in elem.items():
+            for (comp, gm), cg in enc.gens_lp[j].items():
+                poly = image.setdefault(comp, {})
+                m = mono_mul(gm, mono)
+                s = add(poly.get(m, zero), mul(c, cg))
+                if s == zero:
+                    poly.pop(m, None)
+                else:
+                    poly[m] = s
+        if any(enc.ring.normal_form(p) for p in image.values()):
+            raise AssertionError(
+                f"stair row at degree {degree} is not a syzygy")
 
 
 @dataclass
@@ -275,8 +321,9 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
         enc, build_C(enc.win, field, enc.gen_degrees))
 
     # one degree-ordered pass over the raw syzygies' degrees
+    raw_deg = list(zip(raw.generators, raw.degrees))
     raw_at: Dict[int, List[LpModElem]] = {}
-    for e, d in zip(raw.generators, raw.degrees):
+    for e, d in raw_deg:
         raw_at.setdefault(d, []).append(e)
     gb = ModuleGB(enc.ring, enc.gen_degrees)
     hist_rest: Counter = Counter()
@@ -287,16 +334,14 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
         new = [e for e in raw_at[d] if gb.normal_form(e)]
         if not new:
             continue
-        frame = _stair_frame(enc, d)
-        rows = _frame_kernel(
-            field, [_ev_image(enc, j, mono) for j, mono in frame])
         fresh = []
-        for row in reversed(rows):  # last pivot first
-            lp_elem = {frame[pos]: c for pos, c in row.items()}
-            nf = gb.normal_form(lp_elem)
+        # last pivot first
+        for row in reversed(_stair_rows(enc, raw_deg, d)):
+            nf = gb.normal_form(row)
             if nf:
                 gb.add_generator(nf)
-                fresh.append(lp_elem)
+                fresh.append(row)
+        _check_syzygies(enc, fresh, d)
         for lp_elem in reversed(fresh):  # ascending pivots
             nc = {(j, iota_inverse_word(enc.win, mono, enc.gen_degrees[j])): c
                   for (j, mono), c in lp_elem.items()}
@@ -305,7 +350,8 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
         gb.complete_to(d)
         if any(gb.normal_form(e) for e in new):
             raise AssertionError(
-                f"stair frame at degree {d} does not generate the syzygies")
+                f"stair subspace at degree {d} does not generate the "
+                "syzygies")
         hist_rest[d] = len(fresh)
 
     restore = lambda h: {d + enc.offset: v for d, v in h.items() if v}

@@ -45,7 +45,7 @@ Proof that nothing is lost.  Call a main term of shifted degree d in
 component c letterplace when its monomial covers places shifts[c] ..
 d - 1, one letter at each, and a ghost term eps_j*u letterplace when u
 covers places deg(g_j) .. d - 1.  The encoded generators, their ghost
-units and the resolver's stair-frame rows are letterplace, and ring
+units and the resolver's stair rows are letterplace, and ring
 reduction keeps each term's places.  So when a pair's lcm passes the
 rule, its S-polynomial and that S-polynomial's normal form are
 letterplace: by induction every element is.  When it fails, a cofactor
@@ -56,7 +56,7 @@ term is a multiple of a forced-block element e_k*x(p), p < deg(g_k)
 (letterplace.build_C): in the single pass directly, in a collecting
 basis as a ghost term beside a main part that is zero, so the pair's
 syzygy lies in the block.  The terms below a floor span a monomial
-submodule B that no element, raw syzygy or frame row meets.  So over a
+submodule B that no element, raw syzygy or stair row meets.  So over a
 told ring syzygies_over_quotient returns generators of the syzygy module
 modulo B, and no ghost term of a raw syzygy lies below its generator's
 degree; the single pass runs Buchberger in the free module modulo B
@@ -287,7 +287,7 @@ def syzygies_over_quotient(ring: RingGB, gens: Sequence[ModElem],
     coefficients in normal form modulo the ring."""
     gen_degs = [elem_sdeg(main_shifts, g) for g in gens]
     gb = ModuleGB(ring, main_shifts)
-    one = ring.field.one
+    one = ring.field.from_int(1)  # an int over Q, where field.one is not
     for j, g in enumerate(gens):  # g_j carries the unit of ghost eps_j
         gb.add_generator({**g, (len(main_shifts) + j, ()): one})
     gb.complete_to(ring.cap)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from ncres.field import rationals
 from ncres.freealg import (AlgebraPresentation, ModulePresentation,
                            validate_presentation)
+from ncres.linalg import _eliminate, rref
+from ncres.resolver import _ev_image
 
 
 def nilpotent_enveloping() -> AlgebraPresentation:
@@ -97,3 +100,49 @@ def nonmonomial_modules(seed, count):
         if any(len(r) > 1 for r in alg.relations):
             out.append(mod)
     return out
+
+
+# --- the evaluation kernel: the stair subspace computed without syzygies --
+
+def stair_frame(enc, degree):
+    """Coordinate frame for degree-`degree` syzygies whose coefficients
+    are plain words: pairs (component j, encoded normal word of length
+    degree - deg_j over the original letters, starting after the
+    generator's places), in ascending order."""
+    frame = []
+    L = enc.win.n_letters
+    for j, dj in enumerate(enc.gen_degrees):
+        k = degree - dj
+        if k < 0 or degree > enc.win.width:
+            continue
+        for u in itertools.product(range(enc.n_base), repeat=k):
+            mono = tuple(((dj + p) * L + a, 1) for p, a in enumerate(u))
+            if enc.ring._find(mono) is None:
+                frame.append((j, mono))
+    return frame
+
+
+def frame_kernel(field, images):
+    """RREF basis of {w : sum_s w_s * images[s] = 0} in frame positions,
+    rows in ascending pivot order: each image row is augmented with a unit
+    tag and eliminated with image columns first, so the rows whose pivot
+    is a tag span the kernel."""
+    rows = []
+    for pos, img in enumerate(images):
+        row = {(0, key): c for key, c in img.items()}
+        row[(1, pos)] = field.one
+        rows.append(row)
+    echelon = _eliminate(rows, field, lambda c: c)
+    kernel = [{key[1]: c for key, c in row.items()}
+              for piv, row in echelon.items() if piv[0] == 1]
+    return rref(kernel, field)[0]
+
+
+def evaluated_stair_rows(enc, degree):
+    """The RREF basis of the degree-`degree` stair subspace, keyed
+    (component, monomial), read off the kernel of evaluation on the
+    whole stair frame."""
+    frame = stair_frame(enc, degree)
+    rows = frame_kernel(enc.ring.field,
+                        [_ev_image(enc, j, mono) for j, mono in frame])
+    return [{frame[pos]: c for pos, c in row.items()} for row in rows]

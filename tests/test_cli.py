@@ -150,15 +150,15 @@ def test_internal_invariant_violation_exits_4(tmp_path, capsys,
 
 def test_resource_limit_exits_5(tmp_path, capsys, monkeypatch):
     def too_big(req):
-        raise ResourceLimit("stair frame beyond 10000 columns at degree 9")
+        raise ResourceLimit("more than 10000 stair rows at degree 9")
 
     monkeypatch.setattr(cli, "resolve", too_big)
     rc = cli.main(["resolve", write(tmp_path, SQUARE)])
     captured = capsys.readouterr()
     assert rc == 5
     assert captured.out == ""
-    assert captured.err == ("error: resource limit: stair frame beyond "
-                            "10000 columns at degree 9\n")
+    assert captured.err == ("error: resource limit: more than 10000 "
+                            "stair rows at degree 9\n")
 
 
 def test_timings_populated_only_on_request(tmp_path, capsys):

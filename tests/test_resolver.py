@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from helpers import augmentation_module, nilpotent_enveloping
+from helpers import (augmentation_module, evaluated_stair_rows,
+                     nilpotent_enveloping, random_module,
+                     random_presentation, stair_frame)
 from ncres.field import rationals
-from ncres.freealg import AlgebraPresentation, ModulePresentation
+from ncres.freealg import (AlgebraPresentation, ModulePresentation,
+                           validate_presentation)
 from ncres.letterplace import PlaceWindow, build_C, iota_poly, iota_word, \
     letterplace_ideal_gens
 import ncres.cli as cli
@@ -166,14 +170,60 @@ def test_forced_block_non_syzygy_is_an_internal_error(monkeypatch, tmp_path,
 
 
 def test_incomplete_stair_frame_is_an_internal_error(monkeypatch):
-    stair_frame = resolver._stair_frame
-    # keep only the columns of the first component
-    monkeypatch.setattr(resolver, "_stair_frame",
-                        lambda enc, d: [col for col in stair_frame(enc, d)
-                                        if col[0] == 0])
+    stair_rows = resolver._stair_rows
+    # keep only the rows supported on the first component
+    monkeypatch.setattr(resolver, "_stair_rows",
+                        lambda enc, raw, d: [row for row in
+                                             stair_rows(enc, raw, d)
+                                             if all(j == 0 for j, _ in row)])
     gens = [{(0, (0,)): ONE}, {(0, (1,)): ONE}]
     with pytest.raises(AssertionError, match="does not generate"):
         syzygy_step(_poly_ring_2(), [0], gens, window=3)
+
+
+def _with_non_syzygy(monkeypatch):
+    """Append to every step's raw syzygies one that is not: component 0
+    times the first letter just past generator 0's places."""
+    real = resolver.syzygies_over_quotient
+
+    def injected(ring, gens, shifts):
+        raw = real(ring, gens, shifts)
+        d0 = sum(e for _, m in gens[0] for _, e in m)
+        mono = ((d0 * ring.n_letters, 1),)
+        raw.generators.append({(0, mono): ring.field.one})
+        raw.degrees.append(d0 + 1)
+        return raw
+
+    monkeypatch.setattr(resolver, "syzygies_over_quotient", injected)
+
+
+def test_raw_non_syzygy_is_an_internal_error(monkeypatch, capsys):
+    """A raw syzygy that does not evaluate to zero reaches the stair rows;
+    the kept rows are evaluated, so it is caught there, in resolve() and
+    as exit 4 from the CLI."""
+    _with_non_syzygy(monkeypatch)
+    with pytest.raises(AssertionError,
+                       match="stair row at degree 2 is not a syzygy"):
+        resolve(ResolutionRequest(augmentation_module(_poly_ring_2()),
+                                  degree_bound=3, length_bound=3))
+    rc = cli.main(["resolve", str(FLAGSHIP), "--degree-bound", "5"])
+    captured = capsys.readouterr()
+    assert rc == 4 and captured.out == ""
+    assert captured.err.startswith("error: internal invariant violated")
+    assert "stair row at degree 2 is not a syzygy" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_stair_guard_exits_5_on_a_real_resolve(monkeypatch, capsys):
+    """Past STAIR_GUARD stair rows or words, a real resolve of the
+    flagship stops with exit 5 and one line, before any output."""
+    monkeypatch.setattr(resolver, "STAIR_GUARD", 5)
+    rc = cli.main(["resolve", str(FLAGSHIP), "--degree-bound", "6"])
+    captured = capsys.readouterr()
+    assert rc == 5 and captured.out == ""
+    assert captured.err.startswith("error: resource limit: more than 5 "
+                                   "stair ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def _module_container_sizes():
@@ -207,7 +257,7 @@ def test_resolve_leaves_no_key_cache_behind():
 FLAGSHIP = Path(__file__).resolve().parent / "data" / "flagship.json"
 
 
-def test_explicit_bound_runs_buchberger_once(monkeypatch):
+def test_explicit_bound_builds_the_ring_basis_once(monkeypatch):
     """With an explicit degree bound the input minimalization and all six
     steps of the flagship restrict one basis, built from the generators
     of step 1's window; no step encodes the relations of its own."""
@@ -288,14 +338,15 @@ def test_every_step_ring_has_its_own_key_table(monkeypatch):
 def test_ev_image_matches_one_normal_form_per_component(monkeypatch, tshift):
     """_ev_image sums memoized monomial normal forms; it must equal the
     image that reduces each component's polynomial in one normal_form,
-    for every stair-frame vector and forced-block element of every step
-    of the flagship at D=7.  Every step ring starts with an empty memo
-    of its own, and the kept basis never fills one."""
-    frames, pairs = [], []
-    real_frame = resolver._stair_frame
-    monkeypatch.setattr(resolver, "_stair_frame",
-                        lambda enc, d: frames.append((enc, real_frame(enc, d)))
-                        or frames[-1][1])
+    for every forced-block element and every column of an emitted
+    generator of every step of the flagship at D=7.  Every step ring
+    starts with an empty memo of its own, and the kept basis never fills
+    one."""
+    encs, pairs = [], []
+    real_check = resolver._check_forced_block
+    monkeypatch.setattr(resolver, "_check_forced_block",
+                        lambda enc, block: encs.append((enc, block))
+                        or real_check(enc, block))
     real_restrict = RingGB.restrict
 
     def recording_restrict(self, width, n_letters):
@@ -317,18 +368,73 @@ def test_ev_image_matches_one_normal_form_per_component(monkeypatch, tshift):
                 for m, c in enc.ring.normal_form(poly).items()}
 
     checked = 0
-    for enc, frame in frames:
-        block = build_C(enc.win, enc.ring.field, enc.gen_degrees)
-        vectors = frame + [next(iter(elem)) for elem in block]
+    assert len(encs) == len(res.steps) > 3
+    for (enc, block), step in zip(encs, res.steps):
+        emitted = {(j, iota_word(enc.win, w, enc.gen_degrees[j]))
+                   for gen in step.generators for j, w in gen}
+        vectors = sorted(emitted) + [next(iter(elem)) for elem in block]
         for j, mono in vectors:
             assert resolver._ev_image(enc, j, mono) == oracle(enc, j, mono)
         checked += len(vectors)
-    assert checked > 300 and len(frames) >= len(res.steps) > 3
+    assert checked > 300
     assert len({id(base) for base, _ in pairs}) == 1
     assert pairs[0][0]._mono_nf == {}
     memos = {id(ring._mono_nf) for _, ring in pairs}
     assert len(memos) == len(pairs)
     assert all(ring._mono_nf for _, ring in pairs[1:])
+
+
+def _recorded_stair_rows(monkeypatch, req):
+    """(enc, degree, rows) of every _stair_rows call of a resolve."""
+    calls = []
+    real = resolver._stair_rows
+    monkeypatch.setattr(resolver, "_stair_rows",
+                        lambda enc, raw, d: calls.append(
+                            (enc, d, real(enc, raw, d))) or calls[-1][2])
+    resolve(req)
+    return calls
+
+
+def _assert_rows_match_evaluation(calls):
+    for enc, d, rows in calls:
+        frame = stair_frame(enc, d)
+        assert frame == sorted(frame)  # frame positions are key order
+        assert rows == evaluated_stair_rows(enc, d)
+
+
+@pytest.mark.parametrize("field", ["Q", {"Fp": 32003}])
+@pytest.mark.parametrize("tshift", [True, False])
+def test_stair_rows_equal_the_evaluation_kernel_on_the_flagship(
+        monkeypatch, field, tshift):
+    """The RREF of NF(r * u) over the raw syzygies r is the RREF of the
+    kernel of evaluation on the whole stair frame, at every marked degree
+    of every step of the flagship at D=7."""
+    doc = json.loads(FLAGSHIP.read_text(encoding="utf-8"))
+    doc["field"] = field
+    mod = parse_input(json.dumps(doc))
+    calls = _recorded_stair_rows(monkeypatch, ResolutionRequest(
+        mod, degree_bound=7, length_bound=7, tshift=tshift))
+    assert len(calls) >= 4 and len({id(enc) for enc, _, _ in calls}) == 3
+    _assert_rows_match_evaluation(calls)
+
+
+def test_stair_rows_equal_the_evaluation_kernel_on_random_algebras(
+        monkeypatch):
+    """The same equality on 20 random presentations, compression on and
+    off, over a random module each."""
+    rng = random.Random(20261019)
+    seen = 0
+    for _ in range(20):
+        alg = random_presentation(rng, max_rel_deg=3)
+        mod = random_module(rng, alg)
+        if validate_presentation(mod):
+            mod = augmentation_module(alg)
+        for tshift in (True, False):
+            calls = _recorded_stair_rows(monkeypatch, ResolutionRequest(
+                mod, degree_bound=6, length_bound=4, tshift=tshift))
+            _assert_rows_match_evaluation(calls)
+            seen += len(calls)
+    assert seen > 40
 
 
 def _block_formula(alg, step, input_degrees):
