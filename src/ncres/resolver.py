@@ -26,38 +26,41 @@ already generated by the forced block and lower-degree output.  Both
 spaces are intrinsic to the module data, so the result is independent of
 whether the window was narrowed.
 
-Minimalization and canonicalization share one module Groebner basis,
-grown over the raw syzygies' degrees.  It never holds the forced block:
-over the letterplace ring it forms no pair whose lcm holds a variable
-below its component's shift, so it works modulo the block (syzygy
+The step's one module Groebner basis is the collecting one
+(syzygies_over_quotient); canonicalization is row elimination on top of
+it.  That basis never holds the forced block: over the letterplace ring
+it forms no pair whose lcm holds a variable below its component's shift,
+so its raw syzygies generate the syzygy module modulo the block (syzygy
 docstring), and the block is built only to be checked and counted.  The
-raw syzygies of degree d it does not yet contain mark a degree that
-needs generators, and the raw syzygies also supply that degree's stair
-subspace: it is spanned by the rows NF(r * u), for every raw syzygy r of
-degree at most d and every standard plain word u on places deg r ..
-d - 1.  The syzygy module is graded by places, and by the places that
-hold the reserved letter past a component's prefix: the ring's relations
-are plain, and an encoded generator holds the letter exactly on its
-prefix.  The stair subspace is its part that covers places 0 .. d - 1
-once each and holds no reserved letter past a prefix.  The raw syzygies
-generate the module modulo the forced block, each is homogeneous and
-plain (an S-pair's cofactors divide leads of one component, whose
-reserved letters lie on its prefix), and no block element covers each
-place once (each holds a doubled place); so that part is the sum of r
-times the plain words on the places r leaves free.  The RREF of the
-rows, keyed (component, monomial) in natural order, is the unique RREF
-of the stair subspace, so it does not depend on which rows span it.
-Its rows, walked from the last pivot to the first, are kept when their
-normal form is non-zero, and that normal form joins the basis.  A pivot
-is already spanned exactly when its row lies in the basis plus the rows
-after it, so this keeps the rows whose pivots the spanned part lacks,
-emitted in ascending pivot order.  Then two checks certify the step: every kept row
-must evaluate to zero against the encoded generators, and every raw
-syzygy of degree d must reduce to zero.  A raw syzygy that is not one
-would leave a kept row that is not one, since everything the basis holds
-is spanned by kept rows and the block.  So the emitted generators and
-the block span the syzygy module through the window and are independent
-modulo lower degrees, and their count per degree is the Betti number.
+raw syzygies also supply each degree's stair subspace V_d: it is spanned
+by the rows NF(r * u), for every raw syzygy r of degree at most d and
+every standard plain word u on places deg r .. d - 1.  The syzygy module
+is graded by places, and by the places that hold the reserved letter
+past a component's prefix: the ring's relations are plain, and an
+encoded generator holds the letter exactly on its prefix.  The stair
+subspace is its part that covers places 0 .. d - 1 once each and holds
+no reserved letter past a prefix.  The raw syzygies generate the module
+modulo the forced block, each is homogeneous and plain (an S-pair's
+cofactors divide leads of one component, whose reserved letters lie on
+its prefix), and no block element covers each place once (each holds a
+doubled place); so that part is the sum of r times the plain words on
+the places r leaves free.  The RREF of the rows, keyed (component,
+monomial) in natural order, is the unique RREF of V_d, so it does not
+depend on which rows span it.  By the same argument the part of V_d
+that the output of lower degree generates, U_d, is spanned by the rows
+NF(o * u) over the emitted rows o.  A degree whose raw syzygies lie in
+U_d needs no generators.  Otherwise the kept rows are the RREF rows of
+V_d whose pivot is no pivot of U_d, emitted in ascending pivot order: a
+vector of V_d leads at the pivot of the first RREF row it uses, so row
+v_i lies in U_d plus the rows after it exactly when some vector of U_d
+leads at its pivot, and the kept rows are a basis of V_d modulo U_d.
+Then two checks certify the step: every kept row must evaluate to zero
+against the encoded generators, and U_d and the raw syzygies of degree
+d must add no pivot to V_d.  The second makes V_d the sum of U_d and
+the kept rows, so every raw syzygy is spanned by checked rows and
+multiples of earlier ones.  So the emitted generators and the block
+span the syzygy module through the window and are independent modulo
+lower degrees, and their count per degree is the Betti number.
 """
 
 from __future__ import annotations
@@ -66,16 +69,15 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .engine import RingGB, ShiftRingGB, mono_mul
+from .engine import RingGB, ShiftRingGB, mono_mul, place_collision
 from .freealg import (AlgebraPresentation, ModulePresentation, NcModElem,
                       elem_degree, homogeneous_degree, validate_presentation)
 from .homog import HomogenizationContext, eta_apply, homogenization_context
 from .letterplace import (LpModElem, PlaceWindow, WindowTooSmall, build_C,
                           iota_inverse_word, iota_module_elem,
                           letterplace_ideal_gens)
-from .linalg import rref
-from .syzygy import (ModuleGB, elem_sdeg, minimalize_graded,
-                     syzygies_over_quotient)
+from .linalg import _eliminate, rref
+from .syzygy import elem_sdeg, minimalize_graded, syzygies_over_quotient
 
 STAIR_GUARD = 10_000
 
@@ -174,11 +176,8 @@ def _check_forced_block(enc: _StepEncoding,
     elements in degree deg(g_j) + 1 for each generator g_j."""
     if len({next(iter(elem)) for elem in block}) != len(block):
         raise AssertionError("forced-block element is redundant")
-    for elem in block:
-        j, mono = next(iter(elem))
-        if _ev_image(enc, j, mono):
-            raise AssertionError(
-                "forced-block element is not a syzygy; encoding broken")
+    _check_syzygies(enc, block,
+                    "forced-block element is not a syzygy; encoding broken")
     hist = Counter(elem_sdeg(enc.gen_degrees, e) for e in block)
     expected: Counter = Counter()
     for dj in enc.gen_degrees:
@@ -214,14 +213,6 @@ def _nf_sum(ring: RingGB, terms) -> dict:
     return out
 
 
-def _ev_image(enc: _StepEncoding, j: int, mono: tuple) -> dict:
-    """Image of the column e_j * mono under evaluation against the
-    encoded generators, in normal-form coordinates: each component's
-    coefficient reduced modulo the ring (_nf_sum)."""
-    return _nf_sum(enc.ring, ((comp, mono_mul(gm, mono), c)
-                              for (comp, gm), c in enc.gens_lp[j].items()))
-
-
 def _normal_words(enc: _StepEncoding, start: int, stop: int) -> List[tuple]:
     """The standard monomials of the plain words (original letters only)
     on places start .. stop - 1, in ascending order.  A word with a
@@ -240,18 +231,21 @@ def _normal_words(enc: _StepEncoding, start: int, stop: int) -> List[tuple]:
     return words
 
 
-def _stair_rows(enc: _StepEncoding, raw: Sequence[Tuple[LpModElem, int]],
+def _stair_rows(enc: _StepEncoding,
+                sources: Sequence[Tuple[LpModElem, int]],
                 degree: int) -> List[dict]:
-    """RREF basis, rows in ascending pivot order, of the degree-`degree`
-    syzygies whose coefficients are plain words, keyed (component j,
-    encoded word on places deg(g_j) .. degree - 1): the span of NF(r * u)
-    over the (r, deg r) of `raw` with deg r <= degree and the standard
-    plain words u on places deg r .. degree - 1 (module docstring).  A
+    """RREF basis, rows in ascending pivot order, of the span of
+    NF(r * u) over the (r, deg r) of `sources` with deg r <= degree and
+    the standard plain words u on places deg r .. degree - 1, keyed
+    (component j, encoded word on places deg(g_j) .. degree - 1).  Over
+    the raw syzygies that is the stair subspace V_d, the degree-`degree`
+    syzygies whose coefficients are plain words; over the output of lower
+    degree, its part U_d that output generates (module docstring).  A
     reducible u is a combination of smaller standard words modulo the
     ring, so its row is one of theirs."""
     rows: List[dict] = []
     words_at: Dict[int, List[tuple]] = {}
-    for r, dr in raw:
+    for r, dr in sources:
         if dr > degree:
             continue
         words = words_at.get(dr)
@@ -268,27 +262,40 @@ def _stair_rows(enc: _StepEncoding, raw: Sequence[Tuple[LpModElem, int]],
 
 
 def _check_syzygies(enc: _StepEncoding, elems: Sequence[LpModElem],
-                    degree: int) -> None:
+                    message: str) -> None:
     """Every element of `elems` must evaluate to zero against the encoded
-    generators: in each component, the sum of c * g_j * mono over its
-    terms (j, mono) must reduce to zero modulo the ring.  The sum is
-    formed before it is reduced, so its cancellations cost nothing."""
+    generators, or AssertionError(message) is raised: in each component,
+    the sum of c * g_j * mono over its terms (j, mono) must reduce to
+    zero modulo the ring.  The sum is formed before it is reduced, so its
+    cancellations cost nothing.  A product holding a place collision is
+    zero in the ring (engine docstring) and is dropped as it is formed,
+    so a forced-block element, whose products all collide, costs no
+    reduction."""
     field = enc.ring.field
     add, mul, zero = field.add, field.mul, field.zero
+    L = enc.win.n_letters
     for elem in elems:
         image: Dict[int, dict] = {}
         for (j, mono), c in elem.items():
             for (comp, gm), cg in enc.gens_lp[j].items():
-                poly = image.setdefault(comp, {})
                 m = mono_mul(gm, mono)
+                if place_collision(m, L):
+                    continue
+                poly = image.setdefault(comp, {})
                 s = add(poly.get(m, zero), mul(c, cg))
                 if s == zero:
                     poly.pop(m, None)
                 else:
                     poly[m] = s
         if any(enc.ring.normal_form(p) for p in image.values()):
-            raise AssertionError(
-                f"stair row at degree {degree} is not a syzygy")
+            raise AssertionError(message)
+
+
+def _spans(pivots: dict, rows: Sequence[dict], field) -> bool:
+    """Whether every row lies in the span of the echelon rows `pivots`,
+    a pivot map {pivot: row} as linalg._eliminate keeps them."""
+    return len(_eliminate(rows, field, lambda c: c, dict(pivots))) == \
+        len(pivots)
 
 
 @dataclass
@@ -320,38 +327,33 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
     hist_block = _check_forced_block(
         enc, build_C(enc.win, field, enc.gen_degrees))
 
-    # one degree-ordered pass over the raw syzygies' degrees
     raw_deg = list(zip(raw.generators, raw.degrees))
     raw_at: Dict[int, List[LpModElem]] = {}
     for e, d in raw_deg:
         raw_at.setdefault(d, []).append(e)
-    gb = ModuleGB(enc.ring, enc.gen_degrees)
+    emitted: List[Tuple[LpModElem, int]] = []
     hist_rest: Counter = Counter()
     out_elems: List[NcModElem] = []
     out_degrees: List[int] = []
     for d in sorted(raw_at):
-        gb.complete_to(d)
-        new = [e for e in raw_at[d] if gb.normal_form(e)]
-        if not new:
+        # U_d: the stair rows the output of lower degree generates
+        lower = {min(row): row for row in _stair_rows(enc, emitted, d)}
+        if _spans(lower, raw_at[d], field):
             continue
-        fresh = []
-        # last pivot first
-        for row in reversed(_stair_rows(enc, raw_deg, d)):
-            nf = gb.normal_form(row)
-            if nf:
-                gb.add_generator(nf)
-                fresh.append(row)
-        _check_syzygies(enc, fresh, d)
-        for lp_elem in reversed(fresh):  # ascending pivots
-            nc = {(j, iota_inverse_word(enc.win, mono, enc.gen_degrees[j])): c
-                  for (j, mono), c in lp_elem.items()}
-            out_elems.append(nc)
-            out_degrees.append(d + enc.offset)
-        gb.complete_to(d)
-        if any(gb.normal_form(e) for e in new):
+        stair = _stair_rows(enc, raw_deg, d)
+        fresh = [row for row in stair if min(row) not in lower]
+        _check_syzygies(enc, fresh, f"stair row at degree {d} is not a syzygy")
+        if not _spans({min(row): row for row in stair},
+                      list(lower.values()) + raw_at[d], field):
             raise AssertionError(
                 f"stair subspace at degree {d} does not generate the "
                 "syzygies")
+        for lp_elem in fresh:  # ascending pivots
+            nc = {(j, iota_inverse_word(enc.win, mono, enc.gen_degrees[j])): c
+                  for (j, mono), c in lp_elem.items()}
+            emitted.append((lp_elem, d))
+            out_elems.append(nc)
+            out_degrees.append(d + enc.offset)
         hist_rest[d] = len(fresh)
 
     restore = lambda h: {d + enc.offset: v for d, v in h.items() if v}

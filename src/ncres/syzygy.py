@@ -38,30 +38,31 @@ lcm holds a place collision x_a(p)x_b(p) or x_a(p)^2, or a variable
 below place shifts[c] of its component c (engine.letterplace_lcm, floor
 0 in the ring; La Scala & Levandovskyy, J. Symb. Comp. 44 (2009)).  The
 collecting basis and minimalize_graded have zero shifts, so only
-collisions count there; the resolver's single pass has shifts
-deg(g_j).
+collisions count there; the shifted basis of
+checks.check_dimension_equalities has the module's shifts.
 
 Proof that nothing is lost.  Call a main term of shifted degree d in
 component c letterplace when its monomial covers places shifts[c] ..
 d - 1, one letter at each, and a ghost term eps_j*u letterplace when u
-covers places deg(g_j) .. d - 1.  The encoded generators, their ghost
-units and the resolver's stair rows are letterplace, and ring
-reduction keeps each term's places.  So when a pair's lcm passes the
+covers places deg(g_j) .. d - 1.  The encoded generators and their
+ghost units are letterplace, and ring reduction keeps each term's
+places.  So when a pair's lcm passes the
 rule, its S-polynomial and that S-polynomial's normal form are
 letterplace: by induction every element is.  When it fails, a cofactor
 holds a variable x(p) at a place that the lead it multiplies already
 covers, or below the floor, and every term of the S-polynomial holds a
 collision, which is zero, or a variable below its own floor.  Such a
 term is a multiple of a forced-block element e_k*x(p), p < deg(g_k)
-(letterplace.build_C): in the single pass directly, in a collecting
+(letterplace.build_C): in a shifted basis directly, in a collecting
 basis as a ghost term beside a main part that is zero, so the pair's
 syzygy lies in the block.  The terms below a floor span a monomial
-submodule B that no element, raw syzygy or stair row meets.  So over a
-told ring syzygies_over_quotient returns generators of the syzygy module
-modulo B, and no ghost term of a raw syzygy lies below its generator's
-degree; the single pass runs Buchberger in the free module modulo B
-without installing B, and certifies the same module as with every pair
-formed and the block installed.
+submodule B that no element or raw syzygy meets.  So over a told ring
+syzygies_over_quotient returns generators of the syzygy module modulo
+B, and no ghost term of a raw syzygy lies below its generator's degree
+(the resolver's stair rows, built from the raw syzygies, need no block
+either); a shifted basis runs Buchberger in the free module modulo B
+without installing B, and spans the same module as with every pair
+formed and B installed.
 """
 
 from __future__ import annotations
@@ -304,8 +305,9 @@ def minimalize_graded(ring: RingGB, gens: Sequence[ModElem],
     candidate is dropped iff its normal form modulo the already-kept ones
     (and the ring) vanishes.  The kept counts per degree are
     basis-independent; the representatives are whatever survived.  The
-    resolver uses this only on its input generators; each syzygy step
-    does its own single degree-ordered pass (resolver.syzygy_step).
+    resolver uses this only on its input generators; a syzygy step
+    picks its generators by row elimination on its stair rows
+    (resolver.syzygy_step).
     """
     degs = [elem_sdeg(main_shifts, g) for g in gens]
     order = sorted(range(len(gens)), key=lambda i: (degs[i], i))

@@ -5,11 +5,12 @@ from __future__ import annotations
 import itertools
 import random
 
+from ncres.engine import mono_mul
 from ncres.field import rationals
 from ncres.freealg import (AlgebraPresentation, ModulePresentation,
                            validate_presentation)
 from ncres.linalg import _eliminate, rref
-from ncres.resolver import _ev_image
+from ncres.resolver import _nf_sum
 
 
 def nilpotent_enveloping() -> AlgebraPresentation:
@@ -138,11 +139,19 @@ def frame_kernel(field, images):
     return rref(kernel, field)[0]
 
 
+def ev_image(enc, j, mono):
+    """Image of the column e_j * mono under evaluation against the
+    encoded generators, in normal-form coordinates: each component's
+    coefficient reduced modulo the ring (resolver._nf_sum)."""
+    return _nf_sum(enc.ring, ((comp, mono_mul(gm, mono), c)
+                              for (comp, gm), c in enc.gens_lp[j].items()))
+
+
 def evaluated_stair_rows(enc, degree):
     """The RREF basis of the degree-`degree` stair subspace, keyed
     (component, monomial), read off the kernel of evaluation on the
     whole stair frame."""
     frame = stair_frame(enc, degree)
     rows = frame_kernel(enc.ring.field,
-                        [_ev_image(enc, j, mono) for j, mono in frame])
+                        [ev_image(enc, j, mono) for j, mono in frame])
     return [{frame[pos]: c for pos, c in row.items()} for row in rows]

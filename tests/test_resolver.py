@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (augmentation_module, evaluated_stair_rows,
+from helpers import (augmentation_module, ev_image, evaluated_stair_rows,
                      nilpotent_enveloping, random_module,
                      random_presentation, stair_frame)
 from ncres.field import rationals
@@ -23,6 +23,7 @@ from ncres.engine import RingGB, mono_mul
 from ncres.jsonio import parse_input, render_json, resolution_document
 from ncres.resolver import BettiTable, ResolutionRequest, betti_summary, \
     monomial_degree_bound, render_betti_text, resolve, syzygy_step
+from ncres.syzygy import ModuleGB
 
 QQ = rationals()
 ONE = QQ.one
@@ -181,6 +182,50 @@ def test_incomplete_stair_frame_is_an_internal_error(monkeypatch):
         syzygy_step(_poly_ring_2(), [0], gens, window=3)
 
 
+def _raw_sourced(monkeypatch):
+    """A predicate telling the (row, degree) pairs a step hands _stair_rows
+    from its raw syzygies (V_d) apart from those of its output of lower
+    degree (U_d): every raw syzygy of the resolve is recorded as it is
+    collected."""
+    raw_ids, sources = set(), []
+    real = resolver.syzygies_over_quotient
+
+    def recording(ring, gens, shifts):
+        raw = real(ring, gens, shifts)
+        sources.append(raw)  # keeps the recorded ids unique
+        raw_ids.update(id(r) for r in raw.generators)
+        return raw
+
+    monkeypatch.setattr(resolver, "syzygies_over_quotient", recording)
+    return lambda pairs: bool(pairs) and all(id(r) in raw_ids
+                                             for r, _ in pairs)
+
+
+def test_lower_output_outside_the_stair_subspace_is_an_internal_error(
+        monkeypatch, capsys):
+    """Stair rows built from the raw syzygies of degree d alone miss the
+    multiples of lower-degree output, so those rows add pivots to V_d:
+    resolve() raises, and the CLI exits 4 with one line."""
+    from_raw = _raw_sourced(monkeypatch)
+    real = resolver._stair_rows
+
+    def top_degree_only(enc, pairs, d):
+        if from_raw(pairs):
+            pairs = [(r, dr) for r, dr in pairs if dr == d]
+        return real(enc, pairs, d)
+
+    monkeypatch.setattr(resolver, "_stair_rows", top_degree_only)
+    with pytest.raises(AssertionError, match="does not generate"):
+        resolve(ResolutionRequest(augmentation_module(nilpotent_enveloping()),
+                                  degree_bound=5, length_bound=7))
+    rc = cli.main(["resolve", str(FLAGSHIP), "--degree-bound", "5"])
+    captured = capsys.readouterr()
+    assert rc == 4 and captured.out == ""
+    assert captured.err.startswith("error: internal invariant violated")
+    assert "does not generate" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def _with_non_syzygy(monkeypatch):
     """Append to every step's raw syzygies one that is not: component 0
     times the first letter just past generator 0's places."""
@@ -283,6 +328,25 @@ def test_explicit_bound_builds_the_ring_basis_once(monkeypatch):
     assert len(built) == 1
 
 
+def test_each_step_builds_one_module_basis(monkeypatch):
+    """The input minimalization builds one module basis and each step one
+    more, the collecting basis of its raw syzygies; canonicalization is
+    row elimination and builds none."""
+    built = []
+    real_init = ModuleGB.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModuleGB, "__init__", counting_init)
+    res = resolve(ResolutionRequest(augmentation_module(
+        nilpotent_enveloping()), degree_bound=10, length_bound=7,
+        trust_finite=True))
+    assert len(res.steps) == 6
+    assert len(built) == 1 + len(res.steps)
+
+
 def test_growing_heuristic_windows_keep_the_bytes(monkeypatch):
     """Heuristic windows widen from step to step, so the one basis is
     rebuilt for a wider window now and then; the rendered resolution
@@ -336,12 +400,12 @@ def test_every_step_ring_has_its_own_key_table(monkeypatch):
 
 @pytest.mark.parametrize("tshift", [True, False])
 def test_ev_image_matches_one_normal_form_per_component(monkeypatch, tshift):
-    """_ev_image sums memoized monomial normal forms; it must equal the
-    image that reduces each component's polynomial in one normal_form,
-    for every forced-block element and every column of an emitted
-    generator of every step of the flagship at D=7.  Every step ring
-    starts with an empty memo of its own, and the kept basis never fills
-    one."""
+    """_nf_sum sums memoized monomial normal forms; the image of a column
+    under evaluation that it gives (helpers.ev_image) must equal the image
+    that reduces each component's polynomial in one normal_form, for
+    every forced-block element and every column of an emitted generator
+    of every step of the flagship at D=7.  Every step ring starts with an
+    empty memo of its own, and the kept basis never fills one."""
     encs, pairs = [], []
     real_check = resolver._check_forced_block
     monkeypatch.setattr(resolver, "_check_forced_block",
@@ -374,7 +438,7 @@ def test_ev_image_matches_one_normal_form_per_component(monkeypatch, tshift):
                    for gen in step.generators for j, w in gen}
         vectors = sorted(emitted) + [next(iter(elem)) for elem in block]
         for j, mono in vectors:
-            assert resolver._ev_image(enc, j, mono) == oracle(enc, j, mono)
+            assert ev_image(enc, j, mono) == oracle(enc, j, mono)
         checked += len(vectors)
     assert checked > 300
     assert len({id(base) for base, _ in pairs}) == 1
@@ -385,21 +449,34 @@ def test_ev_image_matches_one_normal_form_per_component(monkeypatch, tshift):
 
 
 def _recorded_stair_rows(monkeypatch, req):
-    """(enc, degree, rows) of every _stair_rows call of a resolve."""
+    """(enc, degree, rows, from_raw) of every _stair_rows call of a
+    resolve: from_raw when the rows come from the step's raw syzygies
+    (V_d), not from its output of lower degree (U_d)."""
     calls = []
+    from_raw = _raw_sourced(monkeypatch)
     real = resolver._stair_rows
-    monkeypatch.setattr(resolver, "_stair_rows",
-                        lambda enc, raw, d: calls.append(
-                            (enc, d, real(enc, raw, d))) or calls[-1][2])
+
+    def recording(enc, pairs, d):
+        calls.append((enc, d, real(enc, pairs, d), from_raw(pairs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(resolver, "_stair_rows", recording)
     resolve(req)
     return calls
 
 
 def _assert_rows_match_evaluation(calls):
-    for enc, d, rows in calls:
+    """Rows from the raw syzygies are the RREF of the evaluation kernel;
+    rows from lower output span a subspace of it."""
+    for enc, d, rows, from_raw in calls:
         frame = stair_frame(enc, d)
         assert frame == sorted(frame)  # frame positions are key order
-        assert rows == evaluated_stair_rows(enc, d)
+        kernel = evaluated_stair_rows(enc, d)
+        if from_raw:
+            assert rows == kernel
+        else:
+            pivots = {min(row): row for row in kernel}
+            assert resolver._spans(pivots, rows, enc.ring.field)
 
 
 @pytest.mark.parametrize("field", ["Q", {"Fp": 32003}])
@@ -408,20 +485,23 @@ def test_stair_rows_equal_the_evaluation_kernel_on_the_flagship(
         monkeypatch, field, tshift):
     """The RREF of NF(r * u) over the raw syzygies r is the RREF of the
     kernel of evaluation on the whole stair frame, at every marked degree
-    of every step of the flagship at D=7."""
+    of every step of the flagship at D=7, and the rows NF(o * u) over the
+    output o of lower degree lie in that kernel."""
     doc = json.loads(FLAGSHIP.read_text(encoding="utf-8"))
     doc["field"] = field
     mod = parse_input(json.dumps(doc))
     calls = _recorded_stair_rows(monkeypatch, ResolutionRequest(
         mod, degree_bound=7, length_bound=7, tshift=tshift))
-    assert len(calls) >= 4 and len({id(enc) for enc, _, _ in calls}) == 3
+    from_raw = [call for call in calls if call[3]]
+    assert len(from_raw) >= 4 and len({id(c[0]) for c in from_raw}) == 3
+    assert any(rows for _, _, rows, raw in calls if not raw)
     _assert_rows_match_evaluation(calls)
 
 
 def test_stair_rows_equal_the_evaluation_kernel_on_random_algebras(
         monkeypatch):
-    """The same equality on 20 random presentations, compression on and
-    off, over a random module each."""
+    """The same equality and inclusion on 20 random presentations,
+    compression on and off, over a random module each."""
     rng = random.Random(20261019)
     seen = 0
     for _ in range(20):
@@ -433,7 +513,7 @@ def test_stair_rows_equal_the_evaluation_kernel_on_random_algebras(
             calls = _recorded_stair_rows(monkeypatch, ResolutionRequest(
                 mod, degree_bound=6, length_bound=4, tshift=tshift))
             _assert_rows_match_evaluation(calls)
-            seen += len(calls)
+            seen += sum(from_raw for _, _, _, from_raw in calls)
     assert seen > 40
 
 

@@ -374,8 +374,8 @@ def _collision_syzygies_dropped(mod, bound, length, tshift):
         for syz in told.generators:
             assert not _nf_componentwise(_apply_syzygy(syz, enc.gens_lp),
                                          plain.polys())
-            # no ghost term below its generator's places: the single pass
-            # needs no forced block to reduce the raw syzygies
+            # no ghost term below its generator's places: the stair rows
+            # built from the raw syzygies need no forced block
             assert all(not u or u[0][0] >= enc.gen_degrees[j] * L
                        for j, u in syz)
         span = ModuleGB(plain, enc.gen_degrees)
@@ -412,10 +412,11 @@ def _queued_lcms_are_letterplace(gb, n_letters):
 
 @pytest.mark.parametrize("tshift", [True, False])
 def test_told_module_bases_queue_only_letterplace_pairs(tshift):
-    """On the flagship's steps, neither the collecting basis nor a basis
-    shaped like the resolver's single pass (shifts the generator degrees,
-    elements the step's encoded output) queues a pair whose lcm holds a
-    place collision or a variable below its component's shift."""
+    """On the flagship's steps, neither the collecting basis nor a shifted
+    basis of the kind checks.check_dimension_equalities builds (shifts
+    the generator degrees, elements the step's encoded output, read from
+    those shifts on) queues a pair whose lcm holds a place collision or
+    a variable below its component's shift."""
     mod = augmentation_module(nilpotent_enveloping())
     alg = mod.algebra
     res = resolve(ResolutionRequest(mod, degree_bound=7, length_bound=7,
@@ -428,11 +429,11 @@ def test_told_module_bases_queue_only_letterplace_pairs(tshift):
         for j, g in enumerate(enc.gens_lp):
             collect.add_generator({**g, (r + j, ()): one})
             assert _queued_lcms_are_letterplace(collect, L)
-        single = ModuleGB(enc.ring, enc.gen_degrees)
+        shifted = ModuleGB(enc.ring, enc.gen_degrees)
         for elem in step.generators:
-            single.add_generator(
+            shifted.add_generator(
                 {(j, iota_word(enc.win, w, enc.gen_degrees[j])): c
                  for (j, w), c in elem.items()})
-            assert _queued_lcms_are_letterplace(single, L)
-        queued += len(collect.pairs) + len(single.pairs)
+            assert _queued_lcms_are_letterplace(shifted, L)
+        queued += len(collect.pairs) + len(shifted.pairs)
     assert queued > 0
