@@ -98,11 +98,23 @@ whatever they add lies in the ideal, and interreduction ends at the
 unique reduced truncated basis, so the result is the same.
 Interreduction reduces each tail once, in ascending lead order.
 
-mono_key is pure; each RingGB memoizes it in a table of its own
-(RingGB.keys) that dies with the basis, so a resolution leaves no state
-behind; a restricted basis starts a fresh table.  Normal forms are
-linear, so each RingGB also memoizes the normal form of each monomial it
-is asked for (mono_normal_form), in a plain dict of its own that a
+Sort keys and reduction.  flat_key gives each monomial one flat key,
+(-degree, packed) with packed = sum e << (v * w) and w the bit length of
+the degree, ascending from the greatest monomial (flat_key docstring);
+mono_key is the same order with the reference direction, higher key =
+greater monomial.  Both are pure; each RingGB memoizes flat_key in a
+table of its own (RingGB.keys) that dies with the basis, so a resolution
+leaves no state behind; a restricted basis starts a fresh table.  A
+normal form keeps its coefficients in a work dict and, beside it, a heap
+of (key, monomial), pushing an entry whenever a monomial enters the
+dict; it pops the entry of the greatest monomial and skips one whose
+monomial has been cancelled since.  Every term a reduction step adds
+lies below the term it rewrites (the order is multiplicative and each
+tail lies below its lead), so the heap pops in the order a scan of the
+dict for the greatest would take: the same reductions, in the same
+order, to the same output dict.  Normal forms are linear, so each RingGB
+also memoizes the normal form of each monomial it is asked for
+(mono_normal_form), in a plain dict of its own that a
 restricted basis starts empty: a step's ring reduces each distinct
 monomial once, and no step or resolution sees another's entries.  The
 memo is a dict read by a method, not a KeyTable whose key function
@@ -128,17 +140,29 @@ def mono_deg(m: Mono) -> int:
     return d
 
 
-def mono_key(m: Mono) -> tuple:
-    """Sort key realizing degrevlex: higher key = greater monomial.
-
-    Degree first; ties broken at the largest variable index where the
-    exponents differ, smaller exponent winning.  (-v, -e) pairs from the
-    tail end encode exactly that under tuple comparison.
-    """
+def flat_key(m: Mono) -> Tuple[int, int]:
+    """Flat sort key of degrevlex, ascending from the greatest monomial:
+    (-degree, packed), packed = the sum of e << (v * w) over the (v, e)
+    of m, w = degree.bit_length().  Each exponent is at most the degree,
+    below 2^w, so no field overflows into the next, and the highest field
+    where two packed values differ is the largest variable whose
+    exponents differ: within one degree a larger packed is a smaller
+    monomial."""
     d = 0
     for _, e in m:
         d += e
-    return (d,) + tuple((-v, -e) for v, e in reversed(m))
+    w = d.bit_length()
+    packed = 0
+    for v, e in m:
+        packed += e << (v * w)
+    return (-d, packed)
+
+
+def mono_key(m: Mono) -> Tuple[int, int]:
+    """Sort key realizing degrevlex: higher key = greater monomial (the
+    negated flat_key)."""
+    d, packed = flat_key(m)
+    return (-d, -packed)
 
 
 class KeyTable(dict):
@@ -159,6 +183,10 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
         return b
     if not b:
         return a
+    if a[-1][0] < b[0][0]:  # every variable of a comes first
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
     out = []
     i = j = 0
     la, lb = len(a), len(b)
@@ -287,7 +315,7 @@ class RingGB:
     """Truncated reduced Groebner basis over the polynomial ring: plain
     Buchberger with the M, F and B criteria on a heap of S-pairs, then
     interreduction.  Elements are (lead, descending monic term list);
-    keys is the basis's own memo of mono_key.
+    keys is the basis's own memo of flat_key.
 
     n_letters, when given, is the alphabet size of a letterplace window:
     every generator must then be a sum of collisions, which is dropped,
@@ -315,7 +343,7 @@ class RingGB:
         self.field = field
         self.cap = cap
         self.n_letters = n_letters
-        self.keys = KeyTable(mono_key)
+        self.keys = KeyTable(flat_key)
         self._mono_nf: Dict[Mono, Poly] = {}  # mono_normal_form's memo
         self.elements: List[tuple] = []  # (lead, terms)
         self._tailed: List[int] = []  # indices of elements with a tail
@@ -351,17 +379,24 @@ class RingGB:
     # -- construction ---------------------------------------------------
 
     def _reduce_full(self, p: Poly) -> Poly:
-        """Full normal form of p."""
+        """Full normal form of p, its terms taken greatest first off a
+        heap of keys (module docstring)."""
         field = self.field
         sub, mul = field.sub, field.mul
         zero = field.zero
         key_of = self.keys.__getitem__
+        push, pop = heapq.heappush, heapq.heappop
         work = dict(p)
+        # a lone term is popped before anything is pushed: it needs no key
+        heap = [(key_of(m), m) for m in work] if len(work) > 1 else \
+            [(None, m) for m in work]
+        heapq.heapify(heap)
         out: Poly = {}
-        while work:
-            # a lone term is the largest without computing its sort key
-            m = max(work, key=key_of) if len(work) > 1 else next(iter(work))
-            c = work.pop(m)
+        while heap:
+            m = pop(heap)[1]
+            c = work.pop(m, None)
+            if c is None:
+                continue
             hit = self._find(m)
             if hit is None:
                 out[m] = c
@@ -369,11 +404,16 @@ class RingGB:
             q, tail = hit
             for tm, tc in tail:
                 key = mono_mul(tm, q) if q else tm
-                s = sub(work.get(key, zero), mul(c, tc))
-                if s == zero:
-                    work.pop(key, None)
+                old = work.get(key)
+                if old is None:
+                    work[key] = sub(zero, mul(c, tc))
+                    push(heap, (key_of(key), key))
                 else:
-                    work[key] = s
+                    s = sub(old, mul(c, tc))
+                    if s == zero:
+                        del work[key]
+                    else:
+                        work[key] = s
         return out
 
     def _find(self, m: Mono):
@@ -407,7 +447,7 @@ class RingGB:
 
     def _sorted_items(self, p: Poly):
         keys = self.keys
-        return sorted(p.items(), key=lambda t: keys[t[0]], reverse=True)
+        return sorted(p.items(), key=lambda t: keys[t[0]])
 
     def _monic_terms(self, p: Poly):
         """Descending monic term list; returns (lead, terms)."""
@@ -496,7 +536,7 @@ class RingGB:
         elements = self.elements
         minimal: List[tuple] = []
         for k in sorted(range(len(elements)),
-                        key=lambda k: keys[elements[k][0]]):
+                        key=lambda k: keys[elements[k][0]], reverse=True):
             lead, terms = elements[k]
             mask = mono_mask(lead)
             if not any(m & mask == m and mono_div(lead, d) is not None
@@ -623,7 +663,8 @@ class ShiftRingGB(RingGB):
         self.elements = []
         self._tailed = []
         self.buckets = {}
-        for lead, terms in sorted(out, key=lambda e: keys[e[0]]):
+        for lead, terms in sorted(out, key=lambda e: keys[e[0]],
+                                  reverse=True):
             self._install(lead, terms)
 
 

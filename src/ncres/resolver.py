@@ -336,8 +336,10 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
     out_elems: List[NcModElem] = []
     out_degrees: List[int] = []
     for d in sorted(raw_at):
-        # U_d: the stair rows the output of lower degree generates
-        lower = {min(row): row for row in _stair_rows(enc, emitted, d)}
+        # U_d: the stair rows the output of lower degree generates, none
+        # while there is no such output
+        lower = {min(row): row for row in _stair_rows(enc, emitted, d)} \
+            if emitted else {}
         if _spans(lower, raw_at[d], field):
             continue
         stair = _stair_rows(enc, raw_deg, d)

@@ -118,13 +118,15 @@ class ModuleGB:
         keys, shifts = ring.keys, self.shifts
 
         def key(term: Term) -> tuple:
-            # shifted degree, ring order, lower component first; a ghost
-            # term's degree is -inf, so it sorts below every main term
-            # and is otherwise ordered like one
+            # ascending from the greatest term: shifted degree, ring order,
+            # lower component first; a ghost term's negated degree is inf,
+            # so it sorts below every main term and is otherwise ordered
+            # like one
             comp, m = term
-            mk = keys[m]  # mk[0] is the degree of m
-            d = mk[0] + shifts[comp] if comp < len(shifts) else float("-inf")
-            return (d, mk, -comp)
+            neg_d, packed = keys[m]
+            if comp < len(shifts):
+                return (neg_d - shifts[comp], neg_d, packed, comp)
+            return (float("inf"), neg_d, packed, comp)
         self._term_key = KeyTable(key).__getitem__  # no cycle through self
 
     # -- reducer lookup ----------------------------------------------------
@@ -147,39 +149,49 @@ class ModuleGB:
 
     def _nf(self, work: ModElem) -> ModElem:
         """Full normal form; consumes work.  The result lists its terms
-        in descending order, so main terms come before ghost terms."""
+        in descending order, so main terms come before ghost terms.
+        Terms are taken greatest first off a heap of (key, term) as in
+        the ring (engine docstring): the order is multiplicative and
+        ghosts stay below mains, so a module or ring reducer adds only
+        terms below the one it rewrites."""
         field = self.field
         sub, mul = field.sub, field.mul
         zero = field.zero
         out: ModElem = {}
         key_of = self._term_key
-        while work:
-            term = max(work, key=key_of)
-            c = work.pop(term)
+        push, pop = heapq.heappush, heapq.heappop
+        heap = [(key_of(t), t) for t in work]
+        heapq.heapify(heap)
+        while heap:
+            term = pop(heap)[1]
+            c = work.pop(term, None)
+            if c is None:
+                continue
             comp, m = term
             hit = self._find_module(comp, m)
             if hit is not None:
                 q, tail = hit
-                for (tc2, tm), tcoef in tail:  # below `term`: never in out
-                    key = (tc2, mono_mul(tm, q) if q else tm)
-                    s = sub(work.get(key, zero), mul(c, tcoef))
-                    if s == zero:
-                        work.pop(key, None)
-                    else:
-                        work[key] = s
-                continue
-            hit = self.ring._find(m)
-            if hit is not None:
+                adds = (((tc2, mono_mul(tm, q) if q else tm), tcoef)
+                        for (tc2, tm), tcoef in tail)
+            else:
+                hit = self.ring._find(m)
+                if hit is None:
+                    out[term] = c
+                    continue
                 q, tail = hit
-                for tm, tcoef in tail:
-                    key = (comp, mono_mul(tm, q) if q else tm)
-                    s = sub(work.get(key, zero), mul(c, tcoef))
+                adds = (((comp, mono_mul(tm, q) if q else tm), tcoef)
+                        for tm, tcoef in tail)
+            for key, tcoef in adds:  # below `term`: never in out
+                old = work.get(key)
+                if old is None:
+                    work[key] = sub(zero, mul(c, tcoef))
+                    push(heap, (key_of(key), key))
+                else:
+                    s = sub(old, mul(c, tcoef))
                     if s == zero:
-                        work.pop(key, None)
+                        del work[key]
                     else:
                         work[key] = s
-                continue
-            out[term] = c
         return out
 
     def normal_form(self, elem: ModElem) -> ModElem:
@@ -210,8 +222,7 @@ class ModuleGB:
 
     def _install(self, elem: ModElem) -> None:
         """Add elem, made monic; its largest term is a main term."""
-        terms = sorted(elem.items(), key=lambda t: self._term_key(t[0]),
-                       reverse=True)
+        terms = sorted(elem.items(), key=lambda t: self._term_key(t[0]))
         lead, lc = terms[0]
         if lc != self.field.one:
             inv = self.field.inv(lc)
@@ -226,10 +237,10 @@ class ModuleGB:
         """Insert elem, unreduced.  Ghost terms (components from
         len(main_shifts) on) never lead, so elem needs a main term, and
         its shifted degree must lie within the window."""
-        lead = max(elem, key=self._term_key)
+        lead = min(elem, key=self._term_key)
         if lead[0] >= len(self.shifts):
             raise ValueError("generator has no main term")
-        d = self._term_key(lead)[0]
+        d = -self._term_key(lead)[0]
         if d > self.cap:
             raise WindowTooSmall(
                 f"generator of degree {d} exceeds the window {self.cap}")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -5,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import nilpotent_enveloping, random_presentation
-from ncres.engine import (RingGB, ShiftRingGB, mono_coprime, mono_deg,
-                          mono_div, mono_key, mono_lcm, mono_mul, normal_form,
-                          place_collision, shift_mono)
+from helpers import (augmentation_module, nilpotent_enveloping,
+                     random_presentation)
+from ncres.engine import (RingGB, ShiftRingGB, flat_key, mono_coprime,
+                          mono_deg, mono_div, mono_key, mono_lcm, mono_mul,
+                          normal_form, place_collision, shift_mono)
 from ncres.field import rationals
 from ncres.freealg import AlgebraPresentation
 from ncres.homog import extend_algebra
 from ncres.letterplace import PlaceWindow, letterplace_ideal_gens
 from ncres.linalg import rank
+from ncres.resolver import ResolutionRequest, resolve
 from ncres.syzygy import ModuleGB
 
 F = rationals()
@@ -76,6 +79,140 @@ def test_mono_mul_div_lcm(a, b):
     assert dense(l, 4) == [max(x, y) for x, y in zip(a, b)]
     if any(x < y for x, y in zip(a, b)):
         assert mono_div(sa, sb) is None
+
+
+# Sparse monomials over 70 variables: indices pass 64, where mono_mask
+# aliases, and exponents up to 300 move flat_key's field width (the bit
+# length of the degree) across several powers of two.
+WIDE = 70
+wide_monos = st.dictionaries(st.integers(0, WIDE - 1), st.integers(1, 300),
+                             max_size=6)
+
+
+def wide(d):
+    return tuple(sorted(d.items()))
+
+
+def _assert_flat_key_order(a, b):
+    """flat_key ascends from the greatest monomial; mono_key is its
+    reverse.  Both against the reference order."""
+    ka, kb = flat_key(a), flat_key(b)
+    da, db = dense(a, WIDE), dense(b, WIDE)
+    if degrevlex_less(da, db, WIDE):
+        assert kb < ka and mono_key(a) < mono_key(b)
+    elif degrevlex_less(db, da, WIDE):
+        assert ka < kb and mono_key(b) < mono_key(a)
+    else:
+        assert a == b and ka == kb
+
+
+@given(wide_monos, wide_monos, st.data())
+def test_flat_key_matches_reference_order_on_wide_monomials(a, b, data):
+    a = wide(a)
+    _assert_flat_key_order(a, wide(b))
+    if not a:
+        return
+    # the same degree, one unit of exponent moved to another variable,
+    # so that the packed field decides
+    src = data.draw(st.sampled_from([v for v, _ in a]))
+    dst = data.draw(st.integers(0, WIDE - 1))
+    moved = dict(a)
+    moved[src] -= 1
+    moved[dst] = moved.get(dst, 0) + 1
+    _assert_flat_key_order(a, wide({v: e for v, e in moved.items() if e}))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 15, 16, 255, 256, 300])
+def test_flat_key_at_the_packing_boundaries(d):
+    """Every monomial of degree d with exponents on variables 0, 1, 63, 64
+    and 69 whose exponents are 0, 1, d - 1 or d: their flat_key order is
+    the reference order, at degrees on both sides of powers of two."""
+    vars_ = (0, 1, 63, 64, 69)
+    monos = set()
+    for exps in itertools.product((0, 1, d - 1, d), repeat=len(vars_)):
+        if sum(exps) == d:
+            monos.add(tuple((v, e) for v, e in zip(vars_, exps) if e))
+    def cmp(a, b):
+        da, db = dense(a, WIDE), dense(b, WIDE)
+        return degrevlex_less(db, da, WIDE) - degrevlex_less(da, db, WIDE)
+    ref = sorted(monos, key=functools.cmp_to_key(cmp), reverse=True)
+    assert sorted(monos, key=flat_key) == ref
+    assert len({flat_key(m) for m in monos}) == len(monos)
+
+
+@given(st.integers(0, WIDE), wide_monos, wide_monos)
+def test_mono_mul_concatenates_separated_factors(cut, a, b):
+    """When every variable of one factor comes before every variable of
+    the other, the product is their concatenation, in either argument
+    order, and equals dense addition."""
+    lo = wide({v: e for v, e in a.items() if v < cut})
+    hi = wide({v: e for v, e in b.items() if v >= cut})
+    want = [x + y for x, y in zip(dense(lo, WIDE), dense(hi, WIDE))]
+    for x, y in ((lo, hi), (hi, lo)):
+        prod = mono_mul(x, y)
+        assert prod == lo + hi
+        assert dense(prod, WIDE) == want
+
+
+def test_concatenated_collision_reduces_to_zero_in_a_told_ring():
+    """A concatenated product holding a place collision is zero in a
+    told ring: x(0) times z(0)x(1) covers place 0 twice."""
+    alg = nilpotent_enveloping()
+    L, width = alg.n_letters, 4
+    told = RingGB(F, letterplace_ideal_gens(PlaceWindow(alg.names, width),
+                                            alg), cap=width, n_letters=L)
+    a = ((0, 1),)
+    b = ((2, 1), (L, 1))
+    standard = ((0, 1), (L + 1, 1))  # x(0)y(1), in normal form
+    assert told.normal_form({standard: F.one}) == {standard: F.one}
+    for x, y in ((a, b), (b, a)):
+        prod = mono_mul(x, y)
+        assert prod == a + b and place_collision(prod, L)
+        assert told.normal_form({prod: F.one}) == {}
+        assert told.mono_normal_form(prod) == {}
+        assert told.normal_form({prod: F.one, standard: F.one}) == \
+            {standard: F.one}
+
+
+def test_normal_forms_reduce_terms_in_descending_key_order(monkeypatch):
+    """Instrument both normal forms over a flagship resolve: each reduces
+    its terms (the lookups of a reducer) in strictly ascending key order,
+    that is greatest term first, each term once."""
+    seqs = {"ring": [], "module": []}
+    active = {"ring": [], "module": []}
+
+    def instrument(cls, kind, reduce_name, find_name, key_of):
+        real_reduce = getattr(cls, reduce_name)
+        real_find = getattr(cls, find_name)
+
+        def reduce(self, p):
+            active[kind].append((key_of(self), []))
+            try:
+                return real_reduce(self, p)
+            finally:
+                seqs[kind].append(active[kind].pop())
+
+        def find(self, *term):
+            if active[kind]:  # inside this kind's normal form
+                active[kind][-1][1].append(term)
+            return real_find(self, *term)
+        monkeypatch.setattr(cls, reduce_name, reduce)
+        monkeypatch.setattr(cls, find_name, find)
+
+    instrument(RingGB, "ring", "_reduce_full", "_find",
+               lambda gb: lambda term: gb.keys[term[0]])
+    instrument(ModuleGB, "module", "_nf", "_find_module",
+               lambda gb: lambda term: gb._term_key(term))
+    res = resolve(ResolutionRequest(
+        augmentation_module(nilpotent_enveloping()), degree_bound=10,
+        length_bound=7, trust_finite=True))
+    assert len(res.steps) == 6
+    for kind in ("ring", "module"):
+        long = [(key, terms) for key, terms in seqs[kind] if len(terms) > 2]
+        assert len(long) > 40, kind
+        for key, terms in seqs[kind]:
+            keys = [key(t) for t in terms]
+            assert all(x < y for x, y in zip(keys, keys[1:])), kind
 
 
 def P(*terms):

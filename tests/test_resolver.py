@@ -347,6 +347,44 @@ def test_each_step_builds_one_module_basis(monkeypatch):
     assert len(built) == 1 + len(res.steps)
 
 
+@pytest.mark.parametrize("field", ["Q", {"Fp": 32003}])
+def test_flagship_reduction_sequence_is_pinned(monkeypatch, field):
+    """The flagship at D=10 yields 9, 15, 11, 3, 1 and 0 raw syzygies per
+    step; its module bases hold 43 queued S-pairs when complete_to is
+    entered and process 51 (one S-polynomial each), counting the pairs
+    queued during completion.  A change to the term order or to the
+    order of reductions moves these counts."""
+    raw = []
+    real_raw = resolver.syzygies_over_quotient
+
+    def recording(ring, gens, shifts):
+        out = real_raw(ring, gens, shifts)
+        raw.append(len(out.generators))
+        return out
+    queued, processed = [], []
+    real_complete, real_spoly = ModuleGB.complete_to, ModuleGB._spoly
+
+    def complete_to(self, d):
+        queued.append(len(self.pairs))
+        real_complete(self, d)
+
+    def spoly(self, *args):
+        processed.append(args)
+        return real_spoly(self, *args)
+    monkeypatch.setattr(resolver, "syzygies_over_quotient", recording)
+    monkeypatch.setattr(ModuleGB, "complete_to", complete_to)
+    monkeypatch.setattr(ModuleGB, "_spoly", spoly)
+    doc = json.loads(FLAGSHIP.read_text(encoding="utf-8"))
+    doc["field"] = field
+    res = resolve(ResolutionRequest(parse_input(json.dumps(doc)),
+                                    degree_bound=10, length_bound=7,
+                                    trust_finite=True))
+    assert res.status == "certified"
+    assert raw == [9, 15, 11, 3, 1, 0]
+    assert sum(queued) == 43
+    assert len(processed) == 51
+
+
 def test_growing_heuristic_windows_keep_the_bytes(monkeypatch):
     """Heuristic windows widen from step to step, so the one basis is
     rebuilt for a wider window now and then; the rendered resolution

@@ -154,6 +154,30 @@ def monomials_of_degree(nvars, d):
                     if combo.count(i))
 
 
+def test_module_term_keys_are_distinct_and_ghosts_sort_last():
+    """The flat module term keys of every term over three main components
+    and two ghosts are distinct, put every ghost term below every main
+    term, and order the terms as the reference key: shifted degree
+    (-inf for a ghost), then mono_key, then the lower component."""
+    shifts = [0, 2, 1]
+    gb = ModuleGB(free(8), shifts)
+    monos = [m for d in range(4) for m in monomials_of_degree(3, d)]
+    monos += [((63, 1), (64, 2)), ((64, 3),), ((1, 1), (69, 2))]
+    terms = [(c, m) for c in range(len(shifts) + 2) for m in monos]
+    keys = [gb._term_key(t) for t in terms]
+    assert len(set(keys)) == len(terms)
+    main = [k for (c, _), k in zip(terms, keys) if c < len(shifts)]
+    ghost = [k for (c, _), k in zip(terms, keys) if c >= len(shifts)]
+    assert max(main) < min(ghost)
+
+    def reference(term):
+        c, m = term
+        d = mono_deg(m) + shifts[c] if c < len(shifts) else float("-inf")
+        return (d, mono_key(m), -c)
+    assert sorted(terms, key=gb._term_key) == \
+        sorted(terms, key=reference, reverse=True)
+
+
 def random_homog_poly(rng, nvars, deg):
     out = {}
     for _ in range(rng.randint(1, 3)):
