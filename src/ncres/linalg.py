@@ -42,12 +42,6 @@ def _eliminate(rows, field, col_key, basis=None):
     return basis
 
 
-def rank(rows, field, col_key=None) -> int:
-    if col_key is None:
-        col_key = lambda c: c
-    return len(_eliminate(rows, field, col_key))
-
-
 def rref(rows, field, col_key=None):
     """Return (reduced_rows, pivot_cols) for the span of `rows`.
 

@@ -13,11 +13,12 @@ the only thing the module layer (syzygy.py) is told about the algebra.
 The ring basis is built once per resolution: resolve() builds the
 letterplace basis of the relations over the original alphabet at the
 widest window it knows of (step 1's, under an explicit degree bound),
-from its anchored elements by shifting (ShiftRingGB), and the input
-minimalization and every step restrict that basis to their own window
-and alphabet (RingGB.restrict, exact by the arguments in the engine
-docstring).  Only a heuristic window wider than the basis makes it
-rebuild.
+from the relations at place 0, and stores only its anchored elements,
+whose window shifts stay implicit (RingGB).  The input minimalization and
+every step view that basis in their own window and alphabet
+(RingGB.restrict, exact by the arguments in the engine docstring), at a
+cost in the anchored elements, not the window.  Only a heuristic window
+wider than the basis makes it rebuild.
 
 Decoded output is canonical: within each degree the emitted generators
 are the reduced-row-echelon basis of the stair subspace (syzygies whose
@@ -69,7 +70,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .engine import RingGB, ShiftRingGB, mono_mul, place_collision
+from .engine import RingGB, mono_mul, place_collision
 from .freealg import (AlgebraPresentation, ModulePresentation, NcModElem,
                       elem_degree, homogeneous_degree, validate_presentation)
 from .homog import HomogenizationContext, eta_apply, homogenization_context
@@ -117,14 +118,19 @@ def _offset(ambient_shifts: Sequence[int], use_tshift: bool) -> int:
 
 def _ring_basis(alg: AlgebraPresentation, width: int) -> RingGB:
     """The letterplace basis of alg's relations over `width` places and
-    alg's own alphabet, built from its anchored elements by shifting
-    (ShiftRingGB; the Buchberger RingGB gives the same basis): the one
-    basis every step's ring is restricted from (RingGB.restrict).  Its key
+    alg's own alphabet: the one basis every step's ring is restricted
+    from (RingGB.restrict).  It is built from the generators at place 0,
+    read off the encoding of a window as wide as the widest relation (no
+    wider than `width`); the window shifts of its elements are the basis
+    Buchberger computes from every generator of the window.  Its key
     table is emptied, and it is never a step's ring itself, so no step's
     keys or monomial normal forms outlive the step."""
-    win = PlaceWindow(alg.names, width)
-    base = ShiftRingGB(alg.field, letterplace_ideal_gens(win, alg),
-                       cap=width, n_letters=win.n_letters)
+    top = max((homogeneous_degree(r) for r in alg.relations), default=0)
+    win = PlaceWindow(alg.names, min(top, width))
+    L = win.n_letters
+    gens = [g for g in letterplace_ideal_gens(win, alg)
+            if all(not m or m[0][0] < L for m in g)]
+    base = RingGB(alg.field, gens, cap=width, n_letters=L)
     base.keys.clear()
     return base
 

@@ -71,8 +71,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .engine import (KeyTable, Mono, RingGB, letterplace_lcm, mono_coprime,
-                     mono_deg, mono_div, mono_lcm, mono_mask, mono_mul)
+from .engine import (KeyTable, Mono, RingGB, letterplace_lcm, mono_deg,
+                     mono_div, mono_lcm, mono_mul)
 from .letterplace import WindowTooSmall
 
 Term = Tuple[int, Mono]
@@ -89,14 +89,15 @@ def elem_sdeg(shifts: Sequence[int], elem: ModElem) -> int:
 class ModuleGB:
     """Incremental truncated module Groebner basis over a quotient ring.
 
-    ring is a completed truncated RingGB whose elements act on every
-    component; RingGB(field, (), cap=D) is the polynomial ring itself.
-    Field, window (ring.cap) and monomial keys (ring.keys) all come from
-    ring.  The main block ends at len(main_shifts); components past it
-    are ghosts, reduced by the ring only, and syzygies collects the ghost
-    parts found (module docstring).  Over a ring told its alphabet size,
-    a term of main component c is read from place main_shifts[c] on, and
-    the basis is complete modulo the terms below that place.
+    ring is a completed truncated ring basis whose elements act on every
+    component.  Field, window (ring.cap) and monomial keys (ring.keys)
+    all come from ring, and so do its reducers (ring._find) and the ring
+    leads a module lead meets (ring.leads_meeting, ring.element).  The
+    main block ends at len(main_shifts); components past it are ghosts,
+    reduced by the ring only, and syzygies collects the ghost parts found
+    (module docstring).  Over a ring told its alphabet size, a term of
+    main component c is read from place main_shifts[c] on, and the basis
+    is complete modulo the terms below that place.
     """
 
     def __init__(self, ring: RingGB, main_shifts: Sequence[int]):
@@ -105,9 +106,6 @@ class ModuleGB:
         self.field = ring.field
         self.shifts = list(main_shifts)
         self.ring = ring
-        # (index, lead, mask, bare) of every ring element
-        self._ring_leads = [(k, lead, mono_mask(lead), len(terms) == 1)
-                            for k, (lead, terms) in enumerate(ring.elements)]
         self.cap = ring.cap
         self.elements: List[tuple] = []  # (lead_term, descending terms)
         # (main comp, smallest variable of the lead, -1 for the unit)
@@ -174,13 +172,11 @@ class ModuleGB:
                 adds = (((tc2, mono_mul(tm, q) if q else tm), tcoef)
                         for (tc2, tm), tcoef in tail)
             else:
-                hit = self.ring._find(m)
-                if hit is None:
+                products = self.ring._find(m)
+                if products is None:
                     out[term] = c
                     continue
-                q, tail = hit
-                adds = (((comp, mono_mul(tm, q) if q else tm), tcoef)
-                        for tm, tcoef in tail)
+                adds = (((comp, pm), pc) for pm, pc in products)
             for key, tcoef in adds:  # below `term`: never in out
                 old = work.get(key)
                 if old is None:
@@ -207,13 +203,11 @@ class ModuleGB:
         lcms = [(0, i, mono_lcm(lead_i[1], m))
                 for i, (lead_i, terms_i) in enumerate(self.elements[:t])
                 if lead_i[0] == comp and not (bare and len(terms_i) == 1)]
-        mask = mono_mask(m)
-        # bare pair, then product criterion (module docstring); disjoint
-        # masks mean coprime leads, overlapping ones need the exact test
-        lcms += [(1, k, mono_lcm(rlead, m))
-                 for k, rlead, rmask, rbare in self._ring_leads
-                 if not (bare and rbare or not rmask & mask
-                         or mono_coprime(rlead, m))]
+        # the ring leads that share a variable with m (product criterion),
+        # bar a bare pair (module docstring)
+        lcms += [(1, ref, mono_lcm(rlead, m))
+                 for ref, rlead, rbare in self.ring.leads_meeting(m)
+                 if not (bare and rbare)]
         for kind, i, l in lcms:
             deg = mono_deg(l) + shift
             if deg <= self.cap and (L is None or
@@ -257,7 +251,7 @@ class ModuleGB:
             qn = mono_div(l, lead_n[1])
         else:
             lead_p, terms_p = self.elements[t]
-            rlead, rterms = self.ring.elements[i]
+            rlead, rterms = self.ring.element(i)
             qn = mono_div(l, rlead)
             terms_n = [((comp, tm), tcoef) for tm, tcoef in rterms]
         qp = mono_div(l, lead_p[1])

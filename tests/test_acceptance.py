@@ -8,13 +8,13 @@ from collections import Counter
 
 import pytest
 
-from helpers import (augmentation_module, nilpotent_enveloping,
-                     random_module, random_presentation)
+from helpers import (BuchbergerRing, augmentation_module,
+                     nilpotent_enveloping, random_module,
+                     random_presentation)
 from ncres.checks import (check_dimension_equalities,
                           check_encoding_product_law,
                           check_presentation_map_commutes, check_round_trips)
 from ncres.dims import leading_word_basis
-from ncres.engine import RingGB
 from ncres.field import rationals
 from ncres.freealg import AlgebraPresentation, ModulePresentation
 from ncres.jsonio import render_json, resolution_document
@@ -234,7 +234,7 @@ def test_criterion_7_algebraic_self_checks(flagship):
                 assert width > 0, "degree-0 residue cannot lie in the ideal"
                 if width not in rings:
                     win = PlaceWindow(alg.names, width)
-                    rings[width] = (win, RingGB(
+                    rings[width] = (win, BuchbergerRing(
                         QQ, letterplace_ideal_gens(win, alg), cap=width))
                 win, ring = rings[width]
                 assert ring.normal_form(iota_poly(win, poly)) == {}

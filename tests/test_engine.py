@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (augmentation_module, nilpotent_enveloping,
-                     random_presentation)
-from ncres.engine import (RingGB, ShiftRingGB, flat_key, mono_coprime,
-                          mono_deg, mono_div, mono_key, mono_lcm, mono_mul,
-                          normal_form, place_collision, shift_mono)
+from helpers import (BuchbergerRing, augmentation_module,
+                     nilpotent_enveloping, normal_form, random_presentation,
+                     rank, window_shifts)
+from ncres.engine import (RingGB, flat_key, mono_coprime, mono_deg, mono_div,
+                          mono_key, mono_lcm, mono_mul, place_collision,
+                          shift_mono)
 from ncres.field import rationals
 from ncres.freealg import AlgebraPresentation
 from ncres.homog import extend_algebra
 from ncres.letterplace import PlaceWindow, letterplace_ideal_gens
-from ncres.linalg import rank
-from ncres.resolver import ResolutionRequest, resolve
+from ncres.resolver import ResolutionRequest, _ring_basis, resolve
 from ncres.syzygy import ModuleGB
 
 F = rationals()
@@ -159,8 +159,7 @@ def test_concatenated_collision_reduces_to_zero_in_a_told_ring():
     told ring: x(0) times z(0)x(1) covers place 0 twice."""
     alg = nilpotent_enveloping()
     L, width = alg.n_letters, 4
-    told = RingGB(F, letterplace_ideal_gens(PlaceWindow(alg.names, width),
-                                            alg), cap=width, n_letters=L)
+    told = _ring_basis(alg, width)
     a = ((0, 1),)
     b = ((2, 1), (L, 1))
     standard = ((0, 1), (L + 1, 1))  # x(0)y(1), in normal form
@@ -237,9 +236,9 @@ def test_normal_form_examples():
 
 def test_groebner_drops_zero_and_keeps_monomials():
     f = P(((1, 1), 1))
-    assert RingGB(F, [dict(f), {}]).polys() == [f]
+    assert BuchbergerRing(F, [dict(f), {}]).polys() == [f]
     ms = [P(((2, 0, 0), 1)), P(((0, 1, 1), 1))]
-    gb = RingGB(F, [dict(m) for m in ms]).polys()
+    gb = BuchbergerRing(F, [dict(m) for m in ms]).polys()
     assert sorted(gb, key=repr) == sorted(ms, key=repr)
 
 
@@ -248,7 +247,7 @@ def test_groebner_small_binomial_ideal():
     # to y^3
     f1 = P(((2, 0), 1), ((0, 2), -1))
     f2 = P(((1, 1), 1), ((0, 2), -1))
-    gb = RingGB(F, [dict(f1), dict(f2)]).polys()
+    gb = BuchbergerRing(F, [dict(f1), dict(f2)]).polys()
     assert len(gb) == 2
     got = normal_form(F, P(((3, 0), 1)), gb)
     assert got == P(((0, 3), 1))
@@ -260,7 +259,7 @@ def test_groebner_invariant_under_input_order():
             P(((0, 2, 0), 1), ((1, 0, 1), -1))]
     base = None
     for perm in itertools.permutations(range(3)):
-        gb = RingGB(F, [dict(gens[i]) for i in perm]).polys()
+        gb = BuchbergerRing(F, [dict(gens[i]) for i in perm]).polys()
         canon = sorted(sorted(p.items()) for p in gb)
         if base is None:
             base = canon
@@ -284,7 +283,7 @@ def test_reduced_basis_lies_in_input_span():
                 for _ in range(rng.randint(2, 3))]
         cases.append([g for g in gens if g])
     for gens in cases:
-        for p in RingGB(F, [dict(g) for g in gens], cap=6).polys():
+        for p in BuchbergerRing(F, [dict(g) for g in gens], cap=6).polys():
             d = mono_deg(next(iter(p)))
             rows = []
             for g in gens:
@@ -332,7 +331,7 @@ def test_all_spolys_reduce_to_zero():
         gens = [g for g in gens if g]
         if not gens:
             continue
-        gb = RingGB(F, [dict(g) for g in gens]).polys()
+        gb = BuchbergerRing(F, [dict(g) for g in gens]).polys()
         for f, g in itertools.combinations(gb, 2):
             assert normal_form(F, spoly(f, g), gb) == {}
 
@@ -355,7 +354,7 @@ def test_ideal_dimension_self_check():
         if not gens:
             continue
         dmax = 5
-        gb = RingGB(F, [dict(g) for g in gens], cap=dmax).polys()
+        gb = BuchbergerRing(F, [dict(g) for g in gens], cap=dmax).polys()
         leads = [max(p, key=mono_key) for p in gb]
         for d in range(dmax + 1):
             by_leads = sum(
@@ -375,8 +374,8 @@ def test_ideal_dimension_self_check():
 def test_truncation_agrees_below_cap():
     gens = [P(((2, 1, 0), 1), ((0, 0, 3), -1)),
             P(((1, 0, 2), 1), ((0, 3, 0), 1))]
-    full = RingGB(F, [dict(g) for g in gens], cap=8).polys()
-    trunc = RingGB(F, [dict(g) for g in gens], cap=5).polys()
+    full = BuchbergerRing(F, [dict(g) for g in gens], cap=8).polys()
+    trunc = BuchbergerRing(F, [dict(g) for g in gens], cap=5).polys()
     want = [p for p in full
             if mono_deg(max(p, key=mono_key)) <= 5]
     canon = lambda ps: sorted(sorted(p.items()) for p in ps)
@@ -387,7 +386,8 @@ def _letterplace_basis(alg, width, order=None, n_letters=None):
     gens = letterplace_ideal_gens(PlaceWindow(alg.names, width), alg)
     if order is not None:
         gens = [gens[k] for k in order]
-    return gens, RingGB(alg.field, gens, cap=width, n_letters=n_letters)
+    return gens, BuchbergerRing(alg.field, gens, cap=width,
+                                n_letters=n_letters)
 
 
 def test_letterplace_bases_are_truncated_groebner_bases():
@@ -422,8 +422,9 @@ def test_letterplace_bases_are_truncated_groebner_bases():
 def _scanned_pairs(gb, t, lead_t, bare):
     """The pairs of new element t that survive the M, F and B criteria,
     found by testing every earlier survivor's lcm for divisibility,
-    whatever its degree (the reference for RingGB._update_pairs), and the
-    number of candidates dropped for an lcm equal to a survivor's."""
+    whatever its degree (the reference for the oracle's _update_pairs),
+    and the number of candidates dropped for an lcm equal to a
+    survivor's."""
     cand = []
     for i in (gb._tailed if bare else range(t)):
         l = mono_lcm(gb.elements[i][0], lead_t)
@@ -449,7 +450,7 @@ def test_pair_update_pushes_what_the_full_survivor_scan_keeps():
     20 random presentations over both alphabets."""
     pushed_total = equal_total = 0
 
-    class Checked(RingGB):
+    class Checked(BuchbergerRing):
         def _update_pairs(self, t, lead_t, bare):
             nonlocal pushed_total, equal_total
             before = set(self._pairs)
@@ -478,7 +479,7 @@ def test_reference_letterplace_basis_sizes():
 
 
 def test_monomials_form_no_pairs_among_themselves():
-    gb = RingGB(F, (), cap=6)
+    gb = BuchbergerRing(F, (), cap=6)
     for exps in [(2, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 2), (0, 3, 0),
                  (1, 1, 1)]:
         gb._insert(P((exps, 1)))
@@ -508,7 +509,7 @@ def test_monomial_letterplace_basis_is_the_minimal_generators():
 
 def test_monomial_still_pairs_with_a_polynomial():
     # S(x^2, xy + y^2) reduces to y^3, which only that pair produces
-    gb = RingGB(F, [P(((2, 0), 1)), P(((1, 1), 1), ((0, 2), 1))])
+    gb = BuchbergerRing(F, [P(((2, 0), 1)), P(((1, 1), 1), ((0, 2), 1))])
     assert P(((0, 3), 1)) in gb.polys()
 
 
@@ -519,10 +520,11 @@ def _without_collisions(gb, n_letters):
 
 
 def test_collision_criterion_keeps_the_letterplace_basis():
-    """Told its alphabet size, RingGB treats place collisions as zero; its
-    basis must equal the one built without that rule minus the collision
-    monomials, element for element, over the base and the t-extended
-    alphabet."""
+    """Told its alphabet size, the Buchberger oracle treats place
+    collisions as zero; its basis must equal the one built without that
+    rule minus the collision monomials, element for element, over the base
+    and the t-extended alphabet, and so must every window shift of the
+    letterplace RingGB's elements."""
     rng = random.Random(11)
     cases = [(nilpotent_enveloping(), 8)]
     cases += [(random_presentation(rng, max_rel_deg=3), 3 + k % 5)
@@ -531,9 +533,10 @@ def test_collision_criterion_keeps_the_letterplace_basis():
         for alg in (base, extend_algebra(base)):
             L = alg.n_letters
             gens, plain = _letterplace_basis(alg, width)
-            told = RingGB(alg.field, gens, cap=width, n_letters=L)
+            told = BuchbergerRing(alg.field, gens, cap=width, n_letters=L)
             kept = _without_collisions(plain, L)
             assert told.elements == kept, (k, alg.names, width)
+            assert window_shifts(_ring_basis(alg, width)) == kept
             # nothing of degree below 2 divides a collision monomial, so
             # exactly the L(L+1)/2 per place are removed
             assert len(plain.elements) - len(kept) == \
@@ -544,51 +547,98 @@ def test_collision_criterion_needs_place_multihomogeneous_generators():
     # over 2 letters x_a(p) is variable 2(p - 1) + a: a(1)b(2) - a(1)a(1)
     # covers place 1 twice in its second term
     bad = {((0, 1), (3, 1)): F.one, ((0, 2),): F.neg(F.one)}
-    with pytest.raises(ValueError, match="place-multihomogeneous"):
-        RingGB(F, [bad], cap=4, n_letters=2)
+    for ring in (RingGB, BuchbergerRing):
+        with pytest.raises(ValueError, match="place-multihomogeneous"):
+            ring(F, [bad], cap=4, n_letters=2)
     # terms covering different places
     bad = {((0, 1), (3, 1)): F.one, ((2, 1), (5, 1)): F.one}
-    with pytest.raises(ValueError, match="place-multihomogeneous"):
-        RingGB(F, [bad], cap=4, n_letters=2)
+    for ring in (RingGB, BuchbergerRing):
+        with pytest.raises(ValueError, match="place-multihomogeneous"):
+            ring(F, [bad], cap=4, n_letters=2)
     good = {((0, 1), (3, 1)): F.one, ((1, 1), (2, 1)): F.one}
     collision = {((0, 1), (1, 1)): F.one}
-    told = RingGB(F, [good, collision], cap=4, n_letters=2)
-    plain = RingGB(F, [good, collision], cap=4)
+    told = BuchbergerRing(F, [good, collision], cap=4, n_letters=2)
+    plain = BuchbergerRing(F, [good, collision], cap=4)
     assert collision in plain.polys()
     assert told.elements == _without_collisions(plain, 2)
 
 
-def _told_basis(alg, width):
-    return RingGB(alg.field,
-                  letterplace_ideal_gens(PlaceWindow(alg.names, width), alg),
-                  cap=width, n_letters=alg.n_letters)
-
-
 def _shape(gb):
-    """Everything a reader of a finished RingGB can see: elements in
-    order, tailed indices, and the reducers bucket by bucket, buckets in
-    creation order."""
-    return (gb.cap, gb.n_letters, gb.elements, gb._tailed,
-            [(v, [(lead, tail) for lead, _, tail in lst])
-             for v, lst in gb.buckets.items()])
+    """What a reader of a finished letterplace ring can see: its window,
+    its alphabet and its basis, every window shift of a RingGB's stored
+    elements materialized, in ascending lead order."""
+    elements = gb.elements if isinstance(gb, BuchbergerRing) \
+        else window_shifts(gb)
+    return gb.cap, gb.n_letters, elements
 
 
 def test_restriction_equals_the_basis_from_generators():
     """One finished letterplace basis over the base alphabet, restricted
     to any narrower window over the base or the t-extended alphabet, is
-    the basis that Buchberger computes from that window's generators."""
+    the basis that Buchberger computes from that window's generators, and
+    stores the elements the basis built at that window stores."""
     rng = random.Random(11)
     cases = [(nilpotent_enveloping(), 9)]
     cases += [(random_presentation(rng, max_rel_deg=3), 7)
               for _ in range(40)]
     for k, (base, top) in enumerate(cases):
-        big = _told_basis(base, top)
+        big = _ring_basis(base, top)
         for width in range(top + 1):
             for alg in (base, extend_algebra(base)):
-                got = big.restrict(width, alg.n_letters)
+                L = alg.n_letters
+                got = big.restrict(width, L)
                 assert got.keys is not big.keys
-                assert _shape(got) == _shape(_told_basis(alg, width)), \
-                    (k, width, alg.names)
+                oracle = _letterplace_basis(alg, width, n_letters=L)[1]
+                assert _shape(got) == _shape(oracle), (k, width, alg.names)
+                assert got.elements == _ring_basis(alg, width).elements
+
+
+def _window_monomials(L, width):
+    """Every monomial with at most one variable at each of `width` places
+    over L letters, and every collision of two variables."""
+    monos = [()]
+    for p in range(width):
+        monos += [m + ((p * L + a, 1),) for m in monos for a in range(L)]
+    variables = range(width * L)
+    monos += [((u, 1), (v, 1)) if u < v else ((u, 2),)
+              for u, v in itertools.combinations_with_replacement(
+                  variables, 2) if u // L == v // L]
+    return monos
+
+
+def test_implicit_shifts_choose_the_buchberger_reducer():
+    """For every monomial of the window, a letterplace ring's _find
+    returns the products that the Buchberger oracle over the window's
+    generators returns (tail times cofactor, mono_mul(tail, q), of the
+    first reducer in bucket order), and leads_meeting gives the oracle's
+    meeting leads and elements in the oracle's ascending lead order.  So
+    the reducers, and with them the pinned module counts, are those of
+    the materialized basis: on the reference presentation and seeded
+    random ones, at several widths, over L and L + 1 letters."""
+    rng = random.Random(29)
+    cases = [(nilpotent_enveloping(), (3, 5))]
+    cases += [(random_presentation(rng, max_rel_deg=3), (2, 4))
+              for _ in range(10)]
+    found = met = 0
+    for base, widths in cases:
+        for width in widths:
+            big = _ring_basis(base, width)
+            for alg in (base, extend_algebra(base)):
+                L = alg.n_letters
+                ring = big.restrict(width, L)
+                oracle = _letterplace_basis(alg, width, n_letters=L)[1]
+                for m in _window_monomials(L, width):
+                    products = ring._find(m)
+                    assert products == oracle._find(m), (alg.names, m)
+                    found += bool(products)
+                    got = [(lead, bare, ring.element(ref))
+                           for ref, lead, bare in sorted(
+                               ring.leads_meeting(m))]
+                    assert got == [(lead, bare, oracle.element(k))
+                                   for k, lead, bare in
+                                   oracle.leads_meeting(m)], (alg.names, m)
+                    met += len(got)
+    assert found > 900 and met > 900
 
 
 def test_told_ring_sends_place_collisions_to_zero():
@@ -596,15 +646,15 @@ def test_told_ring_sends_place_collisions_to_zero():
     the t-extended alphabet, reduces every monomial holding a place
     collision to zero, t-collisions included, in the ring and in a module
     over it, and stores no collision element; collision-free monomials
-    below the relations' degree survive.  A plain ring stores them all."""
+    below the relations' degree survive.  An untold ring stores them
+    all."""
     alg = nilpotent_enveloping()
     width = 4
-    big = _told_basis(alg, 6)
+    big = _ring_basis(alg, 6)
     for ext in (alg, extend_algebra(alg)):
         L = ext.n_letters
-        plain = RingGB(F, letterplace_ideal_gens(PlaceWindow(ext.names,
-                                                             width), ext),
-                       cap=width)
+        plain = BuchbergerRing(F, letterplace_ideal_gens(
+            PlaceWindow(ext.names, width), ext), cap=width)
         assert len(plain.elements) - len(_without_collisions(plain, L)) \
             == L * (L + 1) // 2 * width
         variables = range(width * L)
@@ -616,7 +666,7 @@ def test_told_ring_sends_place_collisions_to_zero():
         if L > alg.n_letters:  # x_a(p)t(p) and t(p)^2 are among them
             t = L - 1
             assert ((0, 1), (t, 1)) in hits and ((t, 2),) in hits
-        for gb in (_told_basis(ext, width), big.restrict(width, L)):
+        for gb in (_ring_basis(ext, width), big.restrict(width, L)):
             assert _without_collisions(gb, L) == gb.elements
             module = ModuleGB(gb, [0])
             for m in monos:
@@ -629,18 +679,13 @@ def test_told_ring_sends_place_collisions_to_zero():
 
 
 def test_restriction_rejects_what_it_cannot_read_off():
-    alg = nilpotent_enveloping()
-    gb = _told_basis(alg, 4)
+    gb = _ring_basis(nilpotent_enveloping(), 4)
     for width, letters in ((5, 3), (4, 2), (4, 5), (-1, 3)):
         with pytest.raises(ValueError, match="cannot restrict"):
             gb.restrict(width, letters)
-    plain = RingGB(F, letterplace_ideal_gens(PlaceWindow(alg.names, 4), alg),
-                   cap=4)
-    with pytest.raises(ValueError, match="cannot restrict"):
-        plain.restrict(4, 3)
 
 
-# --- the shift-built letterplace basis ----------------------------------------
+# --- the anchored letterplace basis -----------------------------------------
 
 def _edge_presentations():
     """(algebra, widths): a degree-1 relation, no relations, a one-letter
@@ -662,10 +707,12 @@ def _edge_presentations():
 
 
 def test_shift_built_basis_equals_the_buchberger_basis():
-    """ShiftRingGB, which reduces only pairs with a place-0 member and
-    places every other element by shifting, builds the basis that
-    Buchberger builds from the same generators, element for element and
-    bucket for bucket, and so restricts to the same rings."""
+    """RingGB, built from the generators at place 0, which reduces only
+    pairs with a place-0 member and leaves every other element an
+    implicit shift, holds the basis that Buchberger builds from the
+    window's generators, element for element once its shifts are
+    materialized; each restriction stores what the basis built at its
+    width stores."""
     rng = random.Random(17)
     cases = [(nilpotent_enveloping(), list(range(23)) + [50])]
     for _ in range(40):
@@ -674,65 +721,73 @@ def test_shift_built_basis_equals_the_buchberger_basis():
     cases += _edge_presentations()
     for alg, widths in cases:
         L = alg.n_letters
+        ext = extend_algebra(alg)
+        direct = {}  # (letters, w) -> the elements built at width w
         for width in widths:
-            gens = letterplace_ideal_gens(PlaceWindow(alg.names, width), alg)
-            oracle = RingGB(alg.field, gens, cap=width, n_letters=L)
-            built = ShiftRingGB(alg.field, gens, cap=width, n_letters=L)
+            oracle = _letterplace_basis(alg, width, n_letters=L)[1]
+            built = _ring_basis(alg, width)
             assert _shape(built) == _shape(oracle), (alg, width)
-            for w, letters in itertools.product(range(width + 1), (L, L + 1)):
-                assert _shape(built.restrict(w, letters)) == \
-                    _shape(oracle.restrict(w, letters)), (alg, width, w)
+            for w, over in itertools.product(range(width + 1), (alg, ext)):
+                key = over.n_letters, w
+                if key not in direct:
+                    direct[key] = _ring_basis(over, w).elements
+                assert built.restrict(w, over.n_letters).elements == \
+                    direct[key], (alg, width, w)
 
 
-def test_shift_built_basis_reduces_only_anchored_pairs():
+def test_shift_built_basis_reduces_only_anchored_pairs(monkeypatch):
     """On the reference presentation the anchored construction reduces
-    the same few S-pairs whatever the window, where Buchberger's count
-    grows with it."""
-    alg = nilpotent_enveloping()
+    the same few S-pairs and stores the same 9 elements whatever the
+    window, up to 1000 places, where Buchberger's count grows with it."""
     counts = []
+    real_spoly = RingGB._spoly
 
-    class Counted(ShiftRingGB):
-        def _spoly(self, l, elem_i, elem_j):
-            counts[-1] += 1
-            return super()._spoly(l, elem_i, elem_j)
-
-    for width in (10, 22, 50):
+    def counted(self, l, elem_i, elem_j):
+        counts[-1] += 1
+        return real_spoly(self, l, elem_i, elem_j)
+    monkeypatch.setattr(RingGB, "_spoly", counted)
+    alg = nilpotent_enveloping()
+    stored = []
+    for width in (10, 22, 50, 1000):
         counts.append(0)
-        Counted(alg.field,
-                letterplace_ideal_gens(PlaceWindow(alg.names, width), alg),
-                cap=width, n_letters=alg.n_letters)
-    assert counts == [16, 16, 16]
+        stored.append(_ring_basis(alg, width).elements)
+    assert counts == [16, 16, 16, 16]
+    assert len(stored[0]) == 9
+    assert all(elements == stored[0] for elements in stored)
 
 
-def test_shift_built_basis_needs_shift_closed_generators():
-    """Input that is not exactly the window shifts of its place-0
-    generators names another ideal than their shifts do: a ValueError,
-    never a different basis."""
+def test_ring_basis_needs_anchored_multihomogeneous_generators():
+    """RingGB takes place-multihomogeneous generators that cover places
+    0 .. k - 1 of its window, and it needs the window and the alphabet:
+    other input is an error, never a different basis."""
     # over 2 letters x_a(p) is variable 2(p - 1) + a; `good` covers
     # places 1 and 2, so at 4 places it has shifts to places 2-3 and 3-4
     good = {((0, 1), (3, 1)): F.one, ((1, 1), (2, 1)): F.one}
     shifted = [{shift_mono(m, 2 * c): x for m, x in good.items()}
                for c in range(3)]
-    twice = {m: F.from_int(2) for m in shifted[1]}
-    for gens in ([good], shifted[1:], [good, shifted[1]],
-                 [good, twice, shifted[2]], shifted + [{((1, 1),): F.one}]):
-        with pytest.raises(ValueError, match="window shifts") as err:
-            ShiftRingGB(F, gens, cap=4, n_letters=2)
+    gap = {((0, 1), (5, 1)): F.one}  # places 1 and 3
+    for gens, cap in (([shifted[1]], 4), ([good, shifted[2]], 4),
+                      ([gap], 4), ([good], 1)):
+        with pytest.raises(ValueError, match="cover places") as err:
+            RingGB(F, gens, cap=cap, n_letters=2)
         assert "\n" not in str(err.value)
-    built = ShiftRingGB(F, shifted[::-1] + [good], cap=4, n_letters=2)
-    assert _shape(built) == _shape(RingGB(F, shifted, cap=4, n_letters=2))
+    built = RingGB(F, [good], cap=4, n_letters=2)
+    assert _shape(built) == \
+        _shape(BuchbergerRing(F, shifted, cap=4, n_letters=2))
     bad = {((0, 1), (3, 1)): F.one, ((0, 2),): F.neg(F.one)}
     with pytest.raises(ValueError, match="place-multihomogeneous"):
-        ShiftRingGB(F, [bad], cap=2, n_letters=2)
-    with pytest.raises(ValueError, match="n_letters and cap"):
-        ShiftRingGB(F, [good], cap=4)
+        RingGB(F, [bad], cap=2, n_letters=2)
+    with pytest.raises(TypeError):
+        RingGB(F, [good], cap=4)
+    with pytest.raises(TypeError):
+        RingGB(F, [good], n_letters=2)
 
 
 def test_monomial_normal_forms_are_memoized_per_basis():
     """mono_normal_form equals normal_form of the monomial, computes it
     once per basis, and a restricted basis starts with an empty memo."""
     alg = nilpotent_enveloping()
-    big = _told_basis(alg, 6)
+    big = _ring_basis(alg, 6)
     ring = big.restrict(5, alg.n_letters)
     assert ring._mono_nf == {} and big._mono_nf == {}
     monos = [((0, 1), (3 + a, 1), (6 + b, 1)) for a in range(3)

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (augmentation_module, ev_image, evaluated_stair_rows,
-                     nilpotent_enveloping, random_module,
-                     random_presentation, stair_frame)
+from helpers import (BuchbergerRing, augmentation_module, ev_image,
+                     evaluated_stair_rows, nilpotent_enveloping,
+                     random_module, random_presentation, stair_frame)
 from ncres.field import rationals
 from ncres.freealg import (AlgebraPresentation, ModulePresentation,
                            validate_presentation)
@@ -304,8 +304,9 @@ FLAGSHIP = Path(__file__).resolve().parent / "data" / "flagship.json"
 
 def test_explicit_bound_builds_the_ring_basis_once(monkeypatch):
     """With an explicit degree bound the input minimalization and all six
-    steps of the flagship restrict one basis, built from the generators
-    of step 1's window; no step encodes the relations of its own."""
+    steps of the flagship restrict one basis, built at step 1's window
+    from the generators at place 0 of a window as wide as the widest
+    relation; no step encodes the relations of its own."""
     windows = []
     real_gens = resolver.letterplace_ideal_gens
     monkeypatch.setattr(resolver, "letterplace_ideal_gens",
@@ -324,8 +325,8 @@ def test_explicit_bound_builds_the_ring_basis_once(monkeypatch):
                                     degree_bound=10, length_bound=7,
                                     trust_finite=True))
     assert len(res.steps) == 6
-    assert windows == [PlaceWindow(alg.names, 10)]
-    assert len(built) == 1
+    assert windows == [PlaceWindow(alg.names, 3)]
+    assert len(built) == 1 and built[0].cap == 10
 
 
 def test_each_step_builds_one_module_basis(monkeypatch):
@@ -404,8 +405,9 @@ def test_growing_heuristic_windows_keep_the_bytes(monkeypatch):
     def from_generators(alg, shifts, gens, window, use_tshift, base=None):
         enc = real_encode(alg, shifts, gens, window, use_tshift)
         active = enc.ctx.extended if enc.ctx is not None else alg
-        enc.ring = RingGB(alg.field, letterplace_ideal_gens(enc.win, active),
-                          cap=enc.win.width, n_letters=enc.win.n_letters)
+        enc.ring = BuchbergerRing(
+            alg.field, letterplace_ideal_gens(enc.win, active),
+            cap=enc.win.width, n_letters=enc.win.n_letters)
         return enc
 
     monkeypatch.setattr(resolver, "_encode_step", from_generators)
@@ -434,6 +436,30 @@ def test_every_step_ring_has_its_own_key_table(monkeypatch):
     tables = {id(ring.keys) for _, ring in pairs}
     assert len(tables) == len(pairs) and id(base.keys) not in tables
     assert all(len(ring.keys) for _, ring in pairs)
+
+
+def test_wide_window_keeps_the_table_and_the_ring_small(monkeypatch):
+    """The flagship at degree bound 1000 has the Betti table it has at
+    10, and no step's ring stores more elements than the base basis's
+    anchored ones: a ring's size does not follow its window."""
+    views = []
+    real_restrict = RingGB.restrict
+
+    def recording_restrict(self, width, n_letters):
+        out = real_restrict(self, width, n_letters)
+        views.append((self, out))
+        return out
+
+    monkeypatch.setattr(RingGB, "restrict", recording_restrict)
+    mod = augmentation_module(nilpotent_enveloping())
+    tables = [resolve(ResolutionRequest(mod, degree_bound=bound,
+                                        length_bound=7, trust_finite=True))
+              .table.entries for bound in (10, 1000)]
+    assert tables[0] == tables[1]
+    wide = views[len(views) // 2:]
+    assert len(wide) == 7 and {base.cap for base, _ in wide} == {1000}
+    assert all(len(ring.elements) <= len(base.elements) == 9
+               for base, ring in wide)
 
 
 @pytest.mark.parametrize("tshift", [True, False])
@@ -610,7 +636,7 @@ def test_emitted_syzygies_vanish_in_the_algebra():
                                     degree_bound=6, length_bound=3))
     F = alg.field
     win = PlaceWindow(alg.names, 6)
-    ring = RingGB(F, letterplace_ideal_gens(win, alg), cap=6)
+    ring = BuchbergerRing(F, letterplace_ideal_gens(win, alg), cap=6)
     basis = res.minimal_input
     checked = 0
     for step in res.steps:

@@ -3,14 +3,14 @@ import random
 
 import pytest
 
-from helpers import (augmentation_module, nilpotent_enveloping,
-                     nonmonomial_modules)
-from ncres.engine import (RingGB, mono_coprime, mono_deg, mono_div, mono_key,
-                          mono_mul, normal_form, place_collision)
+from helpers import (BuchbergerRing, augmentation_module,
+                     nilpotent_enveloping, nonmonomial_modules, normal_form,
+                     rank, window_shifts)
+from ncres.engine import (mono_coprime, mono_deg, mono_key, mono_mul,
+                          place_collision)
 from ncres.field import rationals
 from ncres.letterplace import (WindowTooSmall, build_C, iota_word,
                                letterplace_ideal_gens)
-from ncres.linalg import rank
 from ncres.resolver import ResolutionRequest, _encode_step, resolve
 from ncres.syzygy import (ModuleGB, elem_sdeg, minimalize_graded,
                           syzygies_over_quotient)
@@ -24,7 +24,7 @@ one = ()
 
 def free(cap):
     """The polynomial ring itself, truncated at cap."""
-    return RingGB(F, (), cap=cap)
+    return BuchbergerRing(F, (), cap=cap)
 
 
 def C(n):
@@ -53,8 +53,8 @@ def test_single_generator_is_free():
 def test_quotient_single_generator_of_the_ring():
     # over k[x,y]/(xy) the class of x is annihilated by y
     ideal = [{mono_mul(X, Y): C(1)}]
-    res = syzygies_over_quotient(RingGB(F, ideal, cap=4), [{(0, X): C(1)}],
-                                 [0])
+    res = syzygies_over_quotient(BuchbergerRing(F, ideal, cap=4),
+                                 [{(0, X): C(1)}], [0])
     assert {(0, Y): C(1)} in res.generators
 
 
@@ -62,7 +62,7 @@ def test_quotient_unit_generator_has_no_syzygies():
     # coefficients live in the quotient, so ideal multiples of the unit
     # generator reduce to nothing
     ideal = [{mono_mul(X, X): C(1)}]
-    res = syzygies_over_quotient(RingGB(F, ideal, cap=5),
+    res = syzygies_over_quotient(BuchbergerRing(F, ideal, cap=5),
                                  [{(0, one): C(1)}], [0])
     assert res.generators == []
 
@@ -71,7 +71,7 @@ def test_coprime_module_pair_keeps_its_koszul_syzygy():
     # over k[x,y,z]/(z^2) the pairs of x e_0 and y e_0 with z^2 are
     # coprime module-by-ring pairs and are skipped; the pair of x e_0 with
     # y e_0 is coprime too but carries the Koszul syzygy, so it must stay
-    ring = RingGB(F, [{mono_mul(Z, Z): C(1)}], cap=4)
+    ring = BuchbergerRing(F, [{mono_mul(Z, Z): C(1)}], cap=4)
     gens = [{(0, X): C(1)}, {(0, Y): C(1)}]
     res = syzygies_over_quotient(ring, gens, [0])
     assert res.generators == [{(0, Y): C(1), (1, X): C(-1)}]
@@ -79,8 +79,8 @@ def test_coprime_module_pair_keeps_its_koszul_syzygy():
 
 
 def test_coprime_module_by_ring_pairs_are_not_queued():
-    ring = RingGB(F, [{mono_mul(Z, Z): C(1)}, {mono_mul(X, Z): C(1)}],
-                  cap=4)
+    ring = BuchbergerRing(F, [{mono_mul(Z, Z): C(1)},
+                              {mono_mul(X, Z): C(1)}], cap=4)
     gb = ModuleGB(ring, [0])
     gb.add_generator({(0, X): C(1), (1, one): C(1)})
     ring_pairs = [(gb.ring.elements[k][0], gb.elements[t][0][1])
@@ -92,7 +92,8 @@ def test_coprime_module_by_ring_pairs_are_not_queued():
 def test_bare_module_element_pairs_with_a_ring_element_with_a_tail():
     # over k[x,y]/(xy + y^2) the bare x e_0 must still pair with
     # xy + y^2: their S-polynomial puts y^2 e_0 into the submodule
-    ring = RingGB(F, [{mono_mul(X, Y): C(1), mono_mul(Y, Y): C(1)}], cap=4)
+    ring = BuchbergerRing(F, [{mono_mul(X, Y): C(1), mono_mul(Y, Y): C(1)}],
+                          cap=4)
     gb = ModuleGB(ring, [0])
     gb.add_generator({(0, X): C(1)})
     gb.complete_to(2)
@@ -102,8 +103,9 @@ def test_bare_module_element_pairs_with_a_ring_element_with_a_tail():
 def test_bare_module_elements_queue_no_pair_between_them():
     # no ghosts: x e_0 and y e_0 are bare, and so is the ring element xz;
     # only y e_0 with the ring element y^2 + yz, which has a tail, pairs
-    ring = RingGB(F, [{mono_mul(X, Z): C(1)},
-                      {mono_mul(Y, Y): C(1), mono_mul(Y, Z): C(1)}], cap=4)
+    ring = BuchbergerRing(F, [{mono_mul(X, Z): C(1)},
+                              {mono_mul(Y, Y): C(1), mono_mul(Y, Z): C(1)}],
+                          cap=4)
     gb = ModuleGB(ring, [0])
     gb.add_generator({(0, X): C(1)})
     gb.add_generator({(0, Y): C(1)})
@@ -116,7 +118,8 @@ def test_ghost_terms_are_reduced_by_the_ring_only():
     # over k[x,y]/(x^2 + xy) the ghost term x^2 eps becomes -xy eps and
     # cancels half of 2xy eps; x e_0 leads in component 0 only, so it
     # leaves the ghost xy eps alone
-    ring = RingGB(F, [{mono_mul(X, X): C(1), mono_mul(X, Y): C(1)}], cap=4)
+    ring = BuchbergerRing(F, [{mono_mul(X, X): C(1), mono_mul(X, Y): C(1)}],
+                          cap=4)
     gb = ModuleGB(ring, [0])
     gb.add_generator({(0, X): C(1)})
     nf = gb.normal_form({(0, mono_mul(Y, Y)): C(1),
@@ -293,13 +296,14 @@ def test_syzygies_match_kernel_dimension_quotient(seed):
     if not gens:
         return
     cap = 5
-    gb_full = RingGB(F, [dict(p) for p in ideal], cap=cap).polys()
+    gb_full = BuchbergerRing(F, [dict(p) for p in ideal], cap=cap).polys()
     # work with generators already in normal form so that membership in
     # the quotient module is honest
     gens = [e for e in (_nf_componentwise(g, gb_full) for g in gens) if e]
     if not gens:
         return
-    res = syzygies_over_quotient(RingGB(F, ideal, cap=cap), gens, shifts)
+    res = syzygies_over_quotient(BuchbergerRing(F, ideal, cap=cap), gens,
+                                 shifts)
     gen_degs = [elem_sdeg(shifts, g) for g in gens]
     for s in res.generators:
         image = _apply_syzygy(s, gens)
@@ -350,7 +354,7 @@ def test_module_gb_normal_form_membership():
 
 def test_module_basis_needs_a_truncated_ring():
     with pytest.raises(ValueError, match="truncated"):
-        ModuleGB(RingGB(F, ()), [0])
+        ModuleGB(BuchbergerRing(F, ()), [0])
 
 
 def test_generator_above_the_window_is_rejected():
@@ -385,11 +389,12 @@ def _collision_syzygies_dropped(mod, bound, length, tshift):
     for shifts, gens, window in _step_inputs(res):
         enc = _encode_step(alg, shifts, gens, window, tshift)
         active = enc.ctx.extended if enc.ctx else alg
-        plain = RingGB(alg.field, letterplace_ideal_gens(enc.win, active),
-                       cap=enc.win.width)
+        plain = BuchbergerRing(alg.field,
+                               letterplace_ideal_gens(enc.win, active),
+                               cap=enc.win.width)
         L = enc.win.n_letters
         kept = [e for e in plain.elements if not place_collision(e[0], L)]
-        assert enc.ring.elements == kept
+        assert window_shifts(enc.ring) == kept
         assert len(plain.elements) - len(kept) == \
             L * (L + 1) // 2 * enc.win.width
         zero = [0] * len(shifts)
