@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .dims import (graded_component_dim, ideal_component_dim, ideal_pivots,
                    module_component_dim, module_component_dim_from,
                    words_of_degree)
-from .engine import mono_mul
 from .freealg import (AlgebraPresentation, ModulePresentation, NcModElem,
                       NcPoly, elem_degree)
 from .homog import eta_apply, eta_inverse, homogenization_context
@@ -227,7 +226,7 @@ def check_encoding_product_law(module: ModulePresentation,
         rhs: Dict = {}
         for (i, m), cg in iota_module_elem(win, g, shifts).items():
             for mf, cf in shifted.items():
-                key = (i, mono_mul(m, mf))
+                key = (i, m | mf)  # disjoint places
                 s = field.add(rhs.get(key, field.zero), field.mul(cg, cf))
                 if s == field.zero:
                     rhs.pop(key, None)
@@ -277,7 +276,7 @@ def check_presentation_map_commutes(module: ModulePresentation,
         rhs: Dict = {}
         for (j, m), c in iota_module_elem(win, h, degrees).items():
             for (i, gm), cg in gens_lp[j].items():
-                key = (i, mono_mul(gm, m))
+                key = (i, gm | m)  # disjoint places
                 s = field.add(rhs.get(key, field.zero), field.mul(c, cg))
                 if s == field.zero:
                     rhs.pop(key, None)

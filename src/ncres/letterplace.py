@@ -6,12 +6,14 @@ word to places s+1, s+2, ...  Variables are numbered place-major:
 var = (place - 1) * L + letter for an active alphabet of L letters, so that
 smaller variable index means earlier place, then earlier letter.  The
 engine's degrevlex order reads smaller index as greater variable, matching
-the place-major precedence.
+the place-major precedence.  A monomial is the int with bit var set for
+each of its variables (engine docstring): place p is the block of L bits
+from (p - 1) * L.
 
 The place window has finite width D.  The encoded two-sided ideal is the
 set of all place shifts of the encoded relations that fit in the window,
-together with the squarefree-per-place monomials that force at most one
-letter per place.
+together with the monomials that put two letters at one place, which the
+letterplace bases treat as zero (engine docstring).
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from .engine import variables
 from .freealg import (AlgebraPresentation, NcModElem, NcPoly, Word,
                       homogeneous_degree)
 
-LpMono = Tuple[Tuple[int, int], ...]  # ((var, exp), ...) ascending by var
+LpMono = int  # bit var set for each variable
 LpPoly = Dict[LpMono, object]
 LpModElem = Dict[Tuple[int, LpMono], object]
 
@@ -54,13 +57,7 @@ class PlaceWindow:
         return f"{self.names[self.var_letter(v)]}{self.var_place0(v) + 1}"
 
     def mono_str(self, m: LpMono) -> str:
-        if not m:
-            return "1"
-        parts = []
-        for v, e in m:
-            s = self.var_str(v)
-            parts.append(s if e == 1 else f"{s}^{e}")
-        return "*".join(parts)
+        return "*".join(map(self.var_str, variables(m))) or "1"
 
 
 def iota_word(win: PlaceWindow, w: Word, shift: int = 0) -> LpMono:
@@ -69,8 +66,10 @@ def iota_word(win: PlaceWindow, w: Word, shift: int = 0) -> LpMono:
         raise WindowTooSmall(
             f"word of length {len(w)} at shift {shift} exceeds "
             f"window {win.width}")
-    L = win.n_letters
-    return tuple(((shift + k) * L + a, 1) for k, a in enumerate(w))
+    L, m = win.n_letters, 0
+    for k, a in enumerate(w):
+        m |= 1 << ((shift + k) * L + a)
+    return m
 
 
 def iota_poly(win: PlaceWindow, p: NcPoly, shift: int = 0) -> LpPoly:
@@ -87,23 +86,28 @@ def iota_module_elem(win: PlaceWindow, elem: NcModElem,
 
 def sigma_shift_mono(win: PlaceWindow, m: LpMono, k: int) -> LpMono:
     L = win.n_letters
-    out = tuple((v + k * L, e) for v, e in m)
-    if out and (out[0][0] < 0 or win.var_place0(out[-1][0]) >= win.width):
+    if m and (k < 0 and m & ((1 << (-k * L)) - 1) or
+              -(-m.bit_length() // L) + k > win.width):
         raise WindowTooSmall(f"shift by {k} leaves the window")
-    return out
+    return m << (k * L) if k >= 0 else m >> (-k * L)
 
 
 def iota_inverse_word(win: PlaceWindow, m: LpMono, shift: int) -> Word:
     """Decode a monomial that should be a word at the given shift."""
-    letters = []
-    for k, (v, e) in enumerate(m):
-        if e != 1:
-            raise NotLetterplace(f"exponent {e} on {win.var_str(v)}")
-        if win.var_place0(v) != shift + k:
-            raise NotLetterplace(
-                f"variable {win.var_str(v)} breaks the place run at "
-                f"shift {shift}")
-        letters.append(win.var_letter(v))
+    L = win.n_letters
+    before = m & ((1 << (shift * L)) - 1)
+    if before:
+        raise NotLetterplace(
+            f"variable {win.var_str(before.bit_length() - 1)} lies before "
+            f"the place run at shift {shift}")
+    block, letters, w = (1 << L) - 1, [], m >> (shift * L)
+    while w:
+        b = w & block
+        if not b or b & (b - 1):
+            raise NotLetterplace(f"place {shift + len(letters) + 1} breaks "
+                                 f"the place run at shift {shift}")
+        letters.append(b.bit_length() - 1)
+        w >>= L
     return tuple(letters)
 
 
@@ -117,8 +121,8 @@ def iota_inverse_elem(win: PlaceWindow, elem: LpModElem,
 
 def letterplace_ideal_gens(win: PlaceWindow,
                            alg: AlgebraPresentation) -> List[LpPoly]:
-    """All window shifts of the encoded relations, then the one-letter-per-
-    place monomials.  The alphabet of `alg` must match the window."""
+    """All window shifts of the encoded relations.  The alphabet of `alg`
+    must match the window."""
     if alg.names != win.names:
         raise ValueError("algebra alphabet does not match the window")
     gens: List[LpPoly] = []
@@ -128,16 +132,6 @@ def letterplace_ideal_gens(win: PlaceWindow,
             raise ValueError("relations must be homogeneous")
         for shift in range(win.width - d + 1):
             gens.append(iota_poly(win, f, shift))
-    L, one = win.n_letters, alg.field.from_int(1)
-    for place0 in range(win.width):
-        base = place0 * L
-        for i in range(L):
-            for j in range(i, L):
-                if i == j:
-                    mono: LpMono = ((base + i, 2),)
-                else:
-                    mono = ((base + i, 1), (base + j, 1))
-                gens.append({mono: one})
     return gens
 
 
@@ -154,6 +148,5 @@ def build_C(win: PlaceWindow, field, gen_degrees: Sequence[int]) -> List[LpModEl
                 f"generator degree {d} exceeds window {win.width}")
         for place0 in range(d):
             for letter in range(L):
-                mono: LpMono = ((place0 * L + letter, 1),)
-                out.append({(j, mono): field.one})
+                out.append({(j, 1 << (place0 * L + letter)): field.one})
     return out

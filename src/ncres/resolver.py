@@ -46,7 +46,7 @@ cofactors divide leads of one component, whose reserved letters lie on
 its prefix), and no block element covers each place once (each holds a
 doubled place); so that part is the sum of r times the plain words on
 the places r leaves free.  The RREF of the rows, keyed (component,
-monomial) in natural order, is the unique RREF of V_d, so it does not
+monomial) in _row_key order, is the unique RREF of V_d, so it does not
 depend on which rows span it.  By the same argument the part of V_d
 that the output of lower degree generates, U_d, is spanned by the rows
 NF(o * u) over the emitted rows o.  A degree whose raw syzygies lie in
@@ -70,7 +70,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .engine import RingGB, mono_mul, place_collision
+from .engine import RingGB, variables
 from .freealg import (AlgebraPresentation, ModulePresentation, NcModElem,
                       elem_degree, homogeneous_degree, validate_presentation)
 from .homog import HomogenizationContext, eta_apply, homogenization_context
@@ -122,17 +122,15 @@ def _ring_basis(alg: AlgebraPresentation, width: int) -> RingGB:
     from (RingGB.restrict).  It is built from the generators at place 0,
     read off the encoding of a window as wide as the widest relation (no
     wider than `width`); the window shifts of its elements are the basis
-    Buchberger computes from every generator of the window.  Its key
-    table is emptied, and it is never a step's ring itself, so no step's
-    keys or monomial normal forms outlive the step."""
+    Buchberger computes from every generator of the window.  It is never
+    a step's ring itself, so no step's lookups or monomial normal forms
+    outlive the step."""
     top = max((homogeneous_degree(r) for r in alg.relations), default=0)
     win = PlaceWindow(alg.names, min(top, width))
-    L = win.n_letters
+    place0 = (1 << win.n_letters) - 1
     gens = [g for g in letterplace_ideal_gens(win, alg)
-            if all(not m or m[0][0] < L for m in g)]
-    base = RingGB(alg.field, gens, cap=width, n_letters=L)
-    base.keys.clear()
-    return base
+            if all(not m or m & place0 for m in g)]
+    return RingGB(alg.field, gens, cap=width, n_letters=win.n_letters)
 
 
 def _encode_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
@@ -177,12 +175,26 @@ def _encode_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
 def _check_forced_block(enc: _StepEncoding,
                         block: Sequence[LpModElem]) -> Counter:
     """The block's degree histogram, once every element is checked to be
-    new and an actual syzygy (a variable at one of a generator's places
-    collides with its word) and the histogram to be L * deg(g_j)
-    elements in degree deg(g_j) + 1 for each generator g_j."""
+    new and an actual syzygy and the histogram to be L * deg(g_j)
+    elements in degree deg(g_j) + 1 for each generator g_j.  An element
+    e_j * x(p) is a syzygy when every term of g_j holds a variable at
+    place p, since each product then holds a collision, which is zero:
+    one test per term.  Every other element is evaluated
+    (_check_syzygies)."""
     if len({next(iter(elem)) for elem in block}) != len(block):
         raise AssertionError("forced-block element is redundant")
-    _check_syzygies(enc, block,
+    L = enc.win.n_letters
+
+    def collides(elem) -> bool:
+        # elem is e_j * x(p), and every term of g_j holds a variable at p
+        if len(elem) != 1:
+            return False
+        (j, x), = elem
+        if x.bit_count() != 1:
+            return False
+        place = ((1 << L) - 1) << (x.bit_length() - 1) // L * L
+        return all(gm & place for _, gm in enc.gens_lp[j])
+    _check_syzygies(enc, [e for e in block if not collides(e)],
                     "forced-block element is not a syzygy; encoding broken")
     hist = Counter(elem_sdeg(enc.gen_degrees, e) for e in block)
     expected: Counter = Counter()
@@ -219,16 +231,22 @@ def _nf_sum(ring: RingGB, terms) -> dict:
     return out
 
 
-def _normal_words(enc: _StepEncoding, start: int, stop: int) -> List[tuple]:
+def _row_key(key: tuple) -> tuple:
+    """Column key of a stair row's term (j, monomial): component, then
+    the monomial's variable tuple, the order pivots are picked in."""
+    return key[0], variables(key[1])
+
+
+def _normal_words(enc: _StepEncoding, start: int, stop: int) -> List[int]:
     """The standard monomials of the plain words (original letters only)
-    on places start .. stop - 1, in ascending order.  A word with a
+    on places start .. stop - 1, in ascending word order.  A word with a
     reducible prefix is reducible, so each place extends only the
     standard words of the places before it."""
     L, ring = enc.win.n_letters, enc.ring
-    words: List[tuple] = [()]
+    words = [0]
     for p in range(start, stop):
-        words = [w for u in words
-                 for w in (u + ((p * L + a, 1),) for a in range(enc.n_base))
+        letters = [1 << (p * L + a) for a in range(enc.n_base)]
+        words = [w for u in words for w in (u | x for x in letters)
                  if ring._find(w) is None]
         if len(words) > STAIR_GUARD:
             raise ResourceLimit(
@@ -243,14 +261,14 @@ def _stair_rows(enc: _StepEncoding,
     """RREF basis, rows in ascending pivot order, of the span of
     NF(r * u) over the (r, deg r) of `sources` with deg r <= degree and
     the standard plain words u on places deg r .. degree - 1, keyed
-    (component j, encoded word on places deg(g_j) .. degree - 1).  Over
-    the raw syzygies that is the stair subspace V_d, the degree-`degree`
-    syzygies whose coefficients are plain words; over the output of lower
-    degree, its part U_d that output generates (module docstring).  A
-    reducible u is a combination of smaller standard words modulo the
-    ring, so its row is one of theirs."""
+    (component j, encoded word on places deg(g_j) .. degree - 1) in
+    _row_key order.  Over the raw syzygies that is the stair subspace
+    V_d, the degree-`degree` syzygies whose coefficients are plain words;
+    over the output of lower degree, its part U_d that output generates
+    (module docstring).  A reducible u is a combination of smaller
+    standard words modulo the ring, so its row is one of theirs."""
     rows: List[dict] = []
-    words_at: Dict[int, List[tuple]] = {}
+    words_at: Dict[int, List[int]] = {}
     for r, dr in sources:
         if dr > degree:
             continue
@@ -261,10 +279,10 @@ def _stair_rows(enc: _StepEncoding,
             raise ResourceLimit(
                 f"more than {STAIR_GUARD} stair rows at degree {degree}; "
                 f"this instance is out of desk scale")
-        rows += [_nf_sum(enc.ring, ((j, mono_mul(m, u), c)
-                                    for (j, m), c in r.items()))
+        # r's terms end at place deg r, where u begins
+        rows += [_nf_sum(enc.ring, ((j, m | u, c) for (j, m), c in r.items()))
                  for u in words]
-    return rref(rows, enc.ring.field)[0]
+    return rref(rows, enc.ring.field, _row_key)[0]
 
 
 def _check_syzygies(enc: _StepEncoding, elems: Sequence[LpModElem],
@@ -274,33 +292,32 @@ def _check_syzygies(enc: _StepEncoding, elems: Sequence[LpModElem],
     the sum of c * g_j * mono over its terms (j, mono) must reduce to
     zero modulo the ring.  The sum is formed before it is reduced, so its
     cancellations cost nothing.  A product holding a place collision is
-    zero in the ring (engine docstring) and is dropped as it is formed,
-    so a forced-block element, whose products all collide, costs no
-    reduction."""
-    field = enc.ring.field
-    add, mul, zero = field.add, field.mul, field.zero
-    L = enc.win.n_letters
+    zero in the ring (engine docstring): one whose factors share a
+    variable is dropped as it is formed, and the ring's normal form
+    sends one with two variables at a place to zero."""
+    ring = enc.ring
+    add, mul, zero = ring.field.add, ring.field.mul, ring.field.zero
     for elem in elems:
         image: Dict[int, dict] = {}
         for (j, mono), c in elem.items():
             for (comp, gm), cg in enc.gens_lp[j].items():
-                m = mono_mul(gm, mono)
-                if place_collision(m, L):
+                if gm & mono:
                     continue
+                m = gm | mono
                 poly = image.setdefault(comp, {})
                 s = add(poly.get(m, zero), mul(c, cg))
                 if s == zero:
                     poly.pop(m, None)
                 else:
                     poly[m] = s
-        if any(enc.ring.normal_form(p) for p in image.values()):
+        if any(ring.normal_form(p) for p in image.values()):
             raise AssertionError(message)
 
 
 def _spans(pivots: dict, rows: Sequence[dict], field) -> bool:
     """Whether every row lies in the span of the echelon rows `pivots`,
     a pivot map {pivot: row} as linalg._eliminate keeps them."""
-    return len(_eliminate(rows, field, lambda c: c, dict(pivots))) == \
+    return len(_eliminate(rows, field, _row_key, dict(pivots))) == \
         len(pivots)
 
 
@@ -344,14 +361,14 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
     for d in sorted(raw_at):
         # U_d: the stair rows the output of lower degree generates, none
         # while there is no such output
-        lower = {min(row): row for row in _stair_rows(enc, emitted, d)} \
-            if emitted else {}
+        lower = {min(row, key=_row_key): row
+                 for row in _stair_rows(enc, emitted, d)} if emitted else {}
         if _spans(lower, raw_at[d], field):
             continue
         stair = _stair_rows(enc, raw_deg, d)
-        fresh = [row for row in stair if min(row) not in lower]
+        fresh = [row for row in stair if min(row, key=_row_key) not in lower]
         _check_syzygies(enc, fresh, f"stair row at degree {d} is not a syzygy")
-        if not _spans({min(row): row for row in stair},
+        if not _spans({min(row, key=_row_key): row for row in stair},
                       list(lower.values()) + raw_at[d], field):
             raise AssertionError(
                 f"stair subspace at degree {d} does not generate the "

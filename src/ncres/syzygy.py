@@ -2,12 +2,13 @@
 graded minimalization.
 
 A module basis takes its whole context from one finished truncated
-RingGB: the field, the window (ring.cap bounds shifted degrees) and the
-monomial keys of the term order (ring.keys).
+letterplace RingGB: the field, the window (ring.cap bounds shifted
+degrees), the alphabet, the reducers and the pair rule.
 
-Module terms are (component, monomial) pairs.  The main components
-0 .. r-1 are ordered by shifted degree, then by the ring order, with the
-lower component index winning ties.  Components from r on are ghosts:
+Module terms are (component, monomial) pairs, the monomial a bit mask
+as in the ring (engine docstring).  The main components 0 .. r-1 are
+ordered by shifted degree, then by the ring order, with the lower
+component index winning ties.  Components from r on are ghosts:
 their terms sort below every main term, so they never lead.  A ghost
 term is otherwise an ordinary term: no module element leads in a ghost
 component, so the ring alone reduces it.  Syzygies are collected
@@ -31,12 +32,12 @@ pair's syzygy is r*ghost(h) modulo the syzygies of other pairs, which is
 zero over the quotient (Schreyer's argument; La Scala & Stillman,
 J. Symb. Comp. 26 (1998); Erocal, Motsak, Schreyer & Steenpass, J. Symb.
 Comp. 74 (2016)).  No product criterion holds between two module
-elements: those pairs carry the Koszul syzygies of the generators.  Over
-a ring told its alphabet size L (engine docstring) one more rule holds,
-the one the told ring applies to its own pairs: no pair is formed whose
-lcm holds a place collision x_a(p)x_b(p) or x_a(p)^2, or a variable
-below place shifts[c] of its component c (engine.letterplace_lcm, floor
-0 in the ring; La Scala & Levandovskyy, J. Symb. Comp. 44 (2009)).  The
+elements: those pairs carry the Koszul syzygies of the generators.  One
+more rule holds, the one the letterplace ring applies to its own pairs
+(engine docstring): no pair is formed whose lcm holds a place collision
+x_a(p)x_b(p), or a variable below place shifts[c] of its component c
+(RingGB.letterplace_lcm, floor 0 in the ring; La Scala & Levandovskyy,
+J. Symb. Comp. 44 (2009)).  The
 collecting basis and minimalize_graded have zero shifts, so only
 collisions count there; the shifted basis of
 checks.check_dimension_equalities has the module's shifts.
@@ -56,13 +57,22 @@ term is a multiple of a forced-block element e_k*x(p), p < deg(g_k)
 (letterplace.build_C): in a shifted basis directly, in a collecting
 basis as a ghost term beside a main part that is zero, so the pair's
 syzygy lies in the block.  The terms below a floor span a monomial
-submodule B that no element or raw syzygy meets.  So over a told ring
+submodule B that no element or raw syzygy meets.  So
 syzygies_over_quotient returns generators of the syzygy module modulo
 B, and no ghost term of a raw syzygy lies below its generator's degree
 (the resolver's stair rows, built from the raw syzygies, need no block
 either); a shifted basis runs Buchberger in the free module modulo B
 without installing B, and spans the same module as with every pair
 formed and B installed.
+
+Masks.  Every term is letterplace, so a cofactor, which covers the
+places of an lcm past its lead's, shares no place with any term of its
+element: each product is an or of masks, and no reduction leaves the
+places of the term it rewrites.  A normal form keys its heap on one int
+per term (ModuleGB._term_key): ((X << B) + m << 32) plus the component,
+with X ordering shifted degree, then degree, ghosts last, and B the bit
+width of the places up to the input's last.  The pair heap breaks ties
+by engine.variables of the lcm, as the ring's does.
 """
 
 from __future__ import annotations
@@ -71,8 +81,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .engine import (KeyTable, Mono, RingGB, letterplace_lcm, mono_deg,
-                     mono_div, mono_lcm, mono_mul)
+from .engine import Mono, RingGB, _place_bits, variables
 from .letterplace import WindowTooSmall
 
 Term = Tuple[int, Mono]
@@ -80,7 +89,7 @@ ModElem = Dict[Term, object]
 
 
 def elem_sdeg(shifts: Sequence[int], elem: ModElem) -> int:
-    degs = {mono_deg(m) + shifts[comp] for comp, m in elem}
+    degs = {m.bit_count() + shifts[comp] for comp, m in elem}
     if len(degs) != 1:
         raise ValueError("module element is not homogeneous")
     return degs.pop()
@@ -89,15 +98,16 @@ def elem_sdeg(shifts: Sequence[int], elem: ModElem) -> int:
 class ModuleGB:
     """Incremental truncated module Groebner basis over a quotient ring.
 
-    ring is a completed truncated ring basis whose elements act on every
-    component.  Field, window (ring.cap) and monomial keys (ring.keys)
-    all come from ring, and so do its reducers (ring._find) and the ring
-    leads a module lead meets (ring.leads_meeting, ring.element).  The
+    ring is a completed truncated letterplace basis whose elements act on
+    every component.  Field, window (ring.cap) and alphabet come from
+    ring, and so do its reducers (ring._find), the ring leads a module
+    lead meets (ring.leads_meeting, ring.element) and the pair rule
+    (ring.letterplace_lcm).  The
     main block ends at len(main_shifts); components past it are ghosts,
     reduced by the ring only, and syzygies collects the ghost parts found
-    (module docstring).  Over a ring told its alphabet size, a term of
-    main component c is read from place main_shifts[c] on, and the basis
-    is complete modulo the terms below that place.
+    (module docstring).  A term of main component c is read from place
+    main_shifts[c] on, and the basis is complete modulo the terms below
+    that place.
     """
 
     def __init__(self, ring: RingGB, main_shifts: Sequence[int]):
@@ -108,39 +118,46 @@ class ModuleGB:
         self.ring = ring
         self.cap = ring.cap
         self.elements: List[tuple] = []  # (lead_term, descending terms)
-        # (main comp, smallest variable of the lead, -1 for the unit)
-        # -> [(lead monomial, tail)]
-        self.buckets: Dict[Tuple[int, int], list] = {}
+        # main comp -> {lowest bit of the lead, 0 for the unit:
+        # [(lead monomial, tail)]}
+        self.buckets: Dict[int, Dict[int, list]] = {}
         self.pairs: list = []
         self.syzygies: List[ModElem] = []
-        keys, shifts = ring.keys, self.shifts
+        # X of a ghost term of degree 0: above every main term's X; a
+        # degree is at most cap
+        self._ghost = 1 + self.cap - min(self.shifts + [0]) * (self.cap + 1)
 
-        def key(term: Term) -> tuple:
-            # ascending from the greatest term: shifted degree, ring order,
-            # lower component first; a ghost term's negated degree is inf,
-            # so it sorts below every main term and is otherwise ordered
-            # like one
-            comp, m = term
-            neg_d, packed = keys[m]
-            if comp < len(shifts):
-                return (neg_d - shifts[comp], neg_d, packed, comp)
-            return (float("inf"), neg_d, packed, comp)
-        self._term_key = KeyTable(key).__getitem__  # no cycle through self
+    def _term_key(self, term: Term, B: int = 0) -> int:
+        """An int ascending from the greatest term: shifted degree, ring
+        order, lower component first (below 2^32 components).  A ghost
+        term sorts below every main term and is otherwise ordered like
+        one (module docstring).  Keys compare when their monomials lie
+        below 1 << B, the window's bit width by default."""
+        comp, m = term
+        d = m.bit_count()
+        if comp < len(self.shifts):
+            x = -(d + self.shifts[comp]) * (self.cap + 1) - d
+        else:
+            x = self._ghost - d
+        B = B or self.cap * self.ring.n_letters
+        return (((x << B) + m) << 32) + comp
 
     # -- reducer lookup ----------------------------------------------------
 
     def _find_module(self, comp: int, m: Mono):
-        lst = self.buckets.get((comp, -1))
+        by_bit = self.buckets.get(comp)
+        if by_bit is None:
+            return None
+        lst = by_bit.get(0)
         if lst:
             return m, lst[0][1]
-        for v, _ in m:
-            lst = self.buckets.get((comp, v))
-            if lst is None:
-                continue
-            for lead, tail in lst:
-                q = mono_div(m, lead)
-                if q is not None:
-                    return q, tail
+        w = m
+        while w:
+            low = w & -w
+            for lead, tail in by_bit.get(low, ()):
+                if m & lead == lead:
+                    return m ^ lead, tail
+            w ^= low
         return None
 
     # -- reduction ----------------------------------------------------------
@@ -157,8 +174,12 @@ class ModuleGB:
         zero = field.zero
         out: ModElem = {}
         key_of = self._term_key
+        # every term the normal form meets lies on the places up to the
+        # input's last (module docstring)
+        B = _place_bits(max((m for _, m in work), default=0),
+                        self.ring.n_letters)
         push, pop = heapq.heappush, heapq.heappop
-        heap = [(key_of(t), t) for t in work]
+        heap = [(key_of(t, B), t) for t in work]
         heapq.heapify(heap)
         while heap:
             term = pop(heap)[1]
@@ -169,8 +190,7 @@ class ModuleGB:
             hit = self._find_module(comp, m)
             if hit is not None:
                 q, tail = hit
-                adds = (((tc2, mono_mul(tm, q) if q else tm), tcoef)
-                        for (tc2, tm), tcoef in tail)
+                adds = (((tc2, tm | q), tcoef) for (tc2, tm), tcoef in tail)
             else:
                 products = self.ring._find(m)
                 if products is None:
@@ -181,7 +201,7 @@ class ModuleGB:
                 old = work.get(key)
                 if old is None:
                     work[key] = sub(zero, mul(c, tcoef))
-                    push(heap, (key_of(key), key))
+                    push(heap, (key_of(key, B), key))
                 else:
                     s = sub(old, mul(c, tcoef))
                     if s == zero:
@@ -199,20 +219,20 @@ class ModuleGB:
         lead_t, terms_t = self.elements[t]
         bare = len(terms_t) == 1  # ghost terms count: see module docstring
         comp, m = lead_t
-        shift, L = self.shifts[comp], self.ring.n_letters
-        lcms = [(0, i, mono_lcm(lead_i[1], m))
+        shift, ring = self.shifts[comp], self.ring
+        lcms = [(0, i, lead_i[1] | m)
                 for i, (lead_i, terms_i) in enumerate(self.elements[:t])
                 if lead_i[0] == comp and not (bare and len(terms_i) == 1)]
         # the ring leads that share a variable with m (product criterion),
         # bar a bare pair (module docstring)
-        lcms += [(1, ref, mono_lcm(rlead, m))
-                 for ref, rlead, rbare in self.ring.leads_meeting(m)
+        lcms += [(1, ref, rlead | m)
+                 for ref, rlead, rbare in ring.leads_meeting(m)
                  if not (bare and rbare)]
         for kind, i, l in lcms:
-            deg = mono_deg(l) + shift
-            if deg <= self.cap and (L is None or
-                                    letterplace_lcm(l, L, shift)):
-                heapq.heappush(self.pairs, (deg, kind, l, comp, i, t))
+            deg = l.bit_count() + shift
+            if deg <= self.cap and ring.letterplace_lcm(l, shift):
+                heapq.heappush(self.pairs,
+                               (deg, kind, variables(l), l, comp, i, t))
 
     def _install(self, elem: ModElem) -> None:
         """Add elem, made monic; its largest term is a main term."""
@@ -223,7 +243,7 @@ class ModuleGB:
             terms = [(t, self.field.mul(inv, c)) for t, c in terms]
         self.elements.append((lead, terms))
         comp, m = lead
-        self.buckets.setdefault((comp, m[0][0] if m else -1), []).append(
+        self.buckets.setdefault(comp, {}).setdefault(m & -m, []).append(
             (m, terms[1:]))
         self._push_pairs(len(self.elements) - 1)
 
@@ -234,7 +254,7 @@ class ModuleGB:
         lead = min(elem, key=self._term_key)
         if lead[0] >= len(self.shifts):
             raise ValueError("generator has no main term")
-        d = -self._term_key(lead)[0]
+        d = lead[1].bit_count() + self.shifts[lead[0]]
         if d > self.cap:
             raise WindowTooSmall(
                 f"generator of degree {d} exceeds the window {self.cap}")
@@ -248,18 +268,18 @@ class ModuleGB:
         if kind == 0:
             lead_p, terms_p = self.elements[i]
             lead_n, terms_n = self.elements[t]
-            qn = mono_div(l, lead_n[1])
+            qn = l ^ lead_n[1]
         else:
             lead_p, terms_p = self.elements[t]
             rlead, rterms = self.ring.element(i)
-            qn = mono_div(l, rlead)
+            qn = l ^ rlead
             terms_n = [((comp, tm), tcoef) for tm, tcoef in rterms]
-        qp = mono_div(l, lead_p[1])
+        qp = l ^ lead_p[1]
         spoly: ModElem = {}
         for (tc2, tm), tcoef in terms_p:
-            spoly[(tc2, mono_mul(tm, qp) if qp else tm)] = tcoef
+            spoly[(tc2, tm | qp)] = tcoef
         for (tc2, tm), tcoef in terms_n:
-            key = (tc2, mono_mul(tm, qn) if qn else tm)
+            key = (tc2, tm | qn)
             s = sub(spoly.get(key, zero), tcoef)
             if s == zero:
                 spoly.pop(key, None)
@@ -271,7 +291,7 @@ class ModuleGB:
         """Process all S-pairs of shifted degree <= d."""
         r = len(self.shifts)
         while self.pairs and self.pairs[0][0] <= d:
-            deg, kind, l, comp, i, t = heapq.heappop(self.pairs)
+            kind, _, l, comp, i, t = heapq.heappop(self.pairs)[1:]
             nf = self._nf(self._spoly(kind, l, comp, i, t))
             if nf and next(iter(nf))[0] < r:  # main terms come first
                 self._install(nf)
@@ -295,7 +315,7 @@ def syzygies_over_quotient(ring: RingGB, gens: Sequence[ModElem],
     gb = ModuleGB(ring, main_shifts)
     one = ring.field.from_int(1)  # an int over Q, where field.one is not
     for j, g in enumerate(gens):  # g_j carries the unit of ghost eps_j
-        gb.add_generator({**g, (len(main_shifts) + j, ()): one})
+        gb.add_generator({**g, (len(main_shifts) + j, 0): one})
     gb.complete_to(ring.cap)
     return SyzygyResult(gb.syzygies,
                         [elem_sdeg(gen_degs, syz) for syz in gb.syzygies])

@@ -5,11 +5,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import List
+from typing import Dict, List, Optional, Tuple
 
-from ncres.engine import (RingGB, _require_multihomogeneous, letterplace_lcm,
-                          mono_coprime, mono_deg, mono_div, mono_key,
-                          mono_lcm, mono_mul, place_collision, shift_mono)
+from ncres import letterplace
 from ncres.field import rationals
 from ncres.freealg import (AlgebraPresentation, ModulePresentation,
                            validate_presentation)
@@ -113,15 +111,14 @@ def stair_frame(enc, degree):
     """Coordinate frame for degree-`degree` syzygies whose coefficients
     are plain words: pairs (component j, encoded normal word of length
     degree - deg_j over the original letters, starting after the
-    generator's places), in ascending order."""
+    generator's places), in ascending resolver._row_key order."""
     frame = []
-    L = enc.win.n_letters
     for j, dj in enumerate(enc.gen_degrees):
         k = degree - dj
         if k < 0 or degree > enc.win.width:
             continue
         for u in itertools.product(range(enc.n_base), repeat=k):
-            mono = tuple(((dj + p) * L + a, 1) for p, a in enumerate(u))
+            mono = letterplace.iota_word(enc.win, u, dj)
             if enc.ring._find(mono) is None:
                 frame.append((j, mono))
     return frame
@@ -146,9 +143,11 @@ def frame_kernel(field, images):
 def ev_image(enc, j, mono):
     """Image of the column e_j * mono under evaluation against the
     encoded generators, in normal-form coordinates: each component's
-    coefficient reduced modulo the ring (resolver._nf_sum)."""
-    return _nf_sum(enc.ring, ((comp, mono_mul(gm, mono), c)
-                              for (comp, gm), c in enc.gens_lp[j].items()))
+    coefficient reduced modulo the ring (resolver._nf_sum).  A product
+    whose factors share a variable squares it, so it is zero."""
+    return _nf_sum(enc.ring, ((comp, gm | mono, c)
+                              for (comp, gm), c in enc.gens_lp[j].items()
+                              if not gm & mono))
 
 
 def evaluated_stair_rows(enc, degree):
@@ -161,11 +160,181 @@ def evaluated_stair_rows(enc, degree):
     return [{frame[pos]: c for pos, c in row.items()} for row in rows]
 
 
-# --- the Buchberger oracle ---------------------------------------------------
+# --- tuple monomials: the reference the bit-mask kernel is checked against --
+#
+# A tuple monomial is a tuple of (variable, exponent) pairs sorted by
+# variable; a mask monomial (src/ncres) is the int with bit v set for each
+# variable v.  The converters below map the squarefree tuples to masks and
+# back; everything else here works on tuples only.
 
-def rank(rows, field, col_key=None) -> int:
-    """Rank of a list of sparse rows (linalg docstring)."""
-    return len(_eliminate(rows, field, col_key or (lambda c: c)))
+def to_mask(m) -> int:
+    """The mask of a squarefree tuple monomial."""
+    out = 0
+    for v, e in m:
+        if e != 1:
+            raise ValueError(f"x{v}^{e} has no mask")
+        out |= 1 << v
+    return out
+
+
+def to_tuple(m: int):
+    """The tuple monomial of a mask."""
+    out = []
+    while m:
+        low = m & -m
+        out.append((low.bit_length() - 1, 1))
+        m ^= low
+    return tuple(out)
+
+
+def poly_to_masks(p):
+    return {to_mask(m): c for m, c in p.items()}
+
+
+def poly_to_tuples(p):
+    return {to_tuple(m): c for m, c in p.items()}
+
+
+def elem_to_tuples(elem):
+    return {(comp, to_tuple(m)): c for (comp, m), c in elem.items()}
+
+
+def elements_as_tuples(elements):
+    """(lead, terms) elements of a mask ring as tuples."""
+    return [(to_tuple(lead), [(to_tuple(m), c) for m, c in terms])
+            for lead, terms in elements]
+
+
+def mono_deg(m: tuple) -> int:
+    return sum(e for _, e in m)
+
+
+def flat_key(m: tuple) -> Tuple[int, int]:
+    """Flat sort key of degrevlex, ascending from the greatest monomial:
+    (-degree, packed), packed = the sum of e << (v * w) over the (v, e)
+    of m, w = degree.bit_length().  Each exponent is at most the degree,
+    below 2^w, so the highest field where two packed values differ is the
+    largest variable whose exponents differ: within one degree a larger
+    packed is a smaller monomial."""
+    d = mono_deg(m)
+    w = d.bit_length()
+    return (-d, sum(e << (v * w) for v, e in m))
+
+
+def mono_key(m: tuple) -> Tuple[int, int]:
+    """Sort key realizing degrevlex: higher key = greater monomial."""
+    d, packed = flat_key(m)
+    return (-d, -packed)
+
+
+def mono_mul(a: tuple, b: tuple) -> tuple:
+    if not a:
+        return b
+    if not b:
+        return a
+    if a[-1][0] < b[0][0]:  # every variable of a comes first
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va == vb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif va < vb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def mono_div(m: tuple, d: tuple) -> Optional[tuple]:
+    """m / d, or None when d does not divide m."""
+    out = []
+    i = 0
+    lm = len(m)
+    for vd, ed in d:
+        while i < lm and m[i][0] < vd:
+            out.append(m[i])
+            i += 1
+        if i >= lm or m[i][0] != vd or m[i][1] < ed:
+            return None
+        rem = m[i][1] - ed
+        if rem:
+            out.append((vd, rem))
+        i += 1
+    out.extend(m[i:])
+    return tuple(out)
+
+
+def mono_lcm(a: tuple, b: tuple) -> tuple:
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va == vb:
+            out.append((va, ea if ea >= eb else eb))
+            i += 1
+            j += 1
+        elif va < vb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def mono_coprime(a: tuple, b: tuple) -> bool:
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        va, vb = a[i][0], b[j][0]
+        if va == vb:
+            return False
+        if va < vb:
+            i += 1
+        else:
+            j += 1
+    return True
+
+
+def shift_mono(m: tuple, k: int) -> tuple:
+    """m with every variable index raised by k."""
+    return tuple((v + k, e) for v, e in m)
+
+
+def place_collision(m: tuple, n_letters: int) -> bool:
+    """m holds x_a(p)x_b(p) or x_a(p)^2 in a letterplace window of
+    n_letters letters, where variable v sits at place v // n_letters."""
+    places = [v // n_letters for v, _ in m]
+    return any(e > 1 for _, e in m) or len(set(places)) != len(places)
+
+
+def letterplace_lcm(l: tuple, n_letters: int, floor: int = 0) -> bool:
+    """A told basis forms a pair with lcm l: no place collision, no
+    variable below place `floor`."""
+    return not (l and l[0][0] < floor * n_letters or
+                place_collision(l, n_letters))
+
+
+def place_multihomogeneous(p, n_letters: int) -> bool:
+    places = {tuple(v // n_letters for v, _ in m) for m in p}
+    return not any(place_collision(m, n_letters) for m in p) and \
+        len(places) <= 1
 
 
 def mono_mask(m) -> int:
@@ -177,12 +346,41 @@ def mono_mask(m) -> int:
     return mask
 
 
-class BuchbergerRing(RingGB):
-    """Plain Buchberger over every generator given: the oracle the
-    letterplace RingGB is checked against, and a ring for module bases
-    over ideals that are not letterplace.  It shares RingGB's normal-form
-    loop, S-polynomials and key table, and serves module bases through
-    the same interface (_find, leads_meeting, element).
+def letterplace_ideal_gens(win, alg):
+    """The untold letterplace ideal as tuple polynomials: every window
+    shift of the encoded relations (letterplace.letterplace_ideal_gens),
+    then the one-letter-per-place monomials x_a(p)x_b(p) and x_a(p)^2."""
+    gens = [poly_to_tuples(g)
+            for g in letterplace.letterplace_ideal_gens(win, alg)]
+    L, one = win.n_letters, alg.field.from_int(1)
+    for place0 in range(win.width):
+        base = place0 * L
+        for i in range(L):
+            for j in range(i, L):
+                mono = ((base + i, 2),) if i == j else \
+                    ((base + i, 1), (base + j, 1))
+                gens.append({mono: one})
+    return gens
+
+
+def iota_poly(win, p, shift=0):
+    """letterplace.iota_poly with tuple monomials."""
+    return poly_to_tuples(letterplace.iota_poly(win, p, shift))
+
+
+# --- the Buchberger oracle ---------------------------------------------------
+
+def rank(rows, field, col_key=None) -> int:
+    """Rank of a list of sparse rows (linalg docstring)."""
+    return len(_eliminate(rows, field, col_key or (lambda c: c)))
+
+
+class BuchbergerRing:
+    """Plain Buchberger over every generator given, on tuple monomials of
+    any exponent: the oracle the letterplace RingGB is checked against.
+    Its normal forms take terms greatest first off a heap of flat keys,
+    like RingGB's, and its _find, leads_meeting and element answer in
+    tuples what RingGB's answer in masks.
 
     cap, when given, drops every S-pair whose lcm degree exceeds it, which
     for homogeneous input yields a truncated basis complete through the
@@ -213,13 +411,20 @@ class BuchbergerRing(RingGB):
     bucket of the smallest variable of its lead."""
 
     def __init__(self, field, gens, cap=None, n_letters=None):
-        self._empty(field, cap, n_letters)
+        self.field = field
+        self.cap = cap
+        self.n_letters = n_letters
+        self.elements: List[tuple] = []  # (lead, terms)
+        self.buckets: Dict[int, list] = {}
         self._tailed: List[int] = []  # indices of elements with a tail
         self._pairs: list = []
         if n_letters is not None:  # a sum of collisions is zero: drop it
             gens = [g for g in gens
                     if not all(place_collision(m, n_letters) for m in g)]
-            _require_multihomogeneous([g for g in gens if g], n_letters)
+            if not all(place_multihomogeneous(g, n_letters)
+                       for g in gens if g):
+                raise ValueError("letterplace generator is not "
+                                 "place-multihomogeneous")
         for g in gens:
             if g:
                 self._insert(g)
@@ -228,9 +433,38 @@ class BuchbergerRing(RingGB):
             self._insert(self._spoly(l, self.elements[i], self.elements[j]))
         self._interreduce()
 
+    def _reduce_full(self, p):
+        field = self.field
+        work = dict(p)
+        heap = [(flat_key(m), m) for m in work]
+        heapq.heapify(heap)
+        out = {}
+        while heap:
+            m = heapq.heappop(heap)[1]
+            c = work.pop(m, None)
+            if c is None:
+                continue
+            products = self._find(m)
+            if products is None:
+                out[m] = c
+                continue
+            for key, tc in products:
+                if key not in work:
+                    heapq.heappush(heap, (flat_key(key), key))
+                s = field.sub(work.get(key, field.zero), field.mul(c, tc))
+                if s == field.zero:
+                    work.pop(key, None)
+                else:
+                    work[key] = s
+        return out
+
+    def normal_form(self, p):
+        return self._reduce_full(p)
+
     def _find(self, m):
-        """Products of the first reducer in bucket order, as RingGB._find
-        returns them: mono_mul(tail term, q) for the cofactor q."""
+        """Products of the first reducer in bucket order: mono_mul(tail
+        term, q) for the cofactor q; () when m holds a collision in a told
+        ring or the ideal is the unit."""
         L = self.n_letters
         if L is not None and place_collision(m, L):
             return ()
@@ -242,6 +476,30 @@ class BuchbergerRing(RingGB):
                     if q is not None:
                         return [(mono_mul(tm, q), c) for tm, c in tail]
         return () if -1 in self.buckets else None
+
+    @staticmethod
+    def _sorted_items(p):
+        return sorted(p.items(), key=lambda t: flat_key(t[0]))
+
+    def _monic_terms(self, p):
+        items = self._sorted_items(p)
+        lead, lc = items[0]
+        inv = self.field.inv(lc)
+        return lead, [(m, self.field.mul(inv, c)) for m, c in items]
+
+    def _spoly(self, l, elem_i, elem_j):
+        field = self.field
+        (lead_i, terms_i), (lead_j, terms_j) = elem_i, elem_j
+        qi, qj = mono_div(l, lead_i), mono_div(l, lead_j)
+        spoly = {mono_mul(tm, qi): tc for tm, tc in terms_i}
+        for tm, tc in terms_j:
+            key = mono_mul(tm, qj)
+            s = field.sub(spoly.get(key, field.zero), tc)
+            if s == field.zero:
+                spoly.pop(key, None)
+            else:
+                spoly[key] = s
+        return spoly
 
     def _insert(self, p) -> None:
         p = self._reduce_full(p)
@@ -291,11 +549,11 @@ class BuchbergerRing(RingGB):
         degree-compatible order only elements with smaller leads act on a
         tail, so one pass in ascending lead order, each element installed
         after its tail is reduced, is final."""
-        keys = self.keys
         elements = self.elements
         minimal = []
         for k in sorted(range(len(elements)),
-                        key=lambda k: keys[elements[k][0]], reverse=True):
+                        key=lambda k: flat_key(elements[k][0]),
+                        reverse=True):
             lead, terms = elements[k]
             mask = mono_mask(lead)
             if not any(m & mask == m and mono_div(lead, d) is not None
@@ -321,9 +579,9 @@ class BuchbergerRing(RingGB):
 
 
 def normal_form(field, f, basis):
-    """Greedy reduction of f by a list of nonzero polynomials: unique when
-    basis is a Groebner basis, otherwise some normal form with the
-    divisibility and membership postconditions."""
+    """Greedy reduction of f by a list of nonzero tuple polynomials:
+    unique when basis is a Groebner basis, otherwise some normal form with
+    the divisibility and membership postconditions."""
     gb = BuchbergerRing(field, ())
     for p in basis:
         if p:
@@ -333,11 +591,137 @@ def normal_form(field, f, basis):
 
 def window_shifts(ring):
     """Every window shift of a letterplace RingGB's stored (anchored)
-    elements, as (lead, terms) in ascending lead order: the basis a
+    elements, as tuple (lead, terms) in ascending lead order: the basis a
     Buchberger ring over the same window stores."""
     L = ring.n_letters
     out = [(shift_mono(lead, c * L), [(shift_mono(m, c * L), x)
                                       for m, x in terms])
-           for lead, terms in ring.elements
+           for lead, terms in elements_as_tuples(ring.elements)
            for c in range(ring.cap - len(lead) + 1 if lead else 1)]
     return sorted(out, key=lambda e: mono_key(e[0]))
+
+
+class TupleModuleGB:
+    """The collecting module basis of ncres.syzygy.ModuleGB on tuple
+    monomials over a BuchbergerRing, told or untold: the reference for
+    syzygies over a ring that keeps its collision monomials, which the
+    bit-mask module basis cannot represent.  Same term order, pair rule
+    and reductions as ModuleGB (syzygy docstring), with the ghost parts
+    of reductions to zero collected in `syzygies`."""
+
+    def __init__(self, ring, main_shifts):
+        self.field = ring.field
+        self.shifts = list(main_shifts)
+        self.ring = ring
+        self.cap = ring.cap
+        self.elements = []  # (lead term, descending terms)
+        self.pairs = []
+        self.syzygies = []
+
+    def _term_key(self, term):
+        comp, m = term
+        neg_d, packed = flat_key(m)
+        if comp < len(self.shifts):
+            return (neg_d - self.shifts[comp], neg_d, packed, comp)
+        return (float("inf"), neg_d, packed, comp)
+
+    def _find_module(self, comp, m):
+        for (c, lead), terms in self.elements:
+            if c == comp:
+                q = mono_div(m, lead)
+                if q is not None:
+                    return q, terms[1:]
+        return None
+
+    def normal_form(self, elem):
+        field = self.field
+        work = dict(elem)
+        heap = [(self._term_key(t), t) for t in work]
+        heapq.heapify(heap)
+        out = {}
+        while heap:
+            term = heapq.heappop(heap)[1]
+            c = work.pop(term, None)
+            if c is None:
+                continue
+            comp, m = term
+            hit = self._find_module(comp, m)
+            if hit is not None:
+                q, tail = hit
+                adds = [((tc, mono_mul(tm, q)), x) for (tc, tm), x in tail]
+            else:
+                products = self.ring._find(m)
+                if products is None:
+                    out[term] = c
+                    continue
+                adds = [((comp, pm), x) for pm, x in products]
+            for key, x in adds:
+                if key not in work:
+                    heapq.heappush(heap, (self._term_key(key), key))
+                s = field.sub(work.get(key, field.zero), field.mul(c, x))
+                if s == field.zero:
+                    work.pop(key, None)
+                else:
+                    work[key] = s
+        return out
+
+    def add_generator(self, elem):
+        terms = sorted(elem.items(), key=lambda t: self._term_key(t[0]))
+        lead, lc = terms[0]
+        inv = self.field.inv(lc)
+        terms = [(t, self.field.mul(inv, c)) for t, c in terms]
+        self.elements.append((lead, terms))
+        t = len(self.elements) - 1
+        bare = len(terms) == 1
+        comp, m = lead
+        shift, L = self.shifts[comp], self.ring.n_letters
+        lcms = [(0, i, mono_lcm(lead_i[1], m))
+                for i, (lead_i, terms_i) in enumerate(self.elements[:t])
+                if lead_i[0] == comp and not (bare and len(terms_i) == 1)]
+        lcms += [(1, ref, mono_lcm(rlead, m))
+                 for ref, rlead, rbare in self.ring.leads_meeting(m)
+                 if not (bare and rbare)]
+        for kind, i, l in lcms:
+            deg = mono_deg(l) + shift
+            if deg <= self.cap and (L is None or
+                                    letterplace_lcm(l, L, shift)):
+                heapq.heappush(self.pairs, (deg, kind, l, comp, i, t))
+
+    def complete_to(self, d):
+        field, r = self.field, len(self.shifts)
+        while self.pairs and self.pairs[0][0] <= d:
+            _, kind, l, comp, i, t = heapq.heappop(self.pairs)
+            lead_p, terms_p = self.elements[i if kind == 0 else t]
+            if kind == 0:
+                lead_n, terms_n = self.elements[t]
+                qn = mono_div(l, lead_n[1])
+            else:
+                rlead, rterms = self.ring.element(i)
+                qn = mono_div(l, rlead)
+                terms_n = [((comp, tm), x) for tm, x in rterms]
+            qp = mono_div(l, lead_p[1])
+            spoly = {(tc, mono_mul(tm, qp)): x for (tc, tm), x in terms_p}
+            for (tc, tm), x in terms_n:
+                key = (tc, mono_mul(tm, qn))
+                s = field.sub(spoly.get(key, field.zero), x)
+                if s == field.zero:
+                    spoly.pop(key, None)
+                else:
+                    spoly[key] = s
+            nf = self.normal_form(spoly)
+            if nf and next(iter(nf))[0] < r:
+                self.add_generator(nf)
+            elif nf:
+                self.syzygies.append(
+                    {(j - r, m): c for (j, m), c in nf.items()})
+
+
+def tuple_syzygies(ring, gens, main_shifts):
+    """Raw syzygies of tuple module elements over a BuchbergerRing, as
+    ncres.syzygy.syzygies_over_quotient collects them."""
+    gb = TupleModuleGB(ring, main_shifts)
+    one = ring.field.from_int(1)
+    for j, g in enumerate(gens):
+        gb.add_generator({**g, (len(main_shifts) + j, ()): one})
+    gb.complete_to(ring.cap)
+    return gb.syzygies

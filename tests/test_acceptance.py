@@ -8,9 +8,9 @@ from collections import Counter
 
 import pytest
 
-from helpers import (BuchbergerRing, augmentation_module,
-                     nilpotent_enveloping, random_module,
-                     random_presentation)
+from helpers import (BuchbergerRing, augmentation_module, iota_poly,
+                     letterplace_ideal_gens, nilpotent_enveloping,
+                     random_module, random_presentation, to_tuple)
 from ncres.checks import (check_dimension_equalities,
                           check_encoding_product_law,
                           check_presentation_map_commutes, check_round_trips)
@@ -18,8 +18,7 @@ from ncres.dims import leading_word_basis
 from ncres.field import rationals
 from ncres.freealg import AlgebraPresentation, ModulePresentation
 from ncres.jsonio import render_json, resolution_document
-from ncres.letterplace import (PlaceWindow, build_C, iota_poly,
-                               letterplace_ideal_gens)
+from ncres.letterplace import PlaceWindow, build_C
 from ncres.monores import (MonomialModule, annihilator_gens,
                            minimal_monomial_gens, monomial_ideal,
                            monomial_resolution)
@@ -109,7 +108,7 @@ def test_criterion_2_free_augmentation_block():
         raw = syzygies_over_quotient(enc.ring, enc.gens_lp, [0])
         block = build_C(enc.win, QQ, enc.gen_degrees)
         assert all(len(b) == 1 for b in block)
-        assert {key for b in block for key in b} == {
+        assert {(j, to_tuple(m)) for b in block for j, m in b} == {
             (j, ((k, 1),)) for j in range(n) for k in range(n)}
         kept = minimalize_graded(enc.ring, block + raw.generators,
                                  enc.gen_degrees)

@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (BuchbergerRing, augmentation_module,
-                     nilpotent_enveloping, normal_form, random_presentation,
-                     rank, window_shifts)
-from ncres.engine import (RingGB, flat_key, mono_coprime, mono_deg, mono_div,
-                          mono_key, mono_lcm, mono_mul, place_collision,
-                          shift_mono)
+from helpers import (BuchbergerRing, augmentation_module, elements_as_tuples,
+                     flat_key, letterplace_ideal_gens, letterplace_lcm,
+                     mono_coprime, mono_deg, mono_div, mono_key, mono_lcm,
+                     mono_mul, nilpotent_enveloping, normal_form,
+                     place_collision, poly_to_masks, random_presentation,
+                     rank, shift_mono, to_mask, to_tuple, window_shifts)
+from ncres import engine
+from ncres.engine import RingGB
 from ncres.field import rationals
 from ncres.freealg import AlgebraPresentation
 from ncres.homog import extend_algebra
-from ncres.letterplace import PlaceWindow, letterplace_ideal_gens
+from ncres.letterplace import PlaceWindow
 from ncres.resolver import ResolutionRequest, _ring_basis, resolve
 from ncres.syzygy import ModuleGB
 
@@ -154,6 +156,80 @@ def test_mono_mul_concatenates_separated_factors(cut, a, b):
         assert dense(prod, WIDE) == want
 
 
+# --- the bit-mask kernel against the tuple reference -------------------------
+#
+# A monomial of the kernel is the int with bit v set for each variable v;
+# the tuple monomials of helpers are the reference it replaced.  Squarefree
+# monomials over 140 variables: indices pass bits 63 and 127.
+
+MASK_WIDE = 140
+variable_sets = st.frozensets(st.integers(0, MASK_WIDE - 1), max_size=8)
+
+
+def _pair(vs):
+    """(mask, tuple) of one squarefree monomial."""
+    return sum(1 << v for v in vs), tuple((v, 1) for v in sorted(vs))
+
+
+@given(variable_sets, variable_sets)
+def test_mask_flat_key_sorts_like_the_tuple_reference(a, b):
+    """flat_key and mono_key on masks, and the ring's heap key
+    m - (m.bit_count() << B), order two monomials as the tuple keys do."""
+    (ma, ta), (mb, tb) = _pair(a), _pair(b)
+    heap_key = lambda m: m - (m.bit_count() << MASK_WIDE)
+    assert (engine.flat_key(ma) < engine.flat_key(mb)) == \
+        (flat_key(ta) < flat_key(tb))
+    assert (engine.mono_key(ma) < engine.mono_key(mb)) == \
+        (mono_key(ta) < mono_key(tb))
+    assert (heap_key(ma) < heap_key(mb)) == (flat_key(ta) < flat_key(tb))
+    assert (engine.flat_key(ma) == engine.flat_key(mb)) == (a == b)
+
+
+@given(variable_sets, variable_sets)
+def test_pair_heap_tie_key_sorts_like_the_tuple(a, b):
+    """The pair heaps break lcm ties by engine.variables, which orders
+    masks as the (variable, exponent) tuples they were."""
+    (ma, ta), (mb, tb) = _pair(a), _pair(b)
+    assert engine.variables(ma) == tuple(sorted(a))
+    assert (engine.variables(ma) < engine.variables(mb)) == (ta < tb)
+
+
+@given(variable_sets, st.integers(1, 5))
+def test_mask_collision_is_the_tuple_collision(a, n_letters):
+    """place_collision on a mask, and the pair rule of a ring over a window
+    that holds it, agree with the tuple predicates."""
+    ma, ta = _pair(a)
+    want = place_collision(ta, n_letters)
+    assert engine.place_collision(ma, n_letters) == want
+    ring = RingGB(F, (), cap=-(-MASK_WIDE // n_letters), n_letters=n_letters)
+    for floor in (0, 1, 7):
+        assert ring.letterplace_lcm(ma, floor) == \
+            letterplace_lcm(ta, n_letters, floor)
+
+
+@given(variable_sets, variable_sets, st.data())
+def test_mask_arithmetic_is_the_tuple_arithmetic(a, b, data):
+    """Degree, product of coprime factors, lcm, coprimality, quotient and
+    place shifts on masks against the tuple operations; the divisor is
+    drawn from the dividend's variables half the time."""
+    if data.draw(st.booleans()):
+        b = frozenset(data.draw(st.sets(st.sampled_from(sorted(a))))) \
+            if a else b
+    (ma, ta), (mb, tb) = _pair(a), _pair(b)
+    assert ma.bit_count() == mono_deg(ta)
+    assert (not ma & mb) == mono_coprime(ta, tb)
+    if not ma & mb:
+        assert to_tuple(ma | mb) == mono_mul(ta, tb)
+    assert to_tuple(ma | mb) == mono_lcm(ta, tb)
+    quotient = mono_div(ta, tb)
+    assert (ma & mb == mb) == (quotient is not None)
+    if quotient is not None:
+        assert to_tuple(ma ^ mb) == quotient
+    k = data.draw(st.integers(0, 70))
+    assert to_tuple(ma << k) == shift_mono(ta, k)
+    assert to_mask(ta) == ma and to_tuple(ma) == ta
+
+
 def test_concatenated_collision_reduces_to_zero_in_a_told_ring():
     """A concatenated product holding a place collision is zero in a
     told ring: x(0) times z(0)x(1) covers place 0 twice."""
@@ -162,11 +238,15 @@ def test_concatenated_collision_reduces_to_zero_in_a_told_ring():
     told = _ring_basis(alg, width)
     a = ((0, 1),)
     b = ((2, 1), (L, 1))
-    standard = ((0, 1), (L + 1, 1))  # x(0)y(1), in normal form
+    standard = to_mask(((0, 1), (L + 1, 1)))  # x(0)y(1), in normal form
     assert told.normal_form({standard: F.one}) == {standard: F.one}
     for x, y in ((a, b), (b, a)):
         prod = mono_mul(x, y)
         assert prod == a + b and place_collision(prod, L)
+        prod = to_mask(prod)
+        assert prod == to_mask(x) | to_mask(y)
+        assert engine.place_collision(prod, L)
+        assert not told.letterplace_lcm(prod)
         assert told.normal_form({prod: F.one}) == {}
         assert told.mono_normal_form(prod) == {}
         assert told.normal_form({prod: F.one, standard: F.one}) == \
@@ -198,10 +278,21 @@ def test_normal_forms_reduce_terms_in_descending_key_order(monkeypatch):
         monkeypatch.setattr(cls, reduce_name, reduce)
         monkeypatch.setattr(cls, find_name, find)
 
+    plain_find = RingGB._find
     instrument(RingGB, "ring", "_reduce_full", "_find",
-               lambda gb: lambda term: gb.keys[term[0]])
+               lambda gb: lambda term: engine.flat_key(term[0]))
     instrument(ModuleGB, "module", "_nf", "_find_module",
                lambda gb: lambda term: gb._term_key(term))
+
+    def memo_find(self, m):
+        # a step's ring is a view that memoizes _find: record each of its
+        # lookups once, hits included
+        if active["ring"]:
+            active["ring"][-1][1].append((m,))
+        if m not in self._found:
+            self._found[m] = plain_find(self, m)
+        return self._found[m]
+    monkeypatch.setattr(engine._RingView, "_find", memo_find)
     res = resolve(ResolutionRequest(
         augmentation_module(nilpotent_enveloping()), degree_bound=10,
         length_bound=7, trust_finite=True))
@@ -544,17 +635,20 @@ def test_collision_criterion_keeps_the_letterplace_basis():
 
 
 def test_collision_criterion_needs_place_multihomogeneous_generators():
-    # over 2 letters x_a(p) is variable 2(p - 1) + a: a(1)b(2) - a(1)a(1)
-    # covers place 1 twice in its second term
-    bad = {((0, 1), (3, 1)): F.one, ((0, 2),): F.neg(F.one)}
-    for ring in (RingGB, BuchbergerRing):
+    # over 2 letters x_a(p) is variable 2(p - 1) + a: a(1)b(2) - a(1)b(1)
+    # covers place 1 twice in its second term, and so does a(1)^2
+    bad = {((0, 1), (3, 1)): F.one, ((0, 1), (1, 1)): F.neg(F.one)}
+    square = {((0, 1), (3, 1)): F.one, ((0, 2),): F.neg(F.one)}
+    with pytest.raises(ValueError, match="place-multihomogeneous"):
+        BuchbergerRing(F, [square], cap=4, n_letters=2)
+    for ring, conv in ((RingGB, poly_to_masks), (BuchbergerRing, dict)):
         with pytest.raises(ValueError, match="place-multihomogeneous"):
-            ring(F, [bad], cap=4, n_letters=2)
+            ring(F, [conv(bad)], cap=4, n_letters=2)
     # terms covering different places
     bad = {((0, 1), (3, 1)): F.one, ((2, 1), (5, 1)): F.one}
-    for ring in (RingGB, BuchbergerRing):
+    for ring, conv in ((RingGB, poly_to_masks), (BuchbergerRing, dict)):
         with pytest.raises(ValueError, match="place-multihomogeneous"):
-            ring(F, [bad], cap=4, n_letters=2)
+            ring(F, [conv(bad)], cap=4, n_letters=2)
     good = {((0, 1), (3, 1)): F.one, ((1, 1), (2, 1)): F.one}
     collision = {((0, 1), (1, 1)): F.one}
     told = BuchbergerRing(F, [good, collision], cap=4, n_letters=2)
@@ -587,7 +681,7 @@ def test_restriction_equals_the_basis_from_generators():
             for alg in (base, extend_algebra(base)):
                 L = alg.n_letters
                 got = big.restrict(width, L)
-                assert got.keys is not big.keys
+                assert got._found == {} and not hasattr(big, "_found")
                 oracle = _letterplace_basis(alg, width, n_letters=L)[1]
                 assert _shape(got) == _shape(oracle), (k, width, alg.names)
                 assert got.elements == _ring_basis(alg, width).elements
@@ -628,17 +722,27 @@ def test_implicit_shifts_choose_the_buchberger_reducer():
                 ring = big.restrict(width, L)
                 oracle = _letterplace_basis(alg, width, n_letters=L)[1]
                 for m in _window_monomials(L, width):
-                    products = ring._find(m)
+                    if any(e > 1 for _, e in m):
+                        continue  # a square has no mask
+                    products = _as_tuples(ring._find(to_mask(m)))
                     assert products == oracle._find(m), (alg.names, m)
                     found += bool(products)
-                    got = [(lead, bare, ring.element(ref))
+                    got = [(to_tuple(lead), bare,
+                            elements_as_tuples([ring.element(ref)])[0])
                            for ref, lead, bare in sorted(
-                               ring.leads_meeting(m))]
+                               ring.leads_meeting(to_mask(m)))]
                     assert got == [(lead, bare, oracle.element(k))
                                    for k, lead, bare in
                                    oracle.leads_meeting(m)], (alg.names, m)
                     met += len(got)
     assert found > 900 and met > 900
+
+
+def _as_tuples(products):
+    """_find's products with tuple monomials; None and () as they are."""
+    if products is None or products == ():
+        return products
+    return [(to_tuple(m), c) for m, c in products]
 
 
 def test_told_ring_sends_place_collisions_to_zero():
@@ -667,15 +771,20 @@ def test_told_ring_sends_place_collisions_to_zero():
             t = L - 1
             assert ((0, 1), (t, 1)) in hits and ((t, 2),) in hits
         for gb in (_ring_basis(ext, width), big.restrict(width, L)):
-            assert _without_collisions(gb, L) == gb.elements
+            elements = elements_as_tuples(gb.elements)
+            assert [e for e in elements
+                    if not place_collision(e[0], L)] == elements
             module = ModuleGB(gb, [0])
             for m in monos:
-                nf = gb.normal_form({m: F.one})
+                if any(e > 1 for _, e in m):
+                    continue  # a square has no mask
+                mask = to_mask(m)
+                nf = gb.normal_form({mask: F.one})
                 if place_collision(m, L):
                     assert nf == {}, m
-                    assert module.normal_form({(0, m): F.one}) == {}, m
+                    assert module.normal_form({(0, mask): F.one}) == {}, m
                 elif mono_deg(m) < 3:
-                    assert nf == {m: F.one}, m
+                    assert nf == {mask: F.one}, m
 
 
 def test_restriction_rejects_what_it_cannot_read_off():
@@ -769,18 +878,18 @@ def test_ring_basis_needs_anchored_multihomogeneous_generators():
     for gens, cap in (([shifted[1]], 4), ([good, shifted[2]], 4),
                       ([gap], 4), ([good], 1)):
         with pytest.raises(ValueError, match="cover places") as err:
-            RingGB(F, gens, cap=cap, n_letters=2)
+            RingGB(F, [poly_to_masks(g) for g in gens], cap=cap, n_letters=2)
         assert "\n" not in str(err.value)
-    built = RingGB(F, [good], cap=4, n_letters=2)
+    built = RingGB(F, [poly_to_masks(good)], cap=4, n_letters=2)
     assert _shape(built) == \
         _shape(BuchbergerRing(F, shifted, cap=4, n_letters=2))
-    bad = {((0, 1), (3, 1)): F.one, ((0, 2),): F.neg(F.one)}
+    bad = {((0, 1), (3, 1)): F.one, ((0, 1), (1, 1)): F.neg(F.one)}
     with pytest.raises(ValueError, match="place-multihomogeneous"):
-        RingGB(F, [bad], cap=2, n_letters=2)
+        RingGB(F, [poly_to_masks(bad)], cap=2, n_letters=2)
     with pytest.raises(TypeError):
-        RingGB(F, [good], cap=4)
+        RingGB(F, [poly_to_masks(good)], cap=4)
     with pytest.raises(TypeError):
-        RingGB(F, [good], n_letters=2)
+        RingGB(F, [poly_to_masks(good)], n_letters=2)
 
 
 def test_monomial_normal_forms_are_memoized_per_basis():
@@ -790,7 +899,7 @@ def test_monomial_normal_forms_are_memoized_per_basis():
     big = _ring_basis(alg, 6)
     ring = big.restrict(5, alg.n_letters)
     assert ring._mono_nf == {} and big._mono_nf == {}
-    monos = [((0, 1), (3 + a, 1), (6 + b, 1)) for a in range(3)
+    monos = [to_mask(((0, 1), (3 + a, 1), (6 + b, 1))) for a in range(3)
              for b in range(3)]
     for m in monos:
         nf = ring.mono_normal_form(m)

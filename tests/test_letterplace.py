@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import nilpotent_enveloping
-from ncres.engine import mono_mul
+from helpers import (letterplace_ideal_gens, nilpotent_enveloping, to_mask,
+                     to_tuple)
 from ncres.field import rationals
 from ncres.freealg import AlgebraPresentation
 from ncres.homog import extend_algebra
 from ncres.letterplace import (NotLetterplace, PlaceWindow, WindowTooSmall,
                                build_C, iota_inverse_elem, iota_inverse_word,
                                iota_module_elem, iota_poly, iota_word,
-                               letterplace_ideal_gens, sigma_shift_mono)
+                               sigma_shift_mono)
 
 QQ = rationals()
 ONE = QQ.one
@@ -24,9 +24,9 @@ WIN = PlaceWindow(("x", "y"), 6)
 
 
 def test_word_encoding_is_place_major():
-    assert iota_word(WIN, (0, 1)) == ((0, 1), (3, 1))
-    assert iota_word(WIN, (0, 1), shift=1) == ((2, 1), (5, 1))
-    assert iota_word(WIN, ()) == ()
+    assert to_tuple(iota_word(WIN, (0, 1))) == ((0, 1), (3, 1))
+    assert to_tuple(iota_word(WIN, (0, 1), shift=1)) == ((2, 1), (5, 1))
+    assert iota_word(WIN, ()) == 0
     assert WIN.mono_str(iota_word(WIN, (0, 1), 1)) == "x2*y3"
 
 
@@ -41,11 +41,13 @@ def test_word_must_fit_the_window():
 
 def test_decode_rejects_non_words():
     with pytest.raises(NotLetterplace):
-        iota_inverse_word(WIN, ((0, 2),), 0)  # squared variable
+        iota_inverse_word(WIN, to_mask(((0, 1), (1, 1))), 0)  # x1*y1
     with pytest.raises(NotLetterplace):
-        iota_inverse_word(WIN, ((0, 1), (4, 1)), 0)  # gap at place 2
+        iota_inverse_word(WIN, to_mask(((0, 1), (4, 1))), 0)  # gap at place 2
     with pytest.raises(NotLetterplace):
-        iota_inverse_word(WIN, ((0, 1),), 1)  # run starts at the wrong place
+        iota_inverse_word(WIN, to_mask(((0, 1),)), 1)  # run starts too early
+    with pytest.raises(NotLetterplace):
+        iota_inverse_word(WIN, to_mask(((4, 1), (7, 1))), 1)  # starts late
 
 
 def test_place_shift_bounds():
@@ -76,11 +78,30 @@ def test_concatenation_becomes_shifted_product(u, v, shift):
     if shift + len(u) + len(v) > WIN.width:
         return
     lhs = iota_word(WIN, u + v, shift)
-    rhs = mono_mul(iota_word(WIN, u, shift),
-                   iota_word(WIN, v, shift + len(u)))
+    rhs = iota_word(WIN, u, shift) | iota_word(WIN, v, shift + len(u))
     assert lhs == rhs
     assert iota_word(WIN, v, shift + len(u)) == \
         sigma_shift_mono(WIN, iota_word(WIN, v), shift + len(u))
+
+
+@settings(max_examples=40)
+@given(st.lists(st.integers(0, 2), min_size=0, max_size=5).map(tuple),
+       st.sampled_from([0, 20, 21, 995, 1000]))
+def test_round_trip_past_bit_63_and_at_place_1000(w, shift):
+    """Masks are unbounded ints: words at places 21 and on (past bit 63
+    over three letters) and at place 1000 encode and decode exactly, and
+    the encoding is the tuple encoding as a mask."""
+    win = PlaceWindow(("x", "y", "z"), 1005)
+    if shift + len(w) > win.width:
+        return
+    m = iota_word(win, w, shift)
+    assert iota_inverse_word(win, m, shift) == w
+    assert to_tuple(m) == tuple(((shift + k) * 3 + a, 1)
+                                for k, a in enumerate(w))
+    assert sigma_shift_mono(win, m, -shift) == iota_word(win, w)
+    assert iota_inverse_elem(win, iota_module_elem(win, {(0, w): ONE},
+                                                   [shift]), [shift]) == \
+        {(0, w): ONE}
 
 
 def _elem_times_poly(elem, f):
@@ -116,7 +137,7 @@ def test_module_encoding_respects_right_multiplication(terms, u, shifts, c):
     rhs = {}
     for (comp, m), ce in iota_module_elem(WIN, elem, shifts).items():
         for ms, cf in step.items():
-            rhs[(comp, mono_mul(m, ms))] = QQ.mul(ce, cf)
+            rhs[(comp, m | ms)] = QQ.mul(ce, cf)
     assert lhs == rhs
 
 
@@ -159,7 +180,7 @@ def test_presentation_substitution_commutes_with_encoding():
         rhs = {}
         for (j, m), c in iota_module_elem(win, h, degrees).items():
             for (comp, gm), cg in gens_lp[j].items():
-                key = (comp, mono_mul(gm, m))
+                key = (comp, gm | m)
                 s = QQ.add(rhs.get(key, QQ.zero), QQ.mul(c, cg))
                 if s == QQ.zero:
                     rhs.pop(key, None)
@@ -190,8 +211,8 @@ def test_forced_block_shape():
     # one element per generator, place up to its degree, letter
     out = build_C(WIN, QQ, [2, 1, 0])
     assert len(out) == 2 * 2 + 1 * 2 + 0
-    assert {(0, ((0, 1),)): ONE} in out
-    assert {(0, ((3, 1),)): ONE} in out  # y at place 2
+    assert {(0, to_mask(((0, 1),))): ONE} in out
+    assert {(0, to_mask(((3, 1),))): ONE} in out  # y at place 2
     assert all(len(e) == 1 for e in out)
     with pytest.raises(WindowTooSmall):
         build_C(WIN, QQ, [7])

@@ -10,16 +10,16 @@ from pathlib import Path
 import pytest
 
 from helpers import (BuchbergerRing, augmentation_module, ev_image,
-                     evaluated_stair_rows, nilpotent_enveloping,
-                     random_module, random_presentation, stair_frame)
+                     evaluated_stair_rows, iota_poly, letterplace_ideal_gens,
+                     nilpotent_enveloping, random_module, random_presentation,
+                     stair_frame, to_tuple, window_shifts)
 from ncres.field import rationals
 from ncres.freealg import (AlgebraPresentation, ModulePresentation,
                            validate_presentation)
-from ncres.letterplace import PlaceWindow, build_C, iota_poly, iota_word, \
-    letterplace_ideal_gens
+from ncres.letterplace import PlaceWindow, build_C, iota_word
 import ncres.cli as cli
 import ncres.resolver as resolver
-from ncres.engine import RingGB, mono_mul
+from ncres.engine import RingGB
 from ncres.jsonio import parse_input, render_json, resolution_document
 from ncres.resolver import BettiTable, ResolutionRequest, betti_summary, \
     monomial_degree_bound, render_betti_text, resolve, syzygy_step
@@ -144,13 +144,33 @@ def test_short_forced_block_is_an_internal_error(monkeypatch):
         syzygy_step(_poly_ring_2(), [0], gens, window=3)
 
 
+@pytest.mark.parametrize("tshift", [True, False])
+def test_forced_block_is_certified_without_evaluation(monkeypatch, tshift):
+    """Every term of g_j holds a letter at each of g_j's places, so each
+    forced-block element of the flagship's steps is certified by its
+    mask tests alone: none reaches the evaluation of _check_syzygies."""
+    evaluated = []
+    real = resolver._check_syzygies
+
+    def recording(enc, elems, message):
+        if message.startswith("forced-block"):
+            evaluated.extend(elems)
+        return real(enc, elems, message)
+    monkeypatch.setattr(resolver, "_check_syzygies", recording)
+    res = resolve(ResolutionRequest(augmentation_module(
+        nilpotent_enveloping()), degree_bound=7, length_bound=7,
+        tshift=tshift))
+    assert sum(sum(step.betti_block.values()) for step in res.steps) > 100
+    assert evaluated == []
+
+
 def test_forced_block_non_syzygy_is_an_internal_error(monkeypatch, tmp_path,
                                                       capsys):
     build_C = resolver.build_C
 
     def with_non_syzygy(win, field, gen_degrees):
         # component 0 times the first letter just past generator 0's places
-        mono = ((gen_degrees[0] * win.n_letters, 1),)
+        mono = 1 << (gen_degrees[0] * win.n_letters)
         return build_C(win, field, gen_degrees) + [{(0, mono): field.one}]
 
     monkeypatch.setattr(resolver, "build_C", with_non_syzygy)
@@ -233,8 +253,8 @@ def _with_non_syzygy(monkeypatch):
 
     def injected(ring, gens, shifts):
         raw = real(ring, gens, shifts)
-        d0 = sum(e for _, m in gens[0] for _, e in m)
-        mono = ((d0 * ring.n_letters, 1),)
+        d0 = next(iter(gens[0]))[1].bit_count()
+        mono = 1 << (d0 * ring.n_letters)
         raw.generators.append({(0, mono): ring.field.one})
         raw.degrees.append(d0 + 1)
         return raw
@@ -300,6 +320,7 @@ def test_resolve_leaves_no_key_cache_behind():
 # --- one ring basis per resolution ------------------------------------------
 
 FLAGSHIP = Path(__file__).resolve().parent / "data" / "flagship.json"
+RAW_SYZYGIES = FLAGSHIP.with_name("flagship-raw-syzygies.json")
 
 
 def test_explicit_bound_builds_the_ring_basis_once(monkeypatch):
@@ -386,10 +407,41 @@ def test_flagship_reduction_sequence_is_pinned(monkeypatch, field):
     assert len(processed) == 51
 
 
+@pytest.mark.parametrize("workload, field", [("nilpotent-q", "Q"),
+                                             ("nilpotent-fp", {"Fp": 32003})])
+def test_flagship_raw_syzygies_match_the_tuple_kernel(monkeypatch, workload,
+                                                      field):
+    """Each step's raw syzygies of the flagship at D=10, decoded to
+    (variable, exponent) tuples, are as sets those that the kernel on
+    tuple monomials collected (tests/data/flagship-raw-syzygies.json,
+    recorded with it)."""
+    expected = json.loads(RAW_SYZYGIES.read_text(encoding="utf-8"))[workload]
+    got = []
+    real_raw = resolver.syzygies_over_quotient
+
+    def recording(ring, gens, shifts):
+        out = real_raw(ring, gens, shifts)
+        got.append(out.generators)
+        return out
+    monkeypatch.setattr(resolver, "syzygies_over_quotient", recording)
+    doc = json.loads(FLAGSHIP.read_text(encoding="utf-8"))
+    doc["field"] = field
+    mod = parse_input(json.dumps(doc))
+    resolve(ResolutionRequest(mod, degree_bound=10, length_bound=7,
+                              trust_finite=True))
+    to_str = mod.algebra.field.to_str
+    assert [{frozenset((j, to_tuple(m), to_str(c))
+                       for (j, m), c in syz.items()) for syz in step}
+            for step in got] == \
+        [{frozenset((j, tuple(map(tuple, m)), c) for j, m, c in syz)
+          for syz in step} for step in expected]
+
+
 def test_growing_heuristic_windows_keep_the_bytes(monkeypatch):
     """Heuristic windows widen from step to step, so the one basis is
     rebuilt for a wider window now and then; the rendered resolution
-    must equal the one whose every ring comes from its own generators."""
+    must equal the one whose every ring comes from its own generators,
+    each checked against Buchberger over every generator of its window."""
     mod = parse_input(FLAGSHIP.read_text(encoding="utf-8"))
     req = ResolutionRequest(mod, length_bound=7, trust_finite=True)
     widths = []
@@ -401,22 +453,27 @@ def test_growing_heuristic_windows_keep_the_bytes(monkeypatch):
     assert widths == [3, 4]
 
     real_encode = resolver._encode_step
+    checked = []
 
     def from_generators(alg, shifts, gens, window, use_tshift, base=None):
         enc = real_encode(alg, shifts, gens, window, use_tshift)
         active = enc.ctx.extended if enc.ctx is not None else alg
-        enc.ring = BuchbergerRing(
+        enc.ring = real_basis(active, enc.win.width)
+        oracle = BuchbergerRing(
             alg.field, letterplace_ideal_gens(enc.win, active),
             cap=enc.win.width, n_letters=enc.win.n_letters)
+        assert window_shifts(enc.ring) == oracle.elements
+        checked.append(enc.win.width)
         return enc
 
     monkeypatch.setattr(resolver, "_encode_step", from_generators)
     assert render_json(resolution_document(resolve(req))) == shared
+    assert len(checked) > 3 and len(set(checked)) > 1
 
 
 def test_every_step_ring_has_its_own_key_table(monkeypatch):
-    """A step's module keys land in its own ring's table: the kept basis
-    is never a step's ring, and its table stays empty."""
+    """A step's reducer lookups land in its own ring's memo: the kept
+    basis is never a step's ring, and it memoizes nothing."""
     pairs = []
     real_restrict = RingGB.restrict
 
@@ -432,10 +489,10 @@ def test_every_step_ring_has_its_own_key_table(monkeypatch):
     bases = {id(base) for base, _ in pairs}
     assert len(bases) == 1
     base = pairs[0][0]
-    assert len(base.keys) == 0
-    tables = {id(ring.keys) for _, ring in pairs}
-    assert len(tables) == len(pairs) and id(base.keys) not in tables
-    assert all(len(ring.keys) for _, ring in pairs)
+    assert not hasattr(base, "_found") and base._mono_nf == {}
+    tables = {id(ring._found) for _, ring in pairs}
+    assert len(tables) == len(pairs)
+    assert all(len(ring._found) for _, ring in pairs)
 
 
 def test_wide_window_keeps_the_table_and_the_ring_small(monkeypatch):
@@ -491,7 +548,8 @@ def test_ev_image_matches_one_normal_form_per_component(monkeypatch, tshift):
     def oracle(enc, j, mono):
         by_comp = {}
         for (comp, gm), c in enc.gens_lp[j].items():
-            by_comp.setdefault(comp, {})[mono_mul(gm, mono)] = c
+            if not gm & mono:  # a shared variable squares: zero
+                by_comp.setdefault(comp, {})[gm | mono] = c
         return {(comp, m): c for comp, poly in by_comp.items()
                 for m, c in enc.ring.normal_form(poly).items()}
 
@@ -534,12 +592,13 @@ def _assert_rows_match_evaluation(calls):
     rows from lower output span a subspace of it."""
     for enc, d, rows, from_raw in calls:
         frame = stair_frame(enc, d)
-        assert frame == sorted(frame)  # frame positions are key order
+        # frame positions are key order
+        assert frame == sorted(frame, key=resolver._row_key)
         kernel = evaluated_stair_rows(enc, d)
         if from_raw:
             assert rows == kernel
         else:
-            pivots = {min(row): row for row in kernel}
+            pivots = {min(row, key=resolver._row_key): row for row in kernel}
             assert resolver._spans(pivots, rows, enc.ring.field)
 
 

@@ -38,3 +38,12 @@ def test_run_reference_with_and_without_compression():
     table = lambda out: [l for l in out[1:] if not l.startswith("step ")]
     assert table(on) == table(off)
     assert any(l.startswith("  level 3:") for l in on)
+
+
+def test_output_hash_on_a_tiny_subset():
+    # 12 flagship resolves, one module per seed and compression, one
+    # corpus instance per seed
+    digest, count, unit = run_script("output_hash.py", "--modules", "1",
+                                      "--corpus", "1")[-1].split()
+    assert len(digest) == 64 and int(digest, 16) >= 0
+    assert (count, unit) == ("20", "resolves")
