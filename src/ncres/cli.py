@@ -15,7 +15,6 @@ import sys
 import time
 from typing import Optional, Tuple
 
-from .checks import run_all
 from .freealg import ModulePresentation, validate_presentation
 from .jsonio import InputError, parse_input, render_json, resolution_document
 from .monores import MonomialModule, in_ideal, monomial_ideal, \
@@ -187,6 +186,8 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .checks import run_all  # here, so resolve loads no checks or dims
+
     try:
         module = parse_input(_read_source(args.input), validate=False)
     except InputError as exc:

@@ -14,8 +14,7 @@ right module with those shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .field import Field
 
@@ -24,22 +23,20 @@ NcPoly = Dict[Word, object]
 NcModElem = Dict[Tuple[int, Word], object]
 
 
-@dataclass
-class AlgebraPresentation:
+class AlgebraPresentation(NamedTuple):
     field: Field
     names: Tuple[str, ...]
-    relations: List[NcPoly] = dc_field(default_factory=list)
+    relations: Sequence[NcPoly] = ()
 
     @property
     def n_letters(self) -> int:
         return len(self.names)
 
 
-@dataclass
-class ModulePresentation:
+class ModulePresentation(NamedTuple):
     algebra: AlgebraPresentation
     shifts: Tuple[int, ...]
-    generators: List[NcModElem] = dc_field(default_factory=list)
+    generators: Sequence[NcModElem] = ()
 
     @property
     def rank(self) -> int:

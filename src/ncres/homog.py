@@ -12,8 +12,7 @@ is not literally in the image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .freealg import AlgebraPresentation, NcModElem
 
@@ -22,8 +21,7 @@ class NotInImage(ValueError):
     """Raised when an element is not in the image of the homogenization map."""
 
 
-@dataclass
-class HomogenizationContext:
+class HomogenizationContext(NamedTuple):
     base: AlgebraPresentation
     extended: AlgebraPresentation
     delta: Tuple[int, ...]

@@ -18,8 +18,7 @@ letterplace bases treat as zero (engine docstring).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .engine import variables
 from .freealg import (AlgebraPresentation, NcModElem, NcPoly, Word,
@@ -38,8 +37,7 @@ class NotLetterplace(ValueError):
     """Raised when a monomial is not the image of a shifted word."""
 
 
-@dataclass(frozen=True)
-class PlaceWindow:
+class PlaceWindow(NamedTuple):
     names: Tuple[str, ...]  # active alphabet, in variable order
     width: int              # number of places
 

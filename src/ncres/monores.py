@@ -12,8 +12,7 @@ pipeline is checked against on monomial inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
 
 from .freealg import Word, word_contains
 from .resolver import BettiTable, monomial_degree_bound
@@ -23,8 +22,7 @@ class WInIdeal(ValueError):
     """Raised when a supposedly normal word lies in the monomial ideal."""
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(NamedTuple):
     """Two-sided monomial ideal held by an interreduced word basis."""
     basis: Tuple[Word, ...]
 
@@ -45,8 +43,7 @@ def in_ideal(ideal: MonomialIdeal, w: Word) -> bool:
     return any(word_contains(w, v) for v in ideal.basis)
 
 
-@dataclass
-class MonomialModule:
+class MonomialModule(NamedTuple):
     shifts: Tuple[int, ...]
     generators: List[Tuple[int, Word]]  # (component, normal word)
 

@@ -67,8 +67,7 @@ lower degrees, and their count per degree is the Betti number.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .engine import RingGB, variables
 from .freealg import (AlgebraPresentation, ModulePresentation, NcModElem,
@@ -96,8 +95,7 @@ def monomial_degree_bound(max_gen_degree: int, max_rel_degree: int,
     return max_gen_degree + (index - 1) * (max_rel_degree - 1)
 
 
-@dataclass
-class _StepEncoding:
+class _StepEncoding(NamedTuple):
     """Everything the commutative side needs for one syzygy step."""
     ctx: Optional[HomogenizationContext]
     win: PlaceWindow
@@ -321,8 +319,7 @@ def _spans(pivots: dict, rows: Sequence[dict], field) -> bool:
         len(pivots)
 
 
-@dataclass
-class ResolutionStep:
+class ResolutionStep(NamedTuple):
     index: int
     ambient_shifts: List[int]
     window: int
@@ -333,7 +330,6 @@ class ResolutionStep:
     betti: Dict[int, int]
     betti_with_block: Dict[int, int]
     betti_block: Dict[int, int]
-    certified: Optional[bool] = None
 
 
 def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
@@ -396,8 +392,7 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
     )
 
 
-@dataclass
-class ResolutionRequest:
+class ResolutionRequest(NamedTuple):
     module: ModulePresentation
     degree_bound: Optional[int] = None
     length_bound: int = 7
@@ -405,15 +400,13 @@ class ResolutionRequest:
     trust_finite: bool = False
 
 
-@dataclass
-class BettiTable:
+class BettiTable(NamedTuple):
     entries: Dict[Tuple[int, int], int]  # (homological, internal - homological)
     truncated: bool
     truncation_degree: Optional[int] = None
 
 
-@dataclass
-class Resolution:
+class Resolution(NamedTuple):
     module: ModulePresentation
     minimal_input: List[NcModElem]
     steps: List[ResolutionStep]
@@ -503,17 +496,16 @@ def resolve(req: ResolutionRequest) -> Resolution:
     top_window = max(windows) if windows else (max(degs) if degs else 0)
     certified = False
     if terminated:
-        if req.trust_finite:
+        # with no minimal generator, 0 -> F_0 is the whole resolution
+        if req.trust_finite or not gens:
             certified = True
         elif _is_monomial(module):
-            gen_top = max(degs) if degs else 0
+            gen_top = max(degs)
             d_rel = max(rel_deg, 1)
             certified = all(
                 windows[s - 1] >= monomial_degree_bound(gen_top, d_rel, s + 1)
                 for s in range(1, len(windows) + 1))
     status = "certified" if certified else f"truncated({top_window})"
-    for step in steps:
-        step.certified = certified
     entries = dict(Counter((i, d - i) for i, level in level_shifts.items()
                            for d in level))
     table = BettiTable(entries, truncated=not certified,

@@ -78,8 +78,7 @@ by engine.variables of the lcm, as the ring's does.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .engine import Mono, RingGB, _place_bits, variables
 from .letterplace import WindowTooSmall
@@ -300,8 +299,7 @@ class ModuleGB:
                     {(j - r, m): c for (j, m), c in nf.items()})
 
 
-@dataclass
-class SyzygyResult:
+class SyzygyResult(NamedTuple):
     generators: List[ModElem]  # components index the INPUT generators
     degrees: List[int]
 

@@ -2,13 +2,17 @@
 line. Everything runs in-process through main(argv)."""
 
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import ncres.cli as cli
 from ncres.resolver import BettiTable, ResourceLimit
 
+FLAGSHIP = Path(__file__).resolve().parent / "data" / "flagship.json"
 
 SQUARE = json.dumps({
     "field": "Q", "generators": ["x"],
@@ -96,6 +100,19 @@ def test_require_certified_truncation_exits_3(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 3
     assert "truncated" in out  # the document is still printed
+
+
+@pytest.mark.parametrize("bound", [["--degree-bound", "6"], []])
+def test_require_certified_passes_without_minimal_generators(tmp_path,
+                                                             capsys, bound):
+    doc = json.loads(FLAGSHIP.read_text(encoding="utf-8"))
+    doc["module"]["generators"] = []
+    path = write(tmp_path, json.dumps(doc))
+    rc = cli.main(["resolve", path, "--require-certified", *bound])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "status: certified" in out
+    assert "shape: A <- 0" in out
 
 
 def test_oracle_match_on_monomial_input(tmp_path, capsys):
@@ -291,3 +308,32 @@ def test_deeply_nested_letter_quotes_a_short_value(tmp_path, capsys, command):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert len(lines[0]) < 200
+
+
+IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import ncres, ncres.jsonio, ncres.monores, ncres.cli
+imported = set(sys.modules) - before
+rc = ncres.cli.main(["check", sys.argv[2]])
+checked = set(sys.modules) - before
+print(json.dumps([rc, sorted(imported), sorted(checked)]))
+"""
+
+
+def test_import_footprint_in_a_fresh_interpreter(tmp_path):
+    """Importing the library and the CLI loads neither dataclasses nor
+    inspect, and only `check` loads checks and dims.  The sets are
+    differences, so modules a site preloads do not count."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, src, write(tmp_path, KOSZUL)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rc, imported, checked = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0
+    assert "ncres.cli" in imported
+    assert not {"dataclasses", "inspect"} & set(imported)
+    assert not {"ncres.checks", "ncres.dims"} & set(imported)
+    assert {"ncres.checks", "ncres.dims"} <= set(checked)

@@ -2,8 +2,6 @@
 resolutions: the alternating sum of the free modules' graded dimensions
 must equal the submodule's, both counted by dims alone."""
 
-import dataclasses
-
 import pytest
 
 from helpers import (augmentation_module, nilpotent_enveloping,
@@ -52,7 +50,7 @@ def test_dropping_one_generator_is_caught(flagship):
             rest.remove(s)
             levels = dict(res.level_shifts)
             levels[i] = rest
-            broken = dataclasses.replace(res, level_shifts=levels)
+            broken = res._replace(level_shifts=levels)
             assert check_hilbert_identity(mod, broken), (i, s)
             dropped += 1
     assert dropped == 4  # levels 2 and 4 once each, level 3 at 4 and 5

@@ -458,7 +458,7 @@ def test_growing_heuristic_windows_keep_the_bytes(monkeypatch):
     def from_generators(alg, shifts, gens, window, use_tshift, base=None):
         enc = real_encode(alg, shifts, gens, window, use_tshift)
         active = enc.ctx.extended if enc.ctx is not None else alg
-        enc.ring = real_basis(active, enc.win.width)
+        enc = enc._replace(ring=real_basis(active, enc.win.width))
         oracle = BuchbergerRing(
             alg.field, letterplace_ideal_gens(enc.win, active),
             cap=enc.win.width, n_letters=enc.win.n_letters)
@@ -785,6 +785,22 @@ def test_input_minimalization_drops_dependent_generator():
     res = resolve(ResolutionRequest(mod, length_bound=2))
     assert len(res.minimal_input) == 2
     assert res.table.entries[(1, 0)] == 2
+
+
+@pytest.mark.parametrize("degree_bound", [6, None])
+def test_module_without_minimal_generators_is_certified(degree_bound):
+    """0 -> F_0 resolves a module with no minimal generator completely,
+    over a non-monomial algebra too: no generators at all, and the
+    flagship's first relation, which is zero in A."""
+    flagship = parse_input(FLAGSHIP.read_text(encoding="utf-8"))
+    alg = flagship.algebra
+    zero_in_a = {(0, w): c for w, c in alg.relations[0].items()}
+    for gens in ([], [zero_in_a]):
+        res = resolve(ResolutionRequest(
+            ModulePresentation(alg, (0,), gens), degree_bound=degree_bound))
+        assert res.minimal_input == []
+        assert res.table == BettiTable({(0, 0): 1}, truncated=False)
+        assert res.status == "certified"
 
 
 def test_rejects_inhomogeneous_generator():

@@ -47,3 +47,12 @@ def test_output_hash_on_a_tiny_subset():
                                       "--corpus", "1")[-1].split()
     assert len(digest) == 64 and int(digest, 16) >= 0
     assert (count, unit) == ("20", "resolves")
+
+
+def test_cold_start_with_one_interpreter():
+    lines = run_script("cold_start.py", "-n", "1")
+    assert lines[0].startswith("1 fresh interpreters per run")
+    assert [line.split()[0] for line in lines[1:]] == \
+        ["bare", "import", "resolve"]
+    assert all("wall_s" in line and "maxrss_mb" in line
+               for line in lines[1:])
