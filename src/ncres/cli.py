@@ -13,12 +13,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Optional, Tuple
+from typing import Optional
 
 from .freealg import ModulePresentation, validate_presentation
 from .jsonio import InputError, parse_input, render_json, resolution_document
-from .monores import MonomialModule, in_ideal, monomial_ideal, \
-    monomial_resolution
 from .resolver import (Resolution, ResolutionRequest, ResourceLimit,
                        betti_summary, render_betti_text, resolve)
 
@@ -35,11 +33,12 @@ def _read_source(path: str) -> str:
         raise InputError(f"cannot read {path}: not UTF-8: {exc}")
 
 
-def _monomial_view(module: ModulePresentation
-                   ) -> Optional[Tuple[object, MonomialModule]]:
-    """The (ideal, module) pair over words when every relation and every
-    generator is a single term, else None.  Generators that land inside
-    the ideal are zero in the quotient and are dropped up front."""
+def _monomial_view(module: ModulePresentation) -> Optional[tuple]:
+    """The (ideal, monores.MonomialModule) pair over words when every
+    relation and every generator is a single term, else None.  Generators
+    that land inside the ideal are zero in the quotient and are dropped
+    up front."""
+    from .monores import MonomialModule, in_ideal, monomial_ideal
     words = []
     for rel in module.algebra.relations:
         if len(rel) != 1:
@@ -61,6 +60,7 @@ def _run_oracle(module: ModulePresentation, res: Resolution,
     if view is None:
         return {"ran": False, "reason": "input is not monomial",
                 "match": None, "compared_through_degree": None, "diff": []}
+    from .monores import monomial_resolution  # here, so resolve loads none
     ideal, mmod = view
     oracle_table = monomial_resolution(ideal, mmod, length_bound)
     left = dict(res.table.entries)

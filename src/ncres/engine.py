@@ -61,6 +61,17 @@ it forms 16 pairs and makes 33 reductions at W = 10, 22 and 50, where
 Buchberger over every shift (kept as the test oracle, tests/helpers.py)
 takes 85, 241 and 605 pairs and 220, 580 and 1,420 reductions.
 
+Widening.  The generators wait in the pair heap, each an entry of its
+degree (places) ahead of that degree's pairs, and RingGB takes the
+entries of at most `cap` places in ascending degree.  So a new element
+of degree k is reduced by every shift of the stored leads, each of
+degree at most k: the only stored lead a shift of its lead could divide
+is an equal one, which would have reduced it, so no element is ever
+redundant.  Widening from w to w' places (_grow) queues the anchored
+pairs whose moved lead ends past place w, the only ones the w-place
+window lacked, takes the entries of at most w' places and reduces the
+tails again: it stores the basis built at w', the unique reduced one.
+
 Implicit shifts.  The anchored elements sit in buckets by the first
 letter of their lead, keyed by its bit, the lead's place-0 block.
 _find(m) walks the places p of a collision-free m in ascending order,
@@ -199,36 +210,27 @@ class RingGB:
 
     def __init__(self, field, gens: Sequence[Poly], cap: int,
                  n_letters: int):
-        self._empty(field, cap, n_letters)
+        self._empty(field, n_letters)
         # a sum of collisions is zero: drop it
         gens = [g for g in gens
                 if g and not all(place_collision(m, n_letters) for m in g)]
         _require_multihomogeneous(gens, n_letters)
-        for g in gens:
+        for i, g in enumerate(gens):
             m = next(iter(g))
             k = m.bit_count()  # one variable at each of places 0 .. k - 1
-            if k > cap or m >> (k * n_letters):
+            if m >> (k * n_letters):
                 raise ValueError("letterplace generator does not cover "
                                  "places 0 .. k - 1 of the window")
-        self._pairs: list = []
-        for g in gens:
-            self._insert(g)
-        while self._pairs:
-            l, a, s, c = heapq.heappop(self._pairs)[2:]
-            self._insert(self._spoly(l, self.elements[a], self._moved(s, c)))
-        self._interreduce()
+            # g waits ahead of the pairs of degree k for k places
+            heapq.heappush(self._pairs, (k, (), i, g))
+        self._grow(cap)
 
-    def _empty(self, field, cap: int, n_letters: int) -> None:
+    def _empty(self, field, n_letters: int) -> None:
         self.field = field
-        self.cap = cap
         self.n_letters = n_letters
         self._block = (1 << n_letters) - 1
-        # (i, mask of the bits whose place also holds bit + i): m holds a
-        # collision when some m & m >> i & mask is nonzero; `starts` has
-        # the first bit of each place's block
-        starts = ((1 << (cap * n_letters)) - 1) // self._block
-        self._same_place = [(i, ((1 << (n_letters - i)) - 1) * starts)
-                            for i in range(1, n_letters)]
+        self.cap = 0
+        self._pairs: list = []
         self._mono_nf: Dict[Mono, Poly] = {}  # mono_normal_form's memo
         self.elements: List[tuple] = []  # (lead, terms)
         # reducers bucketed by the bit of their lead's first letter, each
@@ -236,17 +238,47 @@ class RingGB:
         self.buckets: Dict[int, list] = {}
         self._unit = False
 
+    def _grow(self, cap: int) -> None:
+        """Widen the basis to `cap` places (module docstring)."""
+        lo, L, self.cap = self.cap, self.n_letters, cap
+        # (i, mask of the bits whose place also holds bit + i): m holds a
+        # collision when some m & m >> i & mask is nonzero; `starts` has
+        # the first bit of each place's block
+        starts = ((1 << (cap * L)) - 1) // self._block
+        self._same_place = [(i, ((1 << (L - i)) - 1) * starts)
+                            for i in range(1, L)]
+        for t in range(len(self.elements)):
+            self._queue_pairs(t, lo)
+        while self._pairs and self._pairs[0][0] <= cap:
+            entry = heapq.heappop(self._pairs)
+            if entry[1]:  # a pair, (degree, variables(l), l, a, s, c)
+                l, a, s, c = entry[2:]
+                self._insert(self._spoly(l, self.elements[a],
+                                         self._moved(s, c)))
+            else:  # a generator
+                self._insert(entry[3])
+        kept = [(lead, [terms[0]] + self._sorted_items(
+                    self._reduce_full(dict(terms[1:]))))
+                for lead, terms in sorted(
+                    self.elements, key=lambda e: flat_key(e[0]), reverse=True)]
+        self.elements, self.buckets = [], {}
+        for lead, terms in kept:
+            self._install(lead, terms)
+
     def restrict(self, width: int, n_letters: int) -> "RingGB":
         """The basis of the same relations over the first `width` places,
         over this basis's alphabet of L letters (n_letters == L) or over
         it plus a relation-free last letter t (n_letters == L + 1): a view
-        of the anchored elements that fit, memoizing its own lookups.  See
-        the module docstring."""
+        of the anchored elements that fit, memoizing its own lookups.  A
+        narrower basis widens first, a view never (module docstring)."""
         L = self.n_letters
-        if n_letters not in (L, L + 1) or not 0 <= width <= self.cap:
+        if n_letters not in (L, L + 1) or width < 0 or \
+                width > self.cap and isinstance(self, _RingView):
             raise ValueError(f"cannot restrict a basis over {L} letters "
                              f"and {self.cap} places to {n_letters} "
                              f"letters and {width} places")
+        if width > self.cap:
+            self._grow(width)
         block = self._block
 
         def renumber(m):
@@ -257,7 +289,8 @@ class RingGB:
                 p += 1
             return out
         out = _RingView.__new__(_RingView)
-        out._empty(self.field, width, n_letters)
+        out._empty(self.field, n_letters)
+        out._grow(width)
         out._found = {}
         for lead, terms in self.elements:
             if lead.bit_count() <= width:
@@ -371,13 +404,14 @@ class RingGB:
         return not (l & ((1 << (floor * self.n_letters)) - 1) or
                     any(l & (l >> i) & mask for i, mask in self._same_place))
 
-    def _queue_pairs(self, t: int) -> None:
-        """Queue each pair of new element t with an element moved c
-        places on, sigma^c(b), whose leads overlap and whose lcm holds no
+    def _queue_pairs(self, t: int, lo: int = 0) -> None:
+        """Queue each pair of element t with an element moved c places
+        on, sigma^c(b), whose leads overlap and whose lcm holds no
         collision: (t, sigma^c(b)) for b < t from c = 0, and
         (t, sigma^c(t)), (b, sigma^c(t)) from c = 1, while the moved lead
-        starts inside the first and fits in the window.  Every other pair
-        is a shift of one of these."""
+        starts inside the first and fits in the window, and ends past
+        place `lo` (a window of lo places took the others).  Every other
+        pair is a shift of one of these."""
         elements, L, cap = self.elements, self.n_letters, self.cap
         bare = len(elements[t][1]) == 1
         for b in range(t + 1):
@@ -385,8 +419,9 @@ class RingGB:
                 continue  # two bare elements: the S-polynomial is zero
             for a, s in ((t, b), (b, t)) if b < t else ((t, t),):
                 lead_a, lead_s = elements[a][0], elements[s][0]
-                for c in range(int(s == t), min(lead_a.bit_count(),
-                                                cap - lead_s.bit_count() + 1)):
+                n = lead_s.bit_count()
+                for c in range(max(int(s == t), lo + 1 - n),
+                               min(lead_a.bit_count(), cap + 1 - n)):
                     moved = lead_s << (c * L)
                     l = lead_a | moved
                     if lead_a & moved and self.letterplace_lcm(l):
@@ -407,28 +442,6 @@ class RingGB:
             else:
                 spoly[key] = s
         return spoly
-
-    def _interreduce(self) -> None:
-        """Keep the elements whose lead no window shift of another lead
-        divides, reduce their tails by every shift of every element (a
-        Groebner basis, so the tail's normal form is the reduced basis's
-        tail), and store them again in ascending lead order."""
-        L, cap, elements = self.n_letters, self.cap, self.elements
-        kept = []
-        for k, (lead, terms) in enumerate(elements):
-            n = lead.bit_count()
-            if any(lead & (other << c * L) == other << c * L
-                   for j, (other, _) in enumerate(elements)
-                   for c in range(int(j == k),
-                                  min(n, cap - other.bit_count() + 1))):
-                continue
-            tail = self._reduce_full(dict(terms[1:]))
-            kept.append((lead, [terms[0]] + self._sorted_items(tail)))
-        self.elements = []
-        self.buckets = {}
-        for lead, terms in sorted(kept, key=lambda e: flat_key(e[0]),
-                                  reverse=True):
-            self._install(lead, terms)
 
     # -- queries ---------------------------------------------------------
 

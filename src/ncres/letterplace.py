@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .engine import variables
 from .freealg import (AlgebraPresentation, NcModElem, NcPoly, Word,
                       homogeneous_degree)
 
@@ -53,9 +52,6 @@ class PlaceWindow(NamedTuple):
 
     def var_str(self, v: int) -> str:
         return f"{self.names[self.var_letter(v)]}{self.var_place0(v) + 1}"
-
-    def mono_str(self, m: LpMono) -> str:
-        return "*".join(map(self.var_str, variables(m))) or "1"
 
 
 def iota_word(win: PlaceWindow, w: Word, shift: int = 0) -> LpMono:

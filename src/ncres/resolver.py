@@ -11,14 +11,14 @@ survivors back over the original algebra.  The finished ring basis is
 the only thing the module layer (syzygy.py) is told about the algebra.
 
 The ring basis is built once per resolution: resolve() builds the
-letterplace basis of the relations over the original alphabet at the
-widest window it knows of (step 1's, under an explicit degree bound),
-from the relations at place 0, and stores only its anchored elements,
-whose window shifts stay implicit (RingGB).  The input minimalization and
+letterplace basis of the relations over the original alphabet at step
+1's window (under an explicit degree bound no later one is wider), from
+the relations at place 0, and stores only its anchored elements, whose
+window shifts stay implicit (RingGB).  The input minimalization and
 every step view that basis in their own window and alphabet
 (RingGB.restrict, exact by the arguments in the engine docstring), at a
-cost in the anchored elements, not the window.  Only a heuristic window
-wider than the basis makes it rebuild.
+cost in the anchored elements, not the window; a wider heuristic window
+widens the basis in place.
 
 Decoded output is canonical: within each degree the emitted generators
 are the reduced-row-echelon basis of the stair subspace (syzygies whose
@@ -80,6 +80,7 @@ from .linalg import _eliminate, rref
 from .syzygy import elem_sdeg, minimalize_graded, syzygies_over_quotient
 
 STAIR_GUARD = 10_000
+WINDOW_GUARD = 1_000_000  # places: keys and masks are as wide as a window
 
 
 class ResourceLimit(RuntimeError):
@@ -118,13 +119,13 @@ def _ring_basis(alg: AlgebraPresentation, width: int) -> RingGB:
     """The letterplace basis of alg's relations over `width` places and
     alg's own alphabet: the one basis every step's ring is restricted
     from (RingGB.restrict).  It is built from the generators at place 0,
-    read off the encoding of a window as wide as the widest relation (no
-    wider than `width`); the window shifts of its elements are the basis
-    Buchberger computes from every generator of the window.  It is never
-    a step's ring itself, so no step's lookups or monomial normal forms
-    outlive the step."""
+    read off the encoding of a window as wide as the widest relation; a
+    relation wider than `width` waits until the basis widens.  The window
+    shifts of its elements are the basis Buchberger computes from every
+    generator of the window.  It is never a step's ring itself, so no
+    step's lookups or monomial normal forms outlive the step."""
     top = max((homogeneous_degree(r) for r in alg.relations), default=0)
-    win = PlaceWindow(alg.names, min(top, width))
+    win = PlaceWindow(alg.names, top)
     place0 = (1 << win.n_letters) - 1
     gens = [g for g in letterplace_ideal_gens(win, alg)
             if all(not m or m & place0 for m in g)]
@@ -137,9 +138,9 @@ def _encode_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
                  base: Optional[RingGB] = None) -> _StepEncoding:
     """Homogenize relative to the offset m: component i gets the prefix
     t^(delta_i - m) and the window narrows by m.  The ring is `base`
-    (a _ring_basis at least as wide as the narrowed window) restricted to
-    the window and the active alphabet; without a base, one is built at
-    the window's width."""
+    (a _ring_basis, widened to the narrowed window if it is narrower)
+    restricted to the window and the active alphabet; without a base, one
+    is built at the window's width."""
     degs = []
     for g in gens:
         d = elem_degree(ambient_shifts, g)
@@ -442,28 +443,19 @@ def resolve(req: ResolutionRequest) -> Resolution:
             return req.degree_bound
         return max(level_degs) + max(rel_deg, 2) - 1
 
-    # one ring basis for the whole resolution, rebuilt only for a step
-    # whose narrowed window is wider than its own
-    base: Optional[RingGB] = None
-
-    def base_for(ambient: Sequence[int], window: int) -> RingGB:
-        nonlocal base
-        width = window - _offset(ambient, req.tshift)
-        if base is None or base.cap < width:
-            base = _ring_basis(alg, width)
-        return base
-
+    if (req.degree_bound or 0) > WINDOW_GUARD:
+        raise ResourceLimit(f"degree bound {req.degree_bound} is above the "
+                            f"window guard of {WINDOW_GUARD} places")
     if gens:
         top = max(degs)
         if req.degree_bound is not None and req.degree_bound < top:
             raise ValueError(
                 f"degree bound {req.degree_bound} below generator degree "
                 f"{top}")
-        if req.length_bound > 1:
-            # step 1's window; under a degree bound no later one is wider
-            base_for(shifts, step_window(degs))
-        enc0 = _encode_step(alg, shifts, gens, max(top, 1), req.tshift,
-                            base_for(shifts, max(top, 1)))
+        # the one ring basis of the resolution, at step 1's window
+        window = step_window(degs) if req.length_bound > 1 else max(top, 1)
+        base = _ring_basis(alg, window - _offset(shifts, req.tshift))
+        enc0 = _encode_step(alg, shifts, gens, max(top, 1), req.tshift, base)
         kept = minimalize_graded(enc0.ring, enc0.gens_lp, [0] * len(shifts))
         gens = [gens[i] for i in kept]
         degs = [degs[i] for i in kept]
@@ -481,8 +473,7 @@ def resolve(req: ResolutionRequest) -> Resolution:
             break
         D = step_window(basis_degs)
         step = syzygy_step(alg, basis_ambient, basis, D,
-                           use_tshift=req.tshift, index=i,
-                           base=base_for(basis_ambient, D))
+                           use_tshift=req.tshift, index=i, base=base)
         steps.append(step)
         windows.append(D)
         if not step.generators:

@@ -78,7 +78,7 @@ by engine.variables of the lcm, as the ring's does.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .engine import Mono, RingGB, _place_bits, variables
 from .letterplace import WindowTooSmall
@@ -110,8 +110,6 @@ class ModuleGB:
     """
 
     def __init__(self, ring: RingGB, main_shifts: Sequence[int]):
-        if ring.cap is None:
-            raise ValueError("a module basis needs a truncated ring")
         self.field = ring.field
         self.shifts = list(main_shifts)
         self.ring = ring
@@ -126,7 +124,7 @@ class ModuleGB:
         # degree is at most cap
         self._ghost = 1 + self.cap - min(self.shifts + [0]) * (self.cap + 1)
 
-    def _term_key(self, term: Term, B: int = 0) -> int:
+    def _term_key(self, term: Term, B: Optional[int] = None) -> int:
         """An int ascending from the greatest term: shifted degree, ring
         order, lower component first (below 2^32 components).  A ghost
         term sorts below every main term and is otherwise ordered like
@@ -138,7 +136,7 @@ class ModuleGB:
             x = -(d + self.shifts[comp]) * (self.cap + 1) - d
         else:
             x = self._ghost - d
-        B = B or self.cap * self.ring.n_letters
+        B = self.cap * self.ring.n_letters if B is None else B
         return (((x << B) + m) << 32) + comp
 
     # -- reducer lookup ----------------------------------------------------
@@ -235,7 +233,8 @@ class ModuleGB:
 
     def _install(self, elem: ModElem) -> None:
         """Add elem, made monic; its largest term is a main term."""
-        terms = sorted(elem.items(), key=lambda t: self._term_key(t[0]))
+        B = _place_bits(max(m for _, m in elem), self.ring.n_letters)
+        terms = sorted(elem.items(), key=lambda t: self._term_key(t[0], B))
         lead, lc = terms[0]
         if lc != self.field.one:
             inv = self.field.inv(lc)
@@ -250,7 +249,8 @@ class ModuleGB:
         """Insert elem, unreduced.  Ghost terms (components from
         len(main_shifts) on) never lead, so elem needs a main term, and
         its shifted degree must lie within the window."""
-        lead = min(elem, key=self._term_key)
+        B = _place_bits(max(m for _, m in elem), self.ring.n_letters)
+        lead = min(elem, key=lambda t: self._term_key(t, B))
         if lead[0] >= len(self.shifts):
             raise ValueError("generator has no main term")
         d = lead[1].bit_count() + self.shifts[lead[0]]

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ncres.cli as cli
+import ncres.monores as monores
 from ncres.resolver import BettiTable, ResourceLimit
 
 FLAGSHIP = Path(__file__).resolve().parent / "data" / "flagship.json"
@@ -140,7 +141,7 @@ def test_oracle_mismatch_exits_2(tmp_path, capsys, monkeypatch):
     def wrong_table(ideal, module, length_bound):
         return BettiTable({(0, 0): 1, (1, 0): 99}, truncated=False)
 
-    monkeypatch.setattr(cli, "monomial_resolution", wrong_table)
+    monkeypatch.setattr(monores, "monomial_resolution", wrong_table)
     path = write(tmp_path, SQUARE)
     rc = cli.main(["resolve", path, "--oracle-compare", "--length", "3",
                    "--format", "json"])
@@ -163,6 +164,19 @@ def test_internal_invariant_violation_exits_4(tmp_path, capsys,
     assert captured.err.startswith("error: internal invariant violated")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_hostile_degree_bound_exits_5():
+    """A degree bound past the window guard stops before any key or mask
+    as wide as the window is built: exit 5, one line, no output."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncres.cli", "resolve", str(FLAGSHIP),
+         "--degree-bound", "1000000000"], capture_output=True, text=True,
+        timeout=300, cwd=Path(cli.__file__).resolve().parents[1])
+    assert proc.returncode == 5 and proc.stdout == ""
+    assert proc.stderr.startswith("error: resource limit: degree bound "
+                                  "1000000000 is above the window guard")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_resource_limit_exits_5(tmp_path, capsys, monkeypatch):
@@ -314,25 +328,30 @@ IMPORT_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
-import ncres, ncres.jsonio, ncres.monores, ncres.cli
+import ncres.cli
+cli_only = set(sys.modules) - before
+import ncres, ncres.jsonio, ncres.monores
 imported = set(sys.modules) - before
 rc = ncres.cli.main(["check", sys.argv[2]])
 checked = set(sys.modules) - before
-print(json.dumps([rc, sorted(imported), sorted(checked)]))
+print(json.dumps([rc, sorted(cli_only), sorted(imported), sorted(checked)]))
 """
 
 
 def test_import_footprint_in_a_fresh_interpreter(tmp_path):
     """Importing the library and the CLI loads neither dataclasses nor
-    inspect, and only `check` loads checks and dims.  The sets are
+    inspect, the CLI alone does not load monores (only --oracle-compare
+    needs it), and only `check` loads checks and dims.  The sets are
     differences, so modules a site preloads do not count."""
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, src, write(tmp_path, KOSZUL)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    rc, imported, checked = json.loads(proc.stdout.splitlines()[-1])
+    rc, cli_only, imported, checked = json.loads(
+        proc.stdout.splitlines()[-1])
     assert rc == 0
+    assert "ncres.cli" in cli_only and "ncres.monores" not in cli_only
     assert "ncres.cli" in imported
     assert not {"dataclasses", "inspect"} & set(imported)
     assert not {"ncres.checks", "ncres.dims"} & set(imported)

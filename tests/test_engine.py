@@ -788,10 +788,19 @@ def test_told_ring_sends_place_collisions_to_zero():
 
 
 def test_restriction_rejects_what_it_cannot_read_off():
+    """A basis refuses, with one line of error, any alphabet but its own
+    or its own plus t, and a negative width; to a wider window it widens
+    first.  A view holds no generator past its window, so it refuses to
+    widen."""
     gb = _ring_basis(nilpotent_enveloping(), 4)
-    for width, letters in ((5, 3), (4, 2), (4, 5), (-1, 3)):
-        with pytest.raises(ValueError, match="cannot restrict"):
-            gb.restrict(width, letters)
+    view = gb.restrict(3, 3)
+    for ring, width, letters in ((gb, 4, 2), (gb, 4, 5), (gb, -1, 3),
+                                 (view, 4, 3), (view, 4, 4)):
+        with pytest.raises(ValueError, match="cannot restrict") as err:
+            ring.restrict(width, letters)
+        assert "\n" not in str(err.value)
+    assert view.cap == 3 and view.restrict(2, 4).cap == 2
+    assert gb.restrict(5, 3).cap == gb.cap == 5
 
 
 # --- the anchored letterplace basis -----------------------------------------
@@ -844,6 +853,37 @@ def test_shift_built_basis_equals_the_buchberger_basis():
                     direct[key], (alg, width, w)
 
 
+def test_widened_basis_equals_the_basis_built_at_its_width():
+    """A basis widened step by step (RingGB.restrict past its cap) stores
+    what the basis built at the new width stores, element for element,
+    and its shifts are the Buchberger basis of that window: over L and
+    L + 1 letters, on the reference presentation, on random ones with
+    relations of mixed degrees, and on the edge cases."""
+    rng = random.Random(25)
+    cases = [(nilpotent_enveloping(), (2, 3, 5, 8, 11))]
+    cases += [(random_presentation(rng, max_letters=2, max_rel_deg=4),
+               (1, 2, 4, 6)) for _ in range(40)]
+    cases += [(alg, (0, 1, 3, max(widths)))
+              for alg, widths in _edge_presentations()]
+    mixed = 0
+    for base, widths in cases:
+        mixed += len({sum(map(len, r)) // len(r)
+                      for r in base.relations}) > 1
+        for alg in (base, extend_algebra(base)):
+            L = alg.n_letters
+            grown, jumped = _ring_basis(alg, 0), _ring_basis(alg, widths[0])
+            for width in widths:
+                view = grown.restrict(width, L)
+                oracle = _letterplace_basis(alg, width, n_letters=L)[1]
+                assert grown.cap == width
+                assert grown.elements == _ring_basis(alg, width).elements
+                assert _shape(grown) == _shape(oracle), (alg, width)
+                assert view.elements == grown.elements
+            jumped.restrict(widths[-1], L)
+            assert jumped.elements == grown.elements
+    assert mixed >= 10
+
+
 def test_shift_built_basis_reduces_only_anchored_pairs(monkeypatch):
     """On the reference presentation the anchored construction reduces
     the same few S-pairs and stores the same 9 elements whatever the
@@ -875,14 +915,18 @@ def test_ring_basis_needs_anchored_multihomogeneous_generators():
     shifted = [{shift_mono(m, 2 * c): x for m, x in good.items()}
                for c in range(3)]
     gap = {((0, 1), (5, 1)): F.one}  # places 1 and 3
-    for gens, cap in (([shifted[1]], 4), ([good, shifted[2]], 4),
-                      ([gap], 4), ([good], 1)):
+    for gens in ([shifted[1]], [good, shifted[2]], [gap]):
         with pytest.raises(ValueError, match="cover places") as err:
-            RingGB(F, [poly_to_masks(g) for g in gens], cap=cap, n_letters=2)
+            RingGB(F, [poly_to_masks(g) for g in gens], cap=4, n_letters=2)
         assert "\n" not in str(err.value)
     built = RingGB(F, [poly_to_masks(good)], cap=4, n_letters=2)
     assert _shape(built) == \
         _shape(BuchbergerRing(F, shifted, cap=4, n_letters=2))
+    # wider than the window, `good` waits until the basis widens
+    waiting = RingGB(F, [poly_to_masks(good)], cap=1, n_letters=2)
+    assert waiting.elements == []
+    waiting.restrict(4, 2)
+    assert _shape(waiting) == _shape(built)
     bad = {((0, 1), (3, 1)): F.one, ((0, 1), (1, 1)): F.neg(F.one)}
     with pytest.raises(ValueError, match="place-multihomogeneous"):
         RingGB(F, [poly_to_masks(bad)], cap=2, n_letters=2)

@@ -27,7 +27,6 @@ def test_word_encoding_is_place_major():
     assert to_tuple(iota_word(WIN, (0, 1))) == ((0, 1), (3, 1))
     assert to_tuple(iota_word(WIN, (0, 1), shift=1)) == ((2, 1), (5, 1))
     assert iota_word(WIN, ()) == 0
-    assert WIN.mono_str(iota_word(WIN, (0, 1), 1)) == "x2*y3"
 
 
 def test_word_must_fit_the_window():

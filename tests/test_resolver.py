@@ -19,7 +19,7 @@ from ncres.freealg import (AlgebraPresentation, ModulePresentation,
 from ncres.letterplace import PlaceWindow, build_C, iota_word
 import ncres.cli as cli
 import ncres.resolver as resolver
-from ncres.engine import RingGB
+from ncres.engine import RingGB, _place_bits
 from ncres.jsonio import parse_input, render_json, resolution_document
 from ncres.resolver import BettiTable, ResolutionRequest, betti_summary, \
     monomial_degree_bound, render_betti_text, resolve, syzygy_step
@@ -438,19 +438,19 @@ def test_flagship_raw_syzygies_match_the_tuple_kernel(monkeypatch, workload,
 
 
 def test_growing_heuristic_windows_keep_the_bytes(monkeypatch):
-    """Heuristic windows widen from step to step, so the one basis is
-    rebuilt for a wider window now and then; the rendered resolution
-    must equal the one whose every ring comes from its own generators,
-    each checked against Buchberger over every generator of its window."""
+    """Heuristic windows widen from step to step, so the one basis widens
+    in place now and then; the rendered resolution must equal the one
+    whose every ring comes from its own generators, each checked against
+    Buchberger over every generator of its window."""
     mod = parse_input(FLAGSHIP.read_text(encoding="utf-8"))
     req = ResolutionRequest(mod, length_bound=7, trust_finite=True)
-    widths = []
+    widths, built = [], []
     real_basis = resolver._ring_basis
     monkeypatch.setattr(resolver, "_ring_basis",
                         lambda alg, width: widths.append(width)
-                        or real_basis(alg, width))
+                        or built.append(real_basis(alg, width)) or built[-1])
     shared = render_json(resolution_document(resolve(req)))
-    assert widths == [3, 4]
+    assert widths == [3] and built[0].cap == 4
 
     real_encode = resolver._encode_step
     checked = []
@@ -469,6 +469,53 @@ def test_growing_heuristic_windows_keep_the_bytes(monkeypatch):
     monkeypatch.setattr(resolver, "_encode_step", from_generators)
     assert render_json(resolution_document(resolve(req))) == shared
     assert len(checked) > 3 and len(set(checked)) > 1
+
+
+@pytest.mark.parametrize("bound", [None, 10])
+@pytest.mark.parametrize("tshift", [True, False])
+def test_one_ring_basis_per_resolution(monkeypatch, bound, tshift):
+    """Under either window policy, compression on or off, a resolve of
+    the flagship builds one ring basis, and it ends as wide as the widest
+    narrowed window of a step: a wider heuristic window widens it."""
+    built = []
+    real_basis = resolver._ring_basis
+    monkeypatch.setattr(resolver, "_ring_basis",
+                        lambda alg, width: built.append(real_basis(alg, width))
+                        or built[-1])
+    mod = parse_input(FLAGSHIP.read_text(encoding="utf-8"))
+    res = resolve(ResolutionRequest(mod, degree_bound=bound, length_bound=7,
+                                    tshift=tshift, trust_finite=True))
+    assert len(res.steps) == 6 and len(built) == 1
+    assert built[0].cap == max(s.window - s.offset for s in res.steps)
+
+
+def test_module_keys_follow_the_terms_not_the_window(monkeypatch):
+    """At a degree bound of WINDOW_GUARD places a module basis keys its
+    terms by the places they reach: no _term_key call of the resolve
+    gets a bit width past the places of the widest term it keys, and the
+    flagship keeps the Betti table it has at degree bound 10."""
+    calls = []
+    real_key = ModuleGB._term_key
+
+    def recording(self, term, B=None):
+        calls.append((B, _place_bits(term[1], self.ring.n_letters)))
+        return real_key(self, term, B)
+    monkeypatch.setattr(ModuleGB, "_term_key", recording)
+    mod = parse_input(FLAGSHIP.read_text(encoding="utf-8"))
+    tables = [resolve(ResolutionRequest(mod, degree_bound=bound,
+                                        length_bound=7, trust_finite=True))
+              .table.entries for bound in (resolver.WINDOW_GUARD, 10)]
+    assert tables[0] == tables[1]
+    assert calls and all(B is not None for B, _ in calls)
+    assert max(B for B, _ in calls) <= max(bits for _, bits in calls)
+
+
+def test_degree_bound_past_the_window_guard_is_a_resource_limit():
+    mod = parse_input(FLAGSHIP.read_text(encoding="utf-8"))
+    with pytest.raises(resolver.ResourceLimit, match="window guard of "
+                       f"{resolver.WINDOW_GUARD} places"):
+        resolve(ResolutionRequest(mod,
+                                  degree_bound=resolver.WINDOW_GUARD + 1))
 
 
 def test_every_step_ring_has_its_own_key_table(monkeypatch):

@@ -49,6 +49,14 @@ def test_output_hash_on_a_tiny_subset():
     assert (count, unit) == ("20", "resolves")
 
 
+def test_output_hash_pins_the_bytes_of_every_resolve():
+    """The digest over the default 472 resolves: a change that moves the
+    rendered bytes on purpose re-pins it and says so."""
+    assert run_script("output_hash.py")[-1] == (
+        "cd9ca69f355a2bcd1cf07ebdc592eb1a3502e097a9335e45717bd29c93af6bdb"
+        "  472 resolves")
+
+
 def test_cold_start_with_one_interpreter():
     lines = run_script("cold_start.py", "-n", "1")
     assert lines[0].startswith("1 fresh interpreters per run")

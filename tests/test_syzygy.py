@@ -375,11 +375,6 @@ def test_module_gb_normal_form_membership():
     assert gb.normal_form(non) != {}
 
 
-def test_module_basis_needs_a_truncated_ring():
-    with pytest.raises(ValueError, match="truncated"):
-        ModuleGB(BuchbergerRing(F, ()), [0])
-
-
 def test_generator_above_the_window_is_rejected():
     # xxx e_0 has degree 3 over a ring truncated at 2
     cubic = {(0, W(FREE, (x, x, x))): C(1)}
