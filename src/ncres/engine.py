@@ -104,26 +104,26 @@ renumbers.  So a restriction is a view: the new cap and the anchored
 elements that fit, renumbered once for the extended alphabet.  It equals
 the basis built from the window's generators element for element.
 
-Sort keys and reduction.  flat_key(m) = (-m.bit_count(), m) ascends
-from the greatest monomial: within one degree the highest variable where
-two squarefree monomials differ decides, and the one holding it is the
-smaller monomial and the larger int.  mono_key is the reverse, higher
-key = greater monomial.  A normal form keeps its coefficients in a work
-dict and, beside it, a heap of the ints m - (m.bit_count() << B), which
-sort like flat_key and give m back as the low B bits: B is the bit
-width of the places up to the input's last, which hold every term the
-normal form meets, since a reduction step keeps the places of the term
-it rewrites.  It pushes an entry whenever a monomial enters the dict, pops
-the entry of the greatest monomial and skips one whose monomial has been
-cancelled since.  Every term a reduction step adds lies below the term
-it rewrites (the order is multiplicative and each tail lies below its
-lead), so the heap pops in the order a scan of the dict for the greatest
-would take: the same reductions, in the same order, to the same output
-dict.  Normal forms are linear, so each RingGB also memoizes the normal
-form of each monomial it is asked for (mono_normal_form), in a plain
-dict of its own that a restricted basis starts empty: a step's ring
-reduces each distinct monomial once, and no step or resolution sees
-another's entries.  Its values are shared, so no caller may mutate them.
+One reduction loop.  The ring's and the module's (syzygy.py) normal
+forms are reduce_terms: a work dict of coefficients beside a heap of int
+keys that ascend from the greatest term.  It pushes a key whenever a
+term enters the dict, pops the least, skips it if its term has been
+cancelled since, and otherwise subtracts the products its reducer lookup
+returns.  Each of them lies below the term it rewrites (the order is
+multiplicative, a tail lies below its lead), so the heap pops in the
+order a scan of the dict for the greatest would take.  A ring key is the
+mask itself.  A ring polynomial is place-multihomogeneous, so its terms
+share one degree, and within one degree the highest variable where two
+squarefree monomials differ decides: the one holding it is the smaller
+monomial and the larger int.  So sorted(p.items()) lists p's terms
+greatest first.  An inhomogeneous input reduces correctly all the same:
+a reduction step keeps the degree of the term it rewrites, so it pushes
+only keys above the one it pops.  mono_key, higher key = greater
+monomial, orders masks of any degrees.  Normal forms are linear, so each
+RingGB memoizes the normal form of each monomial it is asked for
+(mono_normal_form) in a dict of its own that a restriction starts empty:
+no step or resolution sees another's entries.  Its values are shared, so
+no caller may mutate them.
 The pair heaps break ties between lcms of one degree by variables(lcm),
 the ascending tuple of their variables, compared lexicographically.  A
 finished RingGB is the whole context of the module bases over it
@@ -139,16 +139,66 @@ Mono = int  # bit v set when variable v occurs
 Poly = Dict[Mono, object]
 
 
-def flat_key(m: Mono) -> Tuple[int, int]:
-    """Flat sort key of degrevlex on squarefree monomials, ascending from
-    the greatest: (-degree, m) (module docstring)."""
-    return (-m.bit_count(), m)
-
-
 def mono_key(m: Mono) -> Tuple[int, int]:
-    """Sort key realizing degrevlex: higher key = greater monomial (the
-    negated flat_key)."""
+    """Sort key realizing degrevlex on squarefree monomials: higher key =
+    greater monomial (module docstring)."""
     return (m.bit_count(), -m)
+
+
+def reduce_terms(field, work: dict, key, term, find) -> dict:
+    """Full normal form of `work`, term -> coefficient, which it consumes
+    (module docstring): key(t) is t's int key, term(k) the term of key k,
+    and find(t) the (term, coefficient) products to subtract, times t's
+    coefficient, or None when t is standard."""
+    sub, mul, zero = field.sub, field.mul, field.zero
+    push, pop = heapq.heappush, heapq.heappop
+    heap = [key(t) for t in work]
+    heapq.heapify(heap)
+    out: dict = {}
+    while heap:
+        t = term(pop(heap))
+        c = work.pop(t, None)
+        if c is None:
+            continue
+        adds = find(t)
+        if adds is None:
+            out[t] = c
+            continue
+        for u, uc in adds:  # below t: never in out
+            old = work.get(u)
+            if old is None:
+                work[u] = sub(zero, mul(c, uc))
+                push(heap, key(u))
+            else:
+                s = sub(old, mul(c, uc))
+                if s == zero:
+                    del work[u]
+                else:
+                    work[u] = s
+    return out
+
+
+def difference(field, plus, minus) -> dict:
+    """plus - minus, each an iterable of (term, coefficient) pairs with
+    distinct terms: the core of an S-polynomial."""
+    sub, zero = field.sub, field.zero
+    out = dict(plus)
+    for t, c in minus:
+        s = sub(out.get(t, zero), c)
+        if s == zero:
+            out.pop(t, None)
+        else:
+            out[t] = s
+    return out
+
+
+def monic(field, terms: list) -> list:
+    """A descending term list scaled to lead coefficient one."""
+    lc = terms[0][1]
+    if lc == field.one:
+        return terms
+    inv, mul = field.inv(lc), field.mul
+    return [(t, mul(inv, c)) for t, c in terms]
 
 
 def variables(m: Mono) -> Tuple[int, ...]:
@@ -196,12 +246,6 @@ def place_multihomogeneous(p: Poly, n_letters: int) -> bool:
     return None not in places and len(places) <= 1
 
 
-def _require_multihomogeneous(gens: Sequence[Poly], n_letters: int) -> None:
-    if not all(place_multihomogeneous(g, n_letters) for g in gens):
-        raise ValueError("letterplace generator is not "
-                         "place-multihomogeneous")
-
-
 class RingGB:
     """Truncated reduced Groebner basis of a letterplace ideal over `cap`
     places and n_letters letters, built from its generators at place 0
@@ -214,7 +258,9 @@ class RingGB:
         # a sum of collisions is zero: drop it
         gens = [g for g in gens
                 if g and not all(place_collision(m, n_letters) for m in g)]
-        _require_multihomogeneous(gens, n_letters)
+        if not all(place_multihomogeneous(g, n_letters) for g in gens):
+            raise ValueError("letterplace generator is not "
+                             "place-multihomogeneous")
         for i, g in enumerate(gens):
             m = next(iter(g))
             k = m.bit_count()  # one variable at each of places 0 .. k - 1
@@ -257,10 +303,10 @@ class RingGB:
                                          self._moved(s, c)))
             else:  # a generator
                 self._insert(entry[3])
-        kept = [(lead, [terms[0]] + self._sorted_items(
-                    self._reduce_full(dict(terms[1:]))))
+        kept = [(lead, [terms[0]] + sorted(
+                    self._reduce_full(dict(terms[1:])).items()))
                 for lead, terms in sorted(
-                    self.elements, key=lambda e: flat_key(e[0]), reverse=True)]
+                    self.elements, key=lambda e: mono_key(e[0]))]
         self.elements, self.buckets = [], {}
         for lead, terms in kept:
             self._install(lead, terms)
@@ -303,40 +349,9 @@ class RingGB:
     # -- construction ---------------------------------------------------
 
     def _reduce_full(self, p: Poly) -> Poly:
-        """Full normal form of p, its terms taken greatest first off a
-        heap of keys (module docstring)."""
-        field = self.field
-        sub, mul = field.sub, field.mul
-        zero = field.zero
-        find = self._find
-        push, pop = heapq.heappush, heapq.heappop
-        work = dict(p)
-        B = _place_bits(max(work, default=0), self.n_letters)
-        low = (1 << B) - 1
-        heap = [m - (m.bit_count() << B) for m in work]
-        heapq.heapify(heap)
-        out: Poly = {}
-        while heap:
-            m = pop(heap) & low
-            c = work.pop(m, None)
-            if c is None:
-                continue
-            products = find(m)
-            if products is None:
-                out[m] = c
-                continue
-            for key, tc in products:
-                old = work.get(key)
-                if old is None:
-                    work[key] = sub(zero, mul(c, tc))
-                    push(heap, key - (key.bit_count() << B))
-                else:
-                    s = sub(old, mul(c, tc))
-                    if s == zero:
-                        del work[key]
-                    else:
-                        work[key] = s
-        return out
+        """Full normal form of p: reduce_terms keyed by the masks
+        themselves (module docstring)."""
+        return reduce_terms(self.field, dict(p), int, int, self._find)
 
     def _find(self, m: Mono):
         """The terms of tail times cofactor of the reducer of m, a
@@ -363,23 +378,9 @@ class RingGB:
         far; if it survives, store it and queue its pairs."""
         p = self._reduce_full(p)
         if p:
-            self._install(*self._monic_terms(p))
+            terms = monic(self.field, sorted(p.items()))
+            self._install(terms[0][0], terms)
             self._queue_pairs(len(self.elements) - 1)
-
-    @staticmethod
-    def _sorted_items(p: Poly):
-        return sorted(p.items(), key=lambda t: flat_key(t[0]))
-
-    def _monic_terms(self, p: Poly):
-        """Descending monic term list; returns (lead, terms)."""
-        items = self._sorted_items(p)
-        lead, lc = items[0]
-        field = self.field
-        if lc == field.one:
-            return lead, items
-        inv = field.inv(lc)
-        mul = field.mul
-        return lead, [(m, mul(inv, c)) for m, c in items]
 
     def _install(self, lead: Mono, terms) -> None:
         self.elements.append((lead, terms))
@@ -430,18 +431,10 @@ class RingGB:
 
     def _spoly(self, l: Mono, elem_i: tuple, elem_j: tuple) -> Poly:
         """S-polynomial of two monic elements (lead, terms) with lcm l."""
-        sub, zero = self.field.sub, self.field.zero
         (lead_i, terms_i), (lead_j, terms_j) = elem_i, elem_j
         qi, qj = l ^ lead_i, l ^ lead_j
-        spoly: Poly = {tm | qi: tc for tm, tc in terms_i}
-        for tm, tc in terms_j:
-            key = tm | qj
-            s = sub(spoly.get(key, zero), tc)
-            if s == zero:
-                spoly.pop(key, None)
-            else:
-                spoly[key] = s
-        return spoly
+        return difference(self.field, ((tm | qi, tc) for tm, tc in terms_i),
+                          ((tm | qj, tc) for tm, tc in terms_j))
 
     # -- queries ---------------------------------------------------------
 

@@ -6,8 +6,8 @@ is a Python int when it is integral and a fractions.Fraction when it is
 not, because int arithmetic runs in C while every Fraction operation runs
 in Python with a gcd.  An int and a Fraction of equal value compare and
 hash alike, so callers never see the difference.  The gmpy2 path keeps
-mpq throughout; it is optional, and the tests run it only where gmpy2 is
-installed.
+mpq throughout; it is optional.  Without gmpy2 the tests still run its
+code (_mpq_rationals) with Fraction as the backend type.
 Over GF(p) elements are plain ints reduced mod p.  A Field object bundles
 the operations as plain callables so hot loops can bind them to locals
 instead of dispatching through methods.

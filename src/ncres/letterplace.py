@@ -44,14 +44,9 @@ class PlaceWindow(NamedTuple):
     def n_letters(self) -> int:
         return len(self.names)
 
-    def var_place0(self, v: int) -> int:
-        return v // len(self.names)
-
-    def var_letter(self, v: int) -> int:
-        return v % len(self.names)
-
     def var_str(self, v: int) -> str:
-        return f"{self.names[self.var_letter(v)]}{self.var_place0(v) + 1}"
+        place0, letter = divmod(v, len(self.names))
+        return f"{self.names[letter]}{place0 + 1}"
 
 
 def iota_word(win: PlaceWindow, w: Word, shift: int = 0) -> LpMono:

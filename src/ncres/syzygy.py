@@ -68,11 +68,12 @@ formed and B installed.
 Masks.  Every term is letterplace, so a cofactor, which covers the
 places of an lcm past its lead's, shares no place with any term of its
 element: each product is an or of masks, and no reduction leaves the
-places of the term it rewrites.  A normal form keys its heap on one int
-per term (ModuleGB._term_key): ((X << B) + m << 32) plus the component,
-with X ordering shifted degree, then degree, ghosts last, and B the bit
-width of the places up to the input's last.  The pair heap breaks ties
-by engine.variables of the lcm, as the ring's does.
+places of the term it rewrites.  A normal form is engine.reduce_terms
+on one int key per term (ModuleGB._term_key): ((X << B) + m << 32) plus
+the component, with X ordering shifted degree, then degree, ghosts last,
+and B the bit width of the places up to the input's last; the key's low
+32 bits give the component back, the B bits above them the mask.  The
+pair heap breaks ties by engine.variables of the lcm, as the ring's does.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .engine import Mono, RingGB, _place_bits, variables
+from .engine import (Mono, RingGB, _place_bits, difference, monic,
+                     reduce_terms, variables)
 from .letterplace import WindowTooSmall
 
 Term = Tuple[int, Mono]
@@ -161,51 +163,29 @@ class ModuleGB:
 
     def _nf(self, work: ModElem) -> ModElem:
         """Full normal form; consumes work.  The result lists its terms
-        in descending order, so main terms come before ghost terms.
-        Terms are taken greatest first off a heap of (key, term) as in
-        the ring (engine docstring): the order is multiplicative and
-        ghosts stay below mains, so a module or ring reducer adds only
-        terms below the one it rewrites."""
-        field = self.field
-        sub, mul = field.sub, field.mul
-        zero = field.zero
-        out: ModElem = {}
-        key_of = self._term_key
+        in descending order, so main terms come before ghost terms.  It is
+        engine.reduce_terms keyed by _term_key (module docstring): the
+        order is multiplicative and ghosts stay below mains, so a module
+        reducer, tried first, or a ring reducer adds only lower terms."""
+        key_of, find_module = self._term_key, self._find_module
+        ring_find = self.ring._find
         # every term the normal form meets lies on the places up to the
         # input's last (module docstring)
         B = _place_bits(max((m for _, m in work), default=0),
                         self.ring.n_letters)
-        push, pop = heapq.heappush, heapq.heappop
-        heap = [(key_of(t, B), t) for t in work]
-        heapq.heapify(heap)
-        while heap:
-            term = pop(heap)[1]
-            c = work.pop(term, None)
-            if c is None:
-                continue
+        low = (1 << B) - 1
+
+        def find(term):
             comp, m = term
-            hit = self._find_module(comp, m)
+            hit = find_module(comp, m)
             if hit is not None:
                 q, tail = hit
-                adds = (((tc2, tm | q), tcoef) for (tc2, tm), tcoef in tail)
-            else:
-                products = self.ring._find(m)
-                if products is None:
-                    out[term] = c
-                    continue
-                adds = (((comp, pm), pc) for pm, pc in products)
-            for key, tcoef in adds:  # below `term`: never in out
-                old = work.get(key)
-                if old is None:
-                    work[key] = sub(zero, mul(c, tcoef))
-                    push(heap, (key_of(key, B), key))
-                else:
-                    s = sub(old, mul(c, tcoef))
-                    if s == zero:
-                        del work[key]
-                    else:
-                        work[key] = s
-        return out
+                return [((tc, tm | q), x) for (tc, tm), x in tail]
+            products = ring_find(m)
+            return None if products is None else \
+                [((comp, pm), x) for pm, x in products]
+        return reduce_terms(self.field, work, lambda t: key_of(t, B),
+                            lambda k: (k & 0xFFFFFFFF, k >> 32 & low), find)
 
     def normal_form(self, elem: ModElem) -> ModElem:
         return self._nf(dict(elem))
@@ -234,11 +214,9 @@ class ModuleGB:
     def _install(self, elem: ModElem) -> None:
         """Add elem, made monic; its largest term is a main term."""
         B = _place_bits(max(m for _, m in elem), self.ring.n_letters)
-        terms = sorted(elem.items(), key=lambda t: self._term_key(t[0], B))
-        lead, lc = terms[0]
-        if lc != self.field.one:
-            inv = self.field.inv(lc)
-            terms = [(t, self.field.mul(inv, c)) for t, c in terms]
+        terms = monic(self.field, sorted(
+            elem.items(), key=lambda t: self._term_key(t[0], B)))
+        lead = terms[0][0]
         self.elements.append((lead, terms))
         comp, m = lead
         self.buckets.setdefault(comp, {}).setdefault(m & -m, []).append(
@@ -263,28 +241,20 @@ class ModuleGB:
         """S-polynomial of pair (i, t): q_i e_i - q_t e_t for two module
         elements (earlier element positive), q_t e_t - q_r r for a module
         element and a ring element."""
-        sub, zero = self.field.sub, self.field.zero
         if kind == 0:
             lead_p, terms_p = self.elements[i]
             lead_n, terms_n = self.elements[t]
             qn = l ^ lead_n[1]
+            minus = (((tc, tm | qn), x) for (tc, tm), x in terms_n)
         else:
             lead_p, terms_p = self.elements[t]
             rlead, rterms = self.ring.element(i)
             qn = l ^ rlead
-            terms_n = [((comp, tm), tcoef) for tm, tcoef in rterms]
+            minus = (((comp, tm | qn), x) for tm, x in rterms)
         qp = l ^ lead_p[1]
-        spoly: ModElem = {}
-        for (tc2, tm), tcoef in terms_p:
-            spoly[(tc2, tm | qp)] = tcoef
-        for (tc2, tm), tcoef in terms_n:
-            key = (tc2, tm | qn)
-            s = sub(spoly.get(key, zero), tcoef)
-            if s == zero:
-                spoly.pop(key, None)
-            else:
-                spoly[key] = s
-        return spoly
+        return difference(self.field,
+                          (((tc, tm | qp), x) for (tc, tm), x in terms_p),
+                          minus)
 
     def complete_to(self, d: int) -> None:
         """Process all S-pairs of shifted degree <= d."""

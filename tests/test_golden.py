@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from ncres import jsonio
+from ncres.field import _mpq_rationals
 from ncres.jsonio import parse_input, render_json, resolution_document
 from ncres.resolver import ResolutionRequest, resolve
 
@@ -24,4 +26,18 @@ def test_flagship_renders_the_golden_bytes(name, field):
                                     trust_finite=True))
     golden = (DATA / f"golden-nilpotent-{name}.json").read_text(
         encoding="utf-8")
+    assert render_json(resolution_document(res)) == golden
+
+
+def test_mpq_code_path_renders_the_golden_bytes(monkeypatch):
+    """The mpq backend's operations (field._mpq_rationals), which keep
+    every element in the backend's type, integral or not, render the
+    golden bytes over Q.  Without gmpy2 the backend type is Fraction, so
+    this covers that code path over Fraction, not gmpy2 itself."""
+    monkeypatch.setattr(jsonio, "rationals", _mpq_rationals)
+    mod = parse_input((DATA / "flagship.json").read_text(encoding="utf-8"))
+    assert mod.algebra.field.zero.__class__ is not int
+    res = resolve(ResolutionRequest(mod, degree_bound=10, length_bound=7,
+                                    trust_finite=True))
+    golden = (DATA / "golden-nilpotent-q.json").read_text(encoding="utf-8")
     assert render_json(resolution_document(res)) == golden
