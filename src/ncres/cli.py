@@ -5,12 +5,15 @@ presentation, optionally cross-checked against the monomial oracle) and
 check (run the instance-level invariant suite).  Exit codes: 0 success,
 1 parse or validation failure, 2 oracle mismatch, 3 truncated result
 under --require-certified, 4 internal invariant violated, 5 resource
-limit hit.
+limit hit, 141 (128 + SIGPIPE) standard output closed by its reader, as
+when piped into `head`: the rest of the output is dropped, with no
+message.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Optional
@@ -260,7 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader is gone; with stdout on devnull, the flush at
+        # interpreter shutdown has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ def _ideal_rows(alg: AlgebraPresentation, d: int) -> List[dict]:
 def ideal_pivots(alg: AlgebraPresentation, d: int) -> dict:
     """The degree-d ideal rows eliminated into a pivot map {word: row};
     its size is the dimension of the ideal's degree-d component."""
-    return _eliminate(_ideal_rows(alg, d), alg.field, lambda c: c)
+    return _eliminate(_ideal_rows(alg, d), alg.field)
 
 
 def graded_component_dim(alg: AlgebraPresentation, d: int) -> int:
@@ -89,7 +89,7 @@ def module_component_dim_from(mod: ModulePresentation, d: int,
             gen_rows.append({(comp, w + v): c for (comp, w), c in g.items()})
     # the pivots the generator rows add to the ideal rows' pivot map
     base = len(pivots)
-    return len(_eliminate(gen_rows, alg.field, lambda c: c, pivots)) - base
+    return len(_eliminate(gen_rows, alg.field, basis=pivots)) - base
 
 
 def leading_word_basis(alg: AlgebraPresentation, d: int,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Dict, List, Optional, Tuple
 
 from .field import Field, prime_field, rationals
@@ -245,4 +246,49 @@ def resolution_document(res: Resolution,
 
 
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """json.dumps(doc, indent=2, sort_keys=True) plus a newline, byte for
+    byte, in one pass: an indent turns off json's C encoder, and its
+    Python one does more work per value than this one."""
+    parts: List[str] = []
+    _render(doc, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _render(obj, newline: str, out) -> None:
+    """Hand `out` the pieces of obj as json.dumps(obj, indent=2,
+    sort_keys=True) renders it, each nested line starting with `newline`
+    plus two spaces.  Strings are escaped by json's own ASCII escaper,
+    ints by int.__repr__ (bools excepted) and any other scalar by json.
+    A key that is not a str raises TypeError: json would render it as a
+    string, and this renderer does not."""
+    if isinstance(obj, str):
+        out(_encode_str(obj))
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        out(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out(sep + _encode_str(key) + ": ")
+            _render(obj[key], inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out(sep)
+            _render(item, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    else:  # float, bool or None; json raises TypeError on anything else
+        out(json.dumps(obj))

@@ -139,3 +139,39 @@ def build_C(win: PlaceWindow, field, gen_degrees: Sequence[int]) -> List[LpModEl
             for letter in range(L):
                 out.append({(j, 1 << (place0 * L + letter)): field.one})
     return out
+
+
+_REV = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))  # byte -> reversed
+
+
+class ColumnKeys(dict):
+    """Int column keys for module terms (j, m) whose masks lie on the
+    first d places: (j, m) is keyed j * 2^(8b) - rev(m), where rev
+    reverses the bits of m over b = ceil(d * L / 8) bytes, as wide as
+    the d places and no wider (a window can be far wider).  The dict
+    memoizes rev, an involution, so it decodes keys as well; it lives
+    for one degree.  Keys of component j lie in ((j - 1) * 2^(8b),
+    j * 2^(8b)], so they order by component first; among masks of one
+    bit count, they order as the ascending variable tuples do (argued in
+    the resolver docstring), the order of a stair row's columns."""
+
+    def __init__(self, degree: int, n_letters: int):
+        super().__init__()
+        self.width = -(-degree * n_letters // 8)
+        self.bits = 8 * self.width
+
+    def __missing__(self, m: int) -> int:
+        r = self[m] = int.from_bytes(
+            m.to_bytes(self.width, "little").translate(_REV), "big")
+        return r
+
+    def encode(self, elem: LpModElem) -> dict:
+        bits = self.bits
+        return {(j << bits) - self[m]: c for (j, m), c in elem.items()}
+
+    def decode(self, row: dict) -> LpModElem:
+        bits, out = self.bits, {}
+        for key, c in row.items():
+            j = -(-key >> bits)
+            out[j, self[(j << bits) - key]] = c
+        return out

@@ -1,16 +1,18 @@
 """Sparse exact Gaussian elimination.
 
 Rows are dicts mapping a hashable column key to a nonzero field element.
-Column keys must be totally ordered by the supplied sort key (default: the
-key itself).  The row-space RREF is unique, so any routine built on it is
-independent of the input row order; we rely on that for canonical
-generator representatives.
+Column keys must be totally ordered by the supplied sort key col_key.
+col_key=None, the default, orders them as they compare: it is handed
+straight to min and sorted, so natural order costs no key call.  The
+row-space RREF is unique, so any routine built on it is independent of
+the input row order; we rely on that for canonical generator
+representatives.
 """
 
 from __future__ import annotations
 
 
-def _eliminate(rows, field, col_key, basis=None):
+def _eliminate(rows, field, col_key=None, basis=None):
     """Forward-eliminate rows into a pivot map {pivot_col: row}, a new one
     or `basis` (extended in place; its rows keep their pivots).
 
@@ -49,8 +51,6 @@ def rref(rows, field, col_key=None):
     column; pivot_cols is the matching list of pivots.  This is the unique
     RREF of the row space.
     """
-    if col_key is None:
-        col_key = lambda c: c
     basis = _eliminate(rows, field, col_key)
     sub, mul = field.sub, field.mul
     zero = field.zero

@@ -45,11 +45,11 @@ modulo the forced block, each is homogeneous and plain (an S-pair's
 cofactors divide leads of one component, whose reserved letters lie on
 its prefix), and no block element covers each place once (each holds a
 doubled place); so that part is the sum of r times the plain words on
-the places r leaves free.  The RREF of the rows, keyed (component,
-monomial) in _row_key order, is the unique RREF of V_d, so it does not
-depend on which rows span it.  By the same argument the part of V_d
-that the output of lower degree generates, U_d, is spanned by the rows
-NF(o * u) over the emitted rows o.  A degree whose raw syzygies lie in
+the places r leaves free.  The RREF of the rows, under the column order
+below, is the unique RREF of V_d, so it does not depend on which rows
+span it.  By the same argument the part of V_d that the output of lower
+degree generates, U_d, is spanned by the rows NF(o * u) over the emitted
+rows o.  A degree whose raw syzygies lie in
 U_d needs no generators.  Otherwise the kept rows are the RREF rows of
 V_d whose pivot is no pivot of U_d, emitted in ascending pivot order: a
 vector of V_d leads at the pivot of the first RREF row it uses, so row
@@ -62,6 +62,19 @@ the kept rows, so every raw syzygy is spanned by checked rows and
 multiples of earlier ones.  So the emitted generators and the block
 span the syzygy module through the window and are independent modulo
 lower degrees, and their count per degree is the Betti number.
+
+The column order is by component, then by the ascending variable tuple
+of the monomial; the rows carry it as one int per column (ColumnKeys).
+Within one component at degree d every monomial has the same bit count,
+d minus the component's degree.  Of two such masks, the one that holds
+the lowest bit where they differ has the smaller variable tuple: the
+tuples agree up to that variable, and there one holds it while the
+other holds a larger one, since it has as many variables left.  Reversed
+over b bytes, that lowest differing bit becomes the highest one, so the
+mask with the smaller tuple has the larger reversal, and j * 2^(8b) minus
+the reversal orders the columns as the tuples do.  b = ceil(d * L / 8)
+follows the degree, as the masks lie on places 0 .. d - 1; it does not
+follow the window, which can be far wider.
 """
 
 from __future__ import annotations
@@ -69,13 +82,13 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .engine import RingGB, variables
+from .engine import RingGB
 from .freealg import (AlgebraPresentation, ModulePresentation, NcModElem,
                       elem_degree, homogeneous_degree, validate_presentation)
 from .homog import HomogenizationContext, eta_apply, homogenization_context
-from .letterplace import (LpModElem, PlaceWindow, WindowTooSmall, build_C,
-                          iota_inverse_word, iota_module_elem,
-                          letterplace_ideal_gens)
+from .letterplace import (ColumnKeys, LpModElem, PlaceWindow,
+                          WindowTooSmall, build_C, iota_inverse_word,
+                          iota_module_elem, letterplace_ideal_gens)
 from .linalg import _eliminate, rref
 from .syzygy import elem_sdeg, minimalize_graded, syzygies_over_quotient
 
@@ -175,27 +188,34 @@ def _check_forced_block(enc: _StepEncoding,
                         block: Sequence[LpModElem]) -> Counter:
     """The block's degree histogram, once every element is checked to be
     new and an actual syzygy and the histogram to be L * deg(g_j)
-    elements in degree deg(g_j) + 1 for each generator g_j.  An element
-    e_j * x(p) is a syzygy when every term of g_j holds a variable at
-    place p, since each product then holds a collision, which is zero:
-    one test per term.  Every other element is evaluated
-    (_check_syzygies)."""
-    if len({next(iter(elem)) for elem in block}) != len(block):
-        raise AssertionError("forced-block element is redundant")
+    elements in degree deg(g_j) + 1 for each generator g_j.  Elements
+    are told apart by their first term (j, x), keyed by the variable's
+    index when x is one variable: an injective key that hashes no mask
+    as wide as the block.  An element e_j * x(p) has degree deg(g_j) + 1,
+    and it is a syzygy when every term of g_j holds a variable at place
+    p, since each product then holds a collision, which is zero: one
+    test per term.  Every other element is evaluated (_check_syzygies)
+    and has its degree read off its terms."""
     L = enc.win.n_letters
-
-    def collides(elem) -> bool:
-        # elem is e_j * x(p), and every term of g_j holds a variable at p
-        if len(elem) != 1:
-            return False
-        (j, x), = elem
-        if x.bit_count() != 1:
-            return False
-        place = ((1 << L) - 1) << (x.bit_length() - 1) // L * L
-        return all(gm & place for _, gm in enc.gens_lp[j])
-    _check_syzygies(enc, [e for e in block if not collides(e)],
+    seen, rest, general = set(), [], []
+    hist: Counter = Counter()
+    for elem in block:
+        j, x = next(iter(elem))
+        one = x.bit_count() == 1
+        seen.add((j, -x.bit_length()) if one else (j, x))  # masks are >= 0
+        if one and len(elem) == 1:
+            hist[enc.gen_degrees[j] + 1] += 1
+            place = ((1 << L) - 1) << (x.bit_length() - 1) // L * L
+            if all(gm & place for _, gm in enc.gens_lp[j]):
+                continue
+        else:
+            general.append(elem)
+        rest.append(elem)
+    if len(seen) != len(block):
+        raise AssertionError("forced-block element is redundant")
+    _check_syzygies(enc, rest,
                     "forced-block element is not a syzygy; encoding broken")
-    hist = Counter(elem_sdeg(enc.gen_degrees, e) for e in block)
+    hist.update(elem_sdeg(enc.gen_degrees, e) for e in general)
     expected: Counter = Counter()
     for dj in enc.gen_degrees:
         if dj:
@@ -205,20 +225,22 @@ def _check_forced_block(enc: _StepEncoding,
     return hist
 
 
-def _nf_sum(ring: RingGB, terms) -> dict:
+def _nf_sum(ring: RingGB, terms, cols: ColumnKeys) -> dict:
     """Sum of c * NF(m) in component comp over the (comp, m, c) of
-    `terms`, keyed (component, monomial).  Normal forms are linear, so the
-    sum adds the terms' monomial normal forms, which the ring memoizes:
-    each distinct monomial is reduced once per step.  A monomial in its
-    own normal form is standard, and that normal form is the monomial
-    itself, so its coefficient is taken as it is."""
+    `terms`, under the column keys `cols`.  Normal forms are linear, so
+    the sum adds the terms' monomial normal forms, which the ring
+    memoizes: each distinct monomial is reduced once per step.  A
+    monomial in its own normal form is standard, and that normal form is
+    the monomial itself, so its coefficient is taken as it is."""
     add, mul, zero = ring.field.add, ring.field.mul, ring.field.zero
+    bits = cols.bits
     out: dict = {}
     for comp, m, c in terms:
         nf = ring.mono_normal_form(m)
+        base = comp << bits
         for n, x in ((m, c),) if m in nf else \
                 [(n, mul(c, a)) for n, a in nf.items()]:
-            key = (comp, n)
+            key = base - cols[n]
             if key not in out:
                 out[key] = x
             else:
@@ -228,12 +250,6 @@ def _nf_sum(ring: RingGB, terms) -> dict:
                 else:
                     out[key] = s
     return out
-
-
-def _row_key(key: tuple) -> tuple:
-    """Column key of a stair row's term (j, monomial): component, then
-    the monomial's variable tuple, the order pivots are picked in."""
-    return key[0], variables(key[1])
 
 
 def _normal_words(enc: _StepEncoding, start: int, stop: int) -> List[int]:
@@ -256,16 +272,17 @@ def _normal_words(enc: _StepEncoding, start: int, stop: int) -> List[int]:
 
 def _stair_rows(enc: _StepEncoding,
                 sources: Sequence[Tuple[LpModElem, int]],
-                degree: int) -> List[dict]:
+                degree: int, cols: ColumnKeys) -> List[dict]:
     """RREF basis, rows in ascending pivot order, of the span of
     NF(r * u) over the (r, deg r) of `sources` with deg r <= degree and
-    the standard plain words u on places deg r .. degree - 1, keyed
-    (component j, encoded word on places deg(g_j) .. degree - 1) in
-    _row_key order.  Over the raw syzygies that is the stair subspace
-    V_d, the degree-`degree` syzygies whose coefficients are plain words;
-    over the output of lower degree, its part U_d that output generates
-    (module docstring).  A reducible u is a combination of smaller
-    standard words modulo the ring, so its row is one of theirs."""
+    the standard plain words u on places deg r .. degree - 1, each term
+    (component j, encoded word on places deg(g_j) .. degree - 1) under
+    its int column key in `cols`, the degree's ColumnKeys.  Over the raw
+    syzygies that is the stair subspace V_d, the degree-`degree`
+    syzygies whose coefficients are plain words; over the output of lower
+    degree, its part U_d that output generates (module docstring).  A
+    reducible u is a combination of smaller standard words modulo the
+    ring, so its row is one of theirs."""
     rows: List[dict] = []
     words_at: Dict[int, List[int]] = {}
     for r, dr in sources:
@@ -279,9 +296,10 @@ def _stair_rows(enc: _StepEncoding,
                 f"more than {STAIR_GUARD} stair rows at degree {degree}; "
                 f"this instance is out of desk scale")
         # r's terms end at place deg r, where u begins
-        rows += [_nf_sum(enc.ring, ((j, m | u, c) for (j, m), c in r.items()))
+        rows += [_nf_sum(enc.ring, ((j, m | u, c) for (j, m), c in r.items()),
+                         cols)
                  for u in words]
-    return rref(rows, enc.ring.field, _row_key)[0]
+    return rref(rows, enc.ring.field)[0]
 
 
 def _check_syzygies(enc: _StepEncoding, elems: Sequence[LpModElem],
@@ -315,9 +333,9 @@ def _check_syzygies(enc: _StepEncoding, elems: Sequence[LpModElem],
 
 def _spans(pivots: dict, rows: Sequence[dict], field) -> bool:
     """Whether every row lies in the span of the echelon rows `pivots`,
-    a pivot map {pivot: row} as linalg._eliminate keeps them."""
-    return len(_eliminate(rows, field, _row_key, dict(pivots))) == \
-        len(pivots)
+    a pivot map {pivot: row} as linalg._eliminate keeps them, all rows
+    under int column keys."""
+    return len(_eliminate(rows, field, basis=dict(pivots))) == len(pivots)
 
 
 class ResolutionStep(NamedTuple):
@@ -356,17 +374,19 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
     out_elems: List[NcModElem] = []
     out_degrees: List[int] = []
     for d in sorted(raw_at):
+        cols = ColumnKeys(d, enc.win.n_letters)
+        raw_rows = [cols.encode(e) for e in raw_at[d]]
         # U_d: the stair rows the output of lower degree generates, none
         # while there is no such output
-        lower = {min(row, key=_row_key): row
-                 for row in _stair_rows(enc, emitted, d)} if emitted else {}
-        if _spans(lower, raw_at[d], field):
+        lower = {min(row): row for row in
+                 _stair_rows(enc, emitted, d, cols)} if emitted else {}
+        if _spans(lower, raw_rows, field):
             continue
-        stair = _stair_rows(enc, raw_deg, d)
-        fresh = [row for row in stair if min(row, key=_row_key) not in lower]
+        stair = _stair_rows(enc, raw_deg, d, cols)
+        fresh = [cols.decode(row) for row in stair if min(row) not in lower]
         _check_syzygies(enc, fresh, f"stair row at degree {d} is not a syzygy")
-        if not _spans({min(row, key=_row_key): row for row in stair},
-                      list(lower.values()) + raw_at[d], field):
+        if not _spans({min(row): row for row in stair},
+                      list(lower.values()) + raw_rows, field):
             raise AssertionError(
                 f"stair subspace at degree {d} does not generate the "
                 "syzygies")

@@ -8,6 +8,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from ncres import letterplace
+from ncres.engine import variables
 from ncres.field import rationals
 from ncres.freealg import (AlgebraPresentation, ModulePresentation,
                            validate_presentation)
@@ -107,11 +108,18 @@ def nonmonomial_modules(seed, count):
 
 # --- the evaluation kernel: the stair subspace computed without syzygies --
 
+def row_key(key: tuple) -> tuple:
+    """Column order of a stair row's term (component j, mask): component,
+    then the mask's variables ascending.  The reference that the int keys
+    of letterplace.ColumnKeys must sort like."""
+    return key[0], variables(key[1])
+
+
 def stair_frame(enc, degree):
     """Coordinate frame for degree-`degree` syzygies whose coefficients
     are plain words: pairs (component j, encoded normal word of length
     degree - deg_j over the original letters, starting after the
-    generator's places), in ascending resolver._row_key order."""
+    generator's places), in ascending row_key order."""
     frame = []
     for j, dj in enumerate(enc.gen_degrees):
         k = degree - dj
@@ -134,7 +142,7 @@ def frame_kernel(field, images):
         row = {(0, key): c for key, c in img.items()}
         row[(1, pos)] = field.one
         rows.append(row)
-    echelon = _eliminate(rows, field, lambda c: c)
+    echelon = _eliminate(rows, field)
     kernel = [{key[1]: c for key, c in row.items()}
               for piv, row in echelon.items() if piv[0] == 1]
     return rref(kernel, field)[0]
@@ -143,11 +151,14 @@ def frame_kernel(field, images):
 def ev_image(enc, j, mono):
     """Image of the column e_j * mono under evaluation against the
     encoded generators, in normal-form coordinates: each component's
-    coefficient reduced modulo the ring (resolver._nf_sum).  A product
-    whose factors share a variable squares it, so it is zero."""
-    return _nf_sum(enc.ring, ((comp, gm | mono, c)
-                              for (comp, gm), c in enc.gens_lp[j].items()
-                              if not gm & mono))
+    coefficient reduced modulo the ring (resolver._nf_sum), keyed
+    (component, monomial) through column keys as wide as the window.  A
+    product whose factors share a variable squares it, so it is zero."""
+    cols = letterplace.ColumnKeys(enc.win.width, enc.win.n_letters)
+    return cols.decode(_nf_sum(enc.ring, ((comp, gm | mono, c)
+                                          for (comp, gm), c
+                                          in enc.gens_lp[j].items()
+                                          if not gm & mono), cols))
 
 
 def evaluated_stair_rows(enc, degree):
@@ -372,7 +383,7 @@ def iota_poly(win, p, shift=0):
 
 def rank(rows, field, col_key=None) -> int:
     """Rank of a list of sparse rows (linalg docstring)."""
-    return len(_eliminate(rows, field, col_key or (lambda c: c)))
+    return len(_eliminate(rows, field, col_key))
 
 
 class BuchbergerRing:

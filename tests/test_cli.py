@@ -2,6 +2,7 @@
 line. Everything runs in-process through main(argv)."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -177,6 +178,25 @@ def test_hostile_degree_bound_exits_5():
     assert proc.stderr.startswith("error: resource limit: degree bound "
                                   "1000000000 is above the window guard")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stdout_exits_141_without_a_traceback(fmt):
+    """Standard output is a pipe whose read end is closed before the run:
+    the first write fails, and the CLI exits 141 (128 + SIGPIPE) with
+    nothing on stderr, the flush at shutdown included."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncres.cli", "resolve", str(FLAGSHIP),
+             "--degree-bound", "5", "--format", fmt], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=300,
+            cwd=Path(cli.__file__).resolve().parents[1])
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 def test_resource_limit_exits_5(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,11 @@
 """Input document parsing and output document serialization."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import augmentation_module, nilpotent_enveloping
 from ncres.jsonio import (InputError, elem_terms, field_document, parse_coeff,
@@ -149,3 +152,58 @@ def test_output_document_json_round_trip():
     assert doc["timings"] is None and doc["oracle"] is None
     assert [b["homological"] for b in doc["betti"]] == sorted(
         b["homological"] for b in doc["betti"])
+
+
+def reference(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# escapes, control characters, non-ASCII and astral text all reach the
+# string escaper; keys are strings, as every output document's are
+texts = st.text(st.characters(), max_size=8) | st.sampled_from(
+    ["", '"', "\\", "\n\t\x00\x7f", "é", "\u2028", "\U0001f600", "a/b"])
+scalars = (texts
+           | st.integers(-2**70, 2**70)
+           | st.sampled_from([0, -1, 2**64, -(2**64), 10**30])
+           | st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf,
+                              1e300, 5e-324])
+           | st.booleans() | st.none())
+documents = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(texts, inner, max_size=4),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_render_json_equals_json_dumps(doc):
+    assert render_json(doc) == reference(doc)
+
+
+def test_render_json_edge_values():
+    doc = {"": [], "e": {}, "n": [None, True, False, -0.0, math.nan,
+                                  math.inf, -math.inf, 2**100, -7],
+           "s": ["é\u2028\U0001f600", "\"\\/\b\f\n\r\t\x01"],
+           "t": (1, ("x",)), "z": [[], [{}], {"a": []}]}
+    assert render_json(doc) == reference(doc)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
+def test_render_json_refuses_non_str_keys(key):
+    with pytest.raises(TypeError):
+        render_json({"a": 1, "b": {key: 2}})
+
+
+def test_render_json_refuses_what_json_refuses():
+    with pytest.raises(TypeError):
+        render_json({"a": [object()]})
+
+
+def test_render_json_matches_json_on_a_resolution():
+    mod = augmentation_module(nilpotent_enveloping())
+    res = resolve(ResolutionRequest(mod, degree_bound=6, length_bound=4))
+    doc = resolution_document(res, oracle={"ran": False, "diff": []},
+                              timings={"total": 0.25, "parse": 1e-06})
+    assert render_json(doc) == reference(doc)

@@ -12,7 +12,7 @@ import pytest
 from helpers import (BuchbergerRing, augmentation_module, ev_image,
                      evaluated_stair_rows, iota_poly, letterplace_ideal_gens,
                      nilpotent_enveloping, random_module, random_presentation,
-                     stair_frame, to_tuple, window_shifts)
+                     row_key, stair_frame, to_tuple, window_shifts)
 from ncres.field import rationals
 from ncres.freealg import (AlgebraPresentation, ModulePresentation,
                            validate_presentation)
@@ -194,9 +194,9 @@ def test_incomplete_stair_frame_is_an_internal_error(monkeypatch):
     stair_rows = resolver._stair_rows
     # keep only the rows supported on the first component
     monkeypatch.setattr(resolver, "_stair_rows",
-                        lambda enc, raw, d: [row for row in
-                                             stair_rows(enc, raw, d)
-                                             if all(j == 0 for j, _ in row)])
+                        lambda enc, raw, d, cols: [
+                            row for row in stair_rows(enc, raw, d, cols)
+                            if all(j == 0 for j, _ in cols.decode(row))])
     gens = [{(0, (0,)): ONE}, {(0, (1,)): ONE}]
     with pytest.raises(AssertionError, match="does not generate"):
         syzygy_step(_poly_ring_2(), [0], gens, window=3)
@@ -229,10 +229,10 @@ def test_lower_output_outside_the_stair_subspace_is_an_internal_error(
     from_raw = _raw_sourced(monkeypatch)
     real = resolver._stair_rows
 
-    def top_degree_only(enc, pairs, d):
+    def top_degree_only(enc, pairs, d, cols):
         if from_raw(pairs):
             pairs = [(r, dr) for r, dr in pairs if dr == d]
-        return real(enc, pairs, d)
+        return real(enc, pairs, d, cols)
 
     monkeypatch.setattr(resolver, "_stair_rows", top_degree_only)
     with pytest.raises(AssertionError, match="does not generate"):
@@ -618,16 +618,20 @@ def test_ev_image_matches_one_normal_form_per_component(monkeypatch, tshift):
 
 
 def _recorded_stair_rows(monkeypatch, req):
-    """(enc, degree, rows, from_raw) of every _stair_rows call of a
-    resolve: from_raw when the rows come from the step's raw syzygies
-    (V_d), not from its output of lower degree (U_d)."""
+    """(enc, degree, rows, from_raw, cols) of every _stair_rows call of a
+    resolve, the rows decoded to (component, monomial) keys through the
+    degree's column keys cols: from_raw when the rows come from the
+    step's raw syzygies (V_d), not from its output of lower degree
+    (U_d)."""
     calls = []
     from_raw = _raw_sourced(monkeypatch)
     real = resolver._stair_rows
 
-    def recording(enc, pairs, d):
-        calls.append((enc, d, real(enc, pairs, d), from_raw(pairs)))
-        return calls[-1][2]
+    def recording(enc, pairs, d, cols):
+        rows = real(enc, pairs, d, cols)
+        calls.append((enc, d, [cols.decode(row) for row in rows],
+                      from_raw(pairs), cols))
+        return rows
 
     monkeypatch.setattr(resolver, "_stair_rows", recording)
     resolve(req)
@@ -637,16 +641,17 @@ def _recorded_stair_rows(monkeypatch, req):
 def _assert_rows_match_evaluation(calls):
     """Rows from the raw syzygies are the RREF of the evaluation kernel;
     rows from lower output span a subspace of it."""
-    for enc, d, rows, from_raw in calls:
+    for enc, d, rows, from_raw, cols in calls:
         frame = stair_frame(enc, d)
         # frame positions are key order
-        assert frame == sorted(frame, key=resolver._row_key)
+        assert frame == sorted(frame, key=row_key)
         kernel = evaluated_stair_rows(enc, d)
         if from_raw:
             assert rows == kernel
         else:
-            pivots = {min(row, key=resolver._row_key): row for row in kernel}
-            assert resolver._spans(pivots, rows, enc.ring.field)
+            pivots = {min(row): row for row in map(cols.encode, kernel)}
+            assert resolver._spans(pivots, [cols.encode(row) for row in rows],
+                                   enc.ring.field)
 
 
 @pytest.mark.parametrize("field", ["Q", {"Fp": 32003}])
@@ -664,7 +669,7 @@ def test_stair_rows_equal_the_evaluation_kernel_on_the_flagship(
         mod, degree_bound=7, length_bound=7, tshift=tshift))
     from_raw = [call for call in calls if call[3]]
     assert len(from_raw) >= 4 and len({id(c[0]) for c in from_raw}) == 3
-    assert any(rows for _, _, rows, raw in calls if not raw)
+    assert any(rows for _, _, rows, raw, _ in calls if not raw)
     _assert_rows_match_evaluation(calls)
 
 
@@ -683,8 +688,59 @@ def test_stair_rows_equal_the_evaluation_kernel_on_random_algebras(
             calls = _recorded_stair_rows(monkeypatch, ResolutionRequest(
                 mod, degree_bound=6, length_bound=4, tshift=tshift))
             _assert_rows_match_evaluation(calls)
-            seen += sum(from_raw for _, _, _, from_raw in calls)
+            seen += sum(from_raw for _, _, _, from_raw, _ in calls)
     assert seen > 40
+
+
+@pytest.mark.parametrize("n_letters", [3, 4])
+@pytest.mark.parametrize("degree", [1, 2, 3, 5, 6, 11])
+def test_column_keys_sort_like_the_tuple_reference(n_letters, degree):
+    """Random masks on `degree` places, of one bit count per component,
+    over three components: the int keys sort as helpers.row_key sorts
+    the (component, mask) tuples, are distinct, and decode back.  The
+    widths 1 .. 6 bytes put masks across every byte boundary."""
+    rng = random.Random(degree * 10 + n_letters)
+    bits = degree * n_letters
+    cols = resolver.ColumnKeys(degree, n_letters)
+    assert cols.width == -(-bits // 8) and cols.bits == 8 * cols.width
+    terms = set()
+    for j in range(3):
+        count = rng.randint(0, bits)
+        for _ in range(40):
+            mask = sum(1 << v for v in rng.sample(range(bits), count))
+            terms.add((j, mask))
+    row = dict.fromkeys(terms, 1)
+    keyed = cols.encode(row)
+    assert len(keyed) == len(row)
+    assert [cols.decode({k: 1}) for k in sorted(keyed)] == \
+        [{t: 1} for t in sorted(terms, key=row_key)]
+    assert cols.decode(keyed) == row
+    assert cols.decode(cols.encode({(2, 0): 1})) == {(2, 0): 1}
+
+
+def test_column_keys_follow_the_degree_not_the_window(monkeypatch):
+    """At a degree bound of WINDOW_GUARD places every degree's column
+    keys are ceil(d * L / 8) bytes wide, as wide as the stair rows' d
+    places and no wider, and every mask they key fits."""
+    widths = []
+
+    class Recording(resolver.ColumnKeys):
+        def __init__(self, degree, n_letters):
+            super().__init__(degree, n_letters)
+            widths.append((degree, n_letters, self))
+
+    monkeypatch.setattr(resolver, "ColumnKeys", Recording)
+    mod = parse_input(FLAGSHIP.read_text(encoding="utf-8"))
+    res = resolve(ResolutionRequest(mod, degree_bound=resolver.WINDOW_GUARD,
+                                    length_bound=7, trust_finite=True))
+    assert res.table.entries == resolve(ResolutionRequest(
+        mod, degree_bound=10, length_bound=7, trust_finite=True)
+        ).table.entries
+    assert widths
+    for degree, n_letters, cols in widths:
+        assert cols.width <= -(-degree * n_letters // 8)
+        assert all(m.bit_length() <= cols.bits for m in cols)
+    assert max(cols.width for _, _, cols in widths) < 8
 
 
 def _block_formula(alg, step, input_degrees):

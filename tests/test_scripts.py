@@ -1,6 +1,8 @@
 """Run each script in scripts/ at desk size in a fresh interpreter, so
 that an API change which breaks one of them fails here."""
 
+import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -64,3 +66,33 @@ def test_cold_start_with_one_interpreter():
         ["bare", "import", "resolve"]
     assert all("wall_s" in line and "maxrss_mb" in line
                for line in lines[1:])
+
+
+def test_bench_pairs_alternates_two_checkouts(tmp_path):
+    """Two copies of this tree, two pairs of short runs: the side that
+    goes first alternates, every end-to-end metric is summarized, and the
+    last line carries every sample.  Nothing is written to this tree."""
+    root = SCRIPTS.parent
+    tree = lambda: sorted((root / "perfbench").rglob("*"))
+    before = tree()
+    sides = []
+    skip = shutil.ignore_patterns("out", "__pycache__")
+    for name in ("old", "new"):
+        side = tmp_path / name
+        for part in ("src", "perfbench"):
+            shutil.copytree(root / part, side / part, ignore=skip)
+        sides.append(str(side))
+    lines = run_script("bench_pairs.py", *sides, "--workload", "nilpotent-fp",
+                       "--pairs", "2", "--seconds", "0.1")
+    assert lines[0].startswith("pair 1/2 (old first): old wall_s=")
+    assert lines[1].startswith("pair 2/2 (new first): old wall_s=")
+    assert lines[2].startswith("nilpotent-fp: 2 pairs of 0.1 s runs")
+    assert [line.split()[0] for line in lines[3:-1]] == [
+        "wall_s", "setup_s", "peak_rss_mb", "instance_p50_s",
+        "instance_tail_s"]
+    assert all("new won " in line for line in lines[3:-1])
+    samples = json.loads(lines[-1])
+    assert len(samples["old"]) == len(samples["new"]) == 2
+    assert all((tmp_path / name / "perfbench" / "out").is_dir()
+               for name in ("old", "new"))
+    assert tree() == before
