@@ -84,10 +84,20 @@ order.  The moved lead covers places p .. p + k - 1, so the product of
 a tail term and the cofactor is (m ^ lead << p) | tail_term << p: the
 tail term covers the lead's places, which the cofactor does not.  _find
 returns those products.  A finished ring that a step reads (a
-restriction) memoizes _find per monomial, in a dict of its own.  A
-module basis asks the ring for the moved leads that share a variable
-with a module lead (leads_meeting) under references that sort like
-those leads, and for the moved element of a reference (element).
+restriction) memoizes _find per monomial, in a dict of its own.
+A module basis asks the ring for its pairs with a module lead m
+(overlaps), under references that sort like the moved leads, and for the
+moved element of a reference (element).  m is letterplace, on places
+f .. d - 1 of its floor f (syzygy docstring), and an anchored lead of n
+places moved to p covers p .. p + n - 1.  If p < f, l = m | moved holds
+a variable below the floor; if p >= d, the leads are coprime.  Otherwise
+l covers f .. max(d, p + n) - 1, one bit per place exactly when it holds
+no collision, so the pair rule admits l exactly when popcount(l) ==
+max(d, p + n) - f, and the moved lead then starts with the letter m
+holds at p.  So overlaps walks the bits of m that hold a letter starting
+some lead (t starts none), tries that letter's bucket and keeps the lcms
+that pass the count; the pair's shifted degree max(d, p + n) fits when
+p + n <= cap.
 
 Restriction.  One basis also serves every narrower window and the
 alphabet extended by a relation-free last letter t, with no Buchberger
@@ -105,25 +115,25 @@ elements that fit, renumbered once for the extended alphabet.  It equals
 the basis built from the window's generators element for element.
 
 One reduction loop.  The ring's and the module's (syzygy.py) normal
-forms are reduce_terms: a work dict of coefficients beside a heap of int
-keys that ascend from the greatest term.  It pushes a key whenever a
-term enters the dict, pops the least, skips it if its term has been
-cancelled since, and otherwise subtracts the products its reducer lookup
-returns.  Each of them lies below the term it rewrites (the order is
-multiplicative, a tail lies below its lead), so the heap pops in the
-order a scan of the dict for the greatest would take.  A ring key is the
-mask itself.  A ring polynomial is place-multihomogeneous, so its terms
-share one degree, and within one degree the highest variable where two
-squarefree monomials differ decides: the one holding it is the smaller
-monomial and the larger int.  So sorted(p.items()) lists p's terms
-greatest first.  An inhomogeneous input reduces correctly all the same:
-a reduction step keeps the degree of the term it rewrites, so it pushes
-only keys above the one it pops.  mono_key, higher key = greater
-monomial, orders masks of any degrees.  Normal forms are linear, so each
-RingGB memoizes the normal form of each monomial it is asked for
-(mono_normal_form) in a dict of its own that a restriction starts empty:
-no step or resolution sees another's entries.  Its values are shared, so
-no caller may mutate them.
+forms are reduce_terms: a work dict of coefficients keyed by int keys
+that ascend from the greatest term, beside a heap of those keys.  It
+pushes a key whenever it enters the dict, pops the least, skips it if
+its term has been cancelled since, and otherwise subtracts the keyed
+products its reducer lookup returns.  Each of them lies below the term
+it rewrites (the order is multiplicative, a tail lies below its lead),
+so the heap pops in the order a scan of the dict for the greatest would
+take.  A ring key is the mask itself.  A ring polynomial is
+place-multihomogeneous, so its terms share one degree, and within one
+degree the highest variable where two squarefree monomials differ
+decides: the one holding it is the smaller monomial and the larger int.
+So sorted(p.items()) lists p's terms greatest first.  An inhomogeneous
+input reduces correctly all the same: a reduction step keeps the degree
+of the term it rewrites, so it pushes only keys above the one it pops.
+mono_key, higher key = greater monomial, orders masks of any degrees.
+Normal forms are linear, so each RingGB memoizes the normal form of each
+monomial it is asked for (mono_normal_form) in a dict of its own that a
+restriction starts empty: no step or resolution sees another's entries.
+Its values are shared, so no caller may mutate them.
 The pair heaps break ties between lcms of one degree by variables(lcm),
 the ascending tuple of their variables, compared lexicographically.  A
 finished RingGB is the whole context of the module bases over it
@@ -145,30 +155,30 @@ def mono_key(m: Mono) -> Tuple[int, int]:
     return (m.bit_count(), -m)
 
 
-def reduce_terms(field, work: dict, key, term, find) -> dict:
-    """Full normal form of `work`, term -> coefficient, which it consumes
-    (module docstring): key(t) is t's int key, term(k) the term of key k,
-    and find(t) the (term, coefficient) products to subtract, times t's
-    coefficient, or None when t is standard."""
+def reduce_terms(field, work: dict, find) -> dict:
+    """Full normal form of `work`, int key -> coefficient, which it
+    consumes (module docstring): find(k) is the (key, coefficient)
+    products to subtract, times k's coefficient, or None when k's term is
+    standard."""
     sub, mul, zero = field.sub, field.mul, field.zero
     push, pop = heapq.heappush, heapq.heappop
-    heap = [key(t) for t in work]
+    heap = list(work)
     heapq.heapify(heap)
     out: dict = {}
     while heap:
-        t = term(pop(heap))
-        c = work.pop(t, None)
+        k = pop(heap)
+        c = work.pop(k, None)
         if c is None:
             continue
-        adds = find(t)
+        adds = find(k)
         if adds is None:
-            out[t] = c
+            out[k] = c
             continue
-        for u, uc in adds:  # below t: never in out
+        for u, uc in adds:  # below k: never in out
             old = work.get(u)
             if old is None:
                 work[u] = sub(zero, mul(c, uc))
-                push(heap, key(u))
+                push(heap, u)
             else:
                 s = sub(old, mul(c, uc))
                 if s == zero:
@@ -279,10 +289,11 @@ class RingGB:
         self._pairs: list = []
         self._mono_nf: Dict[Mono, Poly] = {}  # mono_normal_form's memo
         self.elements: List[tuple] = []  # (lead, terms)
-        # reducers bucketed by the bit of their lead's first letter, each
-        # (lead, tail); the unit, whose lead is 0, sets _unit instead
+        # reducers by the bit of their lead's first letter, or'ed into
+        # _firsts, each (lead, tail, index); the unit sets _unit instead
         self.buckets: Dict[int, list] = {}
         self._unit = False
+        self._firsts = 0
 
     def _grow(self, cap: int) -> None:
         """Widen the basis to `cap` places (module docstring)."""
@@ -307,7 +318,7 @@ class RingGB:
                     self._reduce_full(dict(terms[1:])).items()))
                 for lead, terms in sorted(
                     self.elements, key=lambda e: mono_key(e[0]))]
-        self.elements, self.buckets = [], {}
+        self.elements, self.buckets, self._firsts = [], {}, 0
         for lead, terms in kept:
             self._install(lead, terms)
 
@@ -351,7 +362,7 @@ class RingGB:
     def _reduce_full(self, p: Poly) -> Poly:
         """Full normal form of p: reduce_terms keyed by the masks
         themselves (module docstring)."""
-        return reduce_terms(self.field, dict(p), int, int, self._find)
+        return reduce_terms(self.field, dict(p), self._find)
 
     def _find(self, m: Mono):
         """The terms of tail times cofactor of the reducer of m, a
@@ -365,7 +376,7 @@ class RingGB:
         while w:
             lst = buckets.get(w & block)
             if lst is not None:
-                for lead, tail in lst:
+                for lead, tail, _ in lst:
                     if w & lead == lead:
                         rest = m ^ (lead << p)
                         return [(rest | tm << p, tc) for tm, tc in tail]
@@ -383,12 +394,14 @@ class RingGB:
             self._queue_pairs(len(self.elements) - 1)
 
     def _install(self, lead: Mono, terms) -> None:
-        self.elements.append((lead, terms))
         if lead:
-            self.buckets.setdefault(lead & self._block, []).append(
-                (lead, terms[1:]))
+            first = lead & self._block
+            self.buckets.setdefault(first, []).append(
+                (lead, terms[1:], len(self.elements)))
+            self._firsts |= first
         else:
             self._unit = True
+        self.elements.append((lead, terms))
 
     def _moved(self, k: int, c: int) -> tuple:
         """Element k moved c places on, as (lead, terms)."""
@@ -450,22 +463,26 @@ class RingGB:
                 {m: self.field.from_int(1)})
         return nf
 
-    def leads_meeting(self, m: Mono) -> List[tuple]:
-        """(ref, lead, bare) of every window shift of an element whose
-        lead shares a variable with m; refs sort like their leads,
-        ascending, and element(ref) is the moved element."""
-        if not m:
-            return []
-        L, cap = self.n_letters, self.cap
-        lo, hi = ((m & -m).bit_length() - 1) // L, (m.bit_length() - 1) // L
+    def overlaps(self, m: Mono, floor: int) -> List[tuple]:
+        """(ref, lcm, bare) of every window shift of an element whose
+        lead pairs with the letterplace module lead m from place `floor`
+        on (module docstring); refs sort like the moved leads, and
+        element(ref) is the moved element."""
+        L, cap, buckets = self.n_letters, self.cap, self.buckets
+        d = floor + m.bit_count()
         out = []
-        for k, (lead, terms) in enumerate(self.elements):
-            n = lead.bit_count()
-            for p in range(max(lo - n + 1, 0), min(hi, cap - n) + 1):
+        # m's letters that start a lead, each at its place
+        w = m & self._firsts * ((1 << _place_bits(m, L)) - 1) // self._block
+        while w:
+            low = w & -w
+            w ^= low
+            p = (low.bit_length() - 1) // L
+            for lead, tail, k in buckets[low >> (p * L)]:
+                n = lead.bit_count()
                 moved = lead << (p * L)
-                if m & moved:
-                    out.append(((mono_key(moved), k, p), moved,
-                                len(terms) == 1))
+                l = m | moved
+                if p + n <= cap and l.bit_count() == max(d, p + n) - floor:
+                    out.append(((mono_key(moved), k, p), l, not tail))
         return out
 
     def element(self, ref: tuple) -> tuple:

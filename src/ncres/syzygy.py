@@ -65,15 +65,23 @@ either); a shifted basis runs Buchberger in the free module modulo B
 without installing B, and spans the same module as with every pair
 formed and B installed.
 
-Masks.  Every term is letterplace, so a cofactor, which covers the
-places of an lcm past its lead's, shares no place with any term of its
-element: each product is an or of masks, and no reduction leaves the
-places of the term it rewrites.  A normal form is engine.reduce_terms
-on one int key per term (ModuleGB._term_key): ((X << B) + m << 32) plus
-the component, with X ordering shifted degree, then degree, ghosts last,
-and B the bit width of the places up to the input's last; the key's low
-32 bits give the component back, the B bits above them the mask.  The
-pair heap breaks ties by engine.variables of the lcm, as the ring's does.
+Masks and keys.  Every term is letterplace, so a cofactor, which covers
+the places of an lcm past its lead's, shares no place with any term of
+its element: each product is an or of masks, no reduction leaves the
+places of the term it rewrites, and every term of an S-polynomial and of
+its normal form lies on the places of the pair's lcm, whatever the
+window.  A term (c, m) has the int key ((X << B) + m << 32) + c
+(ModuleGB._term_key), ascending from the greatest term: X =
+-s(cap + 1) - deg(m)(cap + 2) orders shifted degree, then degree, for
+the shift s of c (for a ghost, one shift below every main term's), and B
+is the bit width of the lcm's places.  Keys are additive: m | q = m + q for a
+cofactor q, so the term times q has key k + ((-|q|(cap + 2) << B) + q <<
+32), and a ring product pm, on m's places, has key k + (pm - m << 32).
+So an element stores its terms as (X, (m << 32) + c, coefficient), and
+an S-polynomial and each product cost a few int operations per term;
+only a generator and the input of normal_form are keyed term by term.
+The pair heap breaks ties by engine.variables of the lcm, as the ring's
+does.
 """
 
 from __future__ import annotations
@@ -96,13 +104,21 @@ def elem_sdeg(shifts: Sequence[int], elem: ModElem) -> int:
     return degs.pop()
 
 
+def _times(terms: list, q: Mono, S: int, step: int) -> list:
+    """Stored terms (X, (m << 32) + c, coefficient) times the cofactor q,
+    keyed under S = B + 32 bits, step = (cap + 2) << S: additive keys
+    (module docstring)."""
+    dq = (q << 32) - q.bit_count() * step
+    return [((x << S) + mc + dq, c) for x, mc, c in terms]
+
+
 class ModuleGB:
     """Incremental truncated module Groebner basis over a quotient ring.
 
     ring is a completed truncated letterplace basis whose elements act on
     every component.  Field, window (ring.cap) and alphabet come from
-    ring, and so do its reducers (ring._find), the ring leads a module
-    lead meets (ring.leads_meeting, ring.element) and the pair rule
+    ring, and so do its reducers (ring._find), its pairs with a module
+    lead (ring.overlaps, ring.element) and the pair rule
     (ring.letterplace_lcm).  The
     main block ends at len(main_shifts); components past it are ghosts,
     reduced by the ring only, and syzygies collects the ghost parts found
@@ -116,15 +132,15 @@ class ModuleGB:
         self.shifts = list(main_shifts)
         self.ring = ring
         self.cap = ring.cap
-        self.elements: List[tuple] = []  # (lead_term, descending terms)
+        self.elements: List[tuple] = []  # (lead, [(X, (m << 32) + c, x)])
         # main comp -> {lowest bit of the lead, 0 for the unit:
-        # [(lead monomial, tail)]}
+        # [(lead monomial, tail)]}, and the or of those bits
         self.buckets: Dict[int, Dict[int, list]] = {}
+        self._lows: Dict[int, int] = {}
         self.pairs: list = []
         self.syzygies: List[ModElem] = []
-        # X of a ghost term of degree 0: above every main term's X; a
-        # degree is at most cap
-        self._ghost = 1 + self.cap - min(self.shifts + [0]) * (self.cap + 1)
+        # a ghost's shift: below every main term, as a degree is <= cap
+        self._ghost = min(self.shifts, default=0) - self.cap - 1
 
     def _term_key(self, term: Term, B: Optional[int] = None) -> int:
         """An int ascending from the greatest term: shifted degree, ring
@@ -133,11 +149,8 @@ class ModuleGB:
         one (module docstring).  Keys compare when their monomials lie
         below 1 << B, the window's bit width by default."""
         comp, m = term
-        d = m.bit_count()
-        if comp < len(self.shifts):
-            x = -(d + self.shifts[comp]) * (self.cap + 1) - d
-        else:
-            x = self._ghost - d
+        s = self.shifts[comp] if comp < len(self.shifts) else self._ghost
+        x = -s * (self.cap + 1) - m.bit_count() * (self.cap + 2)
         B = self.cap * self.ring.n_letters if B is None else B
         return (((x << B) + m) << 32) + comp
 
@@ -150,10 +163,10 @@ class ModuleGB:
         lst = by_bit.get(0)
         if lst:
             return m, lst[0][1]
-        w = m
+        w = m & self._lows[comp]
         while w:
             low = w & -w
-            for lead, tail in by_bit.get(low, ()):
+            for lead, tail in by_bit[low]:
                 if m & lead == lead:
                     return m ^ lead, tail
             w ^= low
@@ -161,34 +174,40 @@ class ModuleGB:
 
     # -- reduction ----------------------------------------------------------
 
-    def _nf(self, work: ModElem) -> ModElem:
-        """Full normal form; consumes work.  The result lists its terms
-        in descending order, so main terms come before ghost terms.  It is
-        engine.reduce_terms keyed by _term_key (module docstring): the
-        order is multiplicative and ghosts stay below mains, so a module
-        reducer, tried first, or a ring reducer adds only lower terms."""
-        key_of, find_module = self._term_key, self._find_module
-        ring_find = self.ring._find
-        # every term the normal form meets lies on the places up to the
-        # input's last (module docstring)
-        B = _place_bits(max((m for _, m in work), default=0),
-                        self.ring.n_letters)
-        low = (1 << B) - 1
+    def _nf(self, work: dict, B: int) -> dict:
+        """Full normal form of work, keyed under bit width B, which it
+        consumes; its keys ascend, main terms first.  It is
+        engine.reduce_terms on additive keys (module docstring): a module
+        reducer, tried first, or a ring reducer adds only lower terms, on
+        the places of the term it rewrites, so below 1 << B when the
+        input is: B of a pair's lcm bounds its S-polynomial."""
+        find_module, ring_find = self._find_module, self.ring._find
+        S, low = B + 32, (1 << B) - 1
+        step = (self.cap + 2) << S  # one more place, the X it costs
 
-        def find(term):
-            comp, m = term
-            hit = find_module(comp, m)
+        def find(k):
+            m = k >> 32 & low
+            hit = find_module(k & 0xFFFFFFFF, m)
             if hit is not None:
-                q, tail = hit
-                return [((tc, tm | q), x) for (tc, tm), x in tail]
+                return _times(hit[1], hit[0], S, step)
             products = ring_find(m)
-            return None if products is None else \
-                [((comp, pm), x) for pm, x in products]
-        return reduce_terms(self.field, work, lambda t: key_of(t, B),
-                            lambda k: (k & 0xFFFFFFFF, k >> 32 & low), find)
+            if products is None:
+                return None
+            base = k - (m << 32)  # same degree, same component
+            return [(base + (pm << 32), c) for pm, c in products]
+        return reduce_terms(self.field, work, find)
+
+    @staticmethod
+    def _terms(keyed: dict, B: int, first: int = 0) -> ModElem:
+        """The terms of keys under bit width B, components from first."""
+        return {((k & 0xFFFFFFFF) - first, k >> 32 & (1 << B) - 1): c
+                for k, c in keyed.items()}
 
     def normal_form(self, elem: ModElem) -> ModElem:
-        return self._nf(dict(elem))
+        B = _place_bits(max((m for _, m in elem), default=0),
+                        self.ring.n_letters)
+        return self._terms(self._nf(
+            {self._term_key(t, B): c for t, c in elem.items()}, B), B)
 
     # -- basis growth --------------------------------------------------------
 
@@ -196,31 +215,32 @@ class ModuleGB:
         lead_t, terms_t = self.elements[t]
         bare = len(terms_t) == 1  # ghost terms count: see module docstring
         comp, m = lead_t
-        shift, ring = self.shifts[comp], self.ring
-        lcms = [(0, i, lead_i[1] | m)
-                for i, (lead_i, terms_i) in enumerate(self.elements[:t])
-                if lead_i[0] == comp and not (bare and len(terms_i) == 1)]
-        # the ring leads that share a variable with m (product criterion),
-        # bar a bare pair (module docstring)
-        lcms += [(1, ref, rlead | m)
-                 for ref, rlead, rbare in ring.leads_meeting(m)
-                 if not (bare and rbare)]
-        for kind, i, l in lcms:
-            deg = l.bit_count() + shift
-            if deg <= self.cap and ring.letterplace_lcm(l, shift):
-                heapq.heappush(self.pairs,
-                               (deg, kind, variables(l), l, comp, i, t))
+        shift, ring, pairs = self.shifts[comp], self.ring, self.pairs
+        for i, (lead_i, terms_i) in enumerate(self.elements[:t]):
+            if lead_i[0] == comp and not (bare and len(terms_i) == 1):
+                l = lead_i[1] | m
+                deg = l.bit_count() + shift
+                if deg <= self.cap and ring.letterplace_lcm(l, shift):
+                    heapq.heappush(pairs,
+                                   (deg, 0, variables(l), l, comp, i, t))
+        # the ring leads that share a variable with m (product criterion)
+        # and pass the pair rule, bar a bare pair (module docstring)
+        for ref, l, rbare in ring.overlaps(m, shift):
+            if not (bare and rbare):
+                heapq.heappush(pairs, (l.bit_count() + shift, 1,
+                                       variables(l), l, comp, ref, t))
 
-    def _install(self, elem: ModElem) -> None:
-        """Add elem, made monic; its largest term is a main term."""
-        B = _place_bits(max(m for _, m in elem), self.ring.n_letters)
-        terms = monic(self.field, sorted(
-            elem.items(), key=lambda t: self._term_key(t[0], B)))
-        lead = terms[0][0]
-        self.elements.append((lead, terms))
-        comp, m = lead
+    def _install(self, keyed: dict, B: int) -> None:
+        """Add the element of keys under bit width B, made monic; its
+        least key is a main term's."""
+        S, below = B + 32, (1 << B + 32) - 1
+        terms = [(k >> S, k & below, c) for k, c in
+                 monic(self.field, sorted(keyed.items()))]
+        comp, m = terms[0][1] & 0xFFFFFFFF, terms[0][1] >> 32
+        self.elements.append(((comp, m), terms))
         self.buckets.setdefault(comp, {}).setdefault(m & -m, []).append(
             (m, terms[1:]))
+        self._lows[comp] = self._lows.get(comp, 0) | m & -m
         self._push_pairs(len(self.elements) - 1)
 
     def add_generator(self, elem: ModElem) -> None:
@@ -228,45 +248,45 @@ class ModuleGB:
         len(main_shifts) on) never lead, so elem needs a main term, and
         its shifted degree must lie within the window."""
         B = _place_bits(max(m for _, m in elem), self.ring.n_letters)
-        lead = min(elem, key=lambda t: self._term_key(t, B))
-        if lead[0] >= len(self.shifts):
+        keyed = {self._term_key(t, B): c for t, c in elem.items()}
+        lead = min(keyed)
+        comp, m = lead & 0xFFFFFFFF, lead >> 32 & ((1 << B) - 1)
+        if comp >= len(self.shifts):
             raise ValueError("generator has no main term")
-        d = lead[1].bit_count() + self.shifts[lead[0]]
+        d = m.bit_count() + self.shifts[comp]
         if d > self.cap:
             raise WindowTooSmall(
                 f"generator of degree {d} exceeds the window {self.cap}")
-        self._install(elem)
+        self._install(keyed, B)
 
-    def _spoly(self, kind: int, l: Mono, comp: int, i: int, t: int):
-        """S-polynomial of pair (i, t): q_i e_i - q_t e_t for two module
-        elements (earlier element positive), q_t e_t - q_r r for a module
-        element and a ring element."""
+    def _spoly(self, kind: int, l: Mono, i: int, t: int, B: int) -> dict:
+        """S-polynomial of pair (i, t), keyed under bit width B: q_i e_i -
+        q_t e_t for two module elements (earlier element positive), q_t
+        e_t - q_r r for a module element and a ring element."""
+        S, step = B + 32, (self.cap + 2) << (B + 32)
+        lead_p, terms_p = self.elements[t if kind else i]
+        plus = _times(terms_p, l ^ lead_p[1], S, step)
         if kind == 0:
-            lead_p, terms_p = self.elements[i]
             lead_n, terms_n = self.elements[t]
-            qn = l ^ lead_n[1]
-            minus = (((tc, tm | qn), x) for (tc, tm), x in terms_n)
+            minus = _times(terms_n, l ^ lead_n[1], S, step)
         else:
-            lead_p, terms_p = self.elements[t]
             rlead, rterms = self.ring.element(i)
-            qn = l ^ rlead
-            minus = (((comp, tm | qn), x) for tm, x in rterms)
-        qp = l ^ lead_p[1]
-        return difference(self.field,
-                          (((tc, tm | qp), x) for (tc, tm), x in terms_p),
-                          minus)
+            q, base = l ^ rlead, plus[0][0] - (l << 32)  # the lead's X, comp
+            minus = [(base + ((tm | q) << 32), c) for tm, c in rterms]
+        return difference(self.field, plus, minus)
 
     def complete_to(self, d: int) -> None:
         """Process all S-pairs of shifted degree <= d."""
-        r = len(self.shifts)
+        r, L = len(self.shifts), self.ring.n_letters
         while self.pairs and self.pairs[0][0] <= d:
-            kind, _, l, comp, i, t = heapq.heappop(self.pairs)[1:]
-            nf = self._nf(self._spoly(kind, l, comp, i, t))
-            if nf and next(iter(nf))[0] < r:  # main terms come first
-                self._install(nf)
+            kind, _, l, _, i, t = heapq.heappop(self.pairs)[1:]
+            # the lcm covers the places of every term (module docstring)
+            B = _place_bits(l, L)
+            nf = self._nf(self._spoly(kind, l, i, t, B), B)
+            if nf and (next(iter(nf)) & 0xFFFFFFFF) < r:  # main first
+                self._install(nf, B)
             elif nf:
-                self.syzygies.append(
-                    {(j - r, m): c for (j, m), c in nf.items()})
+                self.syzygies.append(self._terms(nf, B, r))
 
 
 class SyzygyResult(NamedTuple):

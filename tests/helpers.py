@@ -8,7 +8,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from ncres import letterplace
-from ncres.engine import variables
+from ncres.engine import mono_key as mask_key, variables
 from ncres.field import rationals
 from ncres.freealg import (AlgebraPresentation, ModulePresentation,
                            validate_presentation)
@@ -598,6 +598,27 @@ def normal_form(field, f, basis):
         if p:
             gb._install(*gb._monic_terms(p))
     return gb.normal_form(f)
+
+
+def leads_meeting(ring, m):
+    """(ref, lead, bare) of every window shift of an element of a
+    letterplace RingGB whose lead shares a variable with the mask m, refs
+    as RingGB.overlaps makes them: the reference that overlaps, one
+    bucket lookup per place, is checked against (with the pair rule
+    letterplace_lcm and the window on top)."""
+    if not m:
+        return []
+    L, cap = ring.n_letters, ring.cap
+    lo, hi = ((m & -m).bit_length() - 1) // L, (m.bit_length() - 1) // L
+    out = []
+    for k, (lead, terms) in enumerate(ring.elements):
+        n = lead.bit_count()
+        for p in range(max(lo - n + 1, 0), min(hi, cap - n) + 1):
+            moved = lead << (p * L)
+            if m & moved:
+                out.append(((mask_key(moved), k, p), moved,
+                            len(terms) == 1))
+    return out
 
 
 def window_shifts(ring):

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (BuchbergerRing, augmentation_module, elements_as_tuples,
-                     flat_key, letterplace_ideal_gens, letterplace_lcm,
-                     mono_coprime, mono_deg, mono_div, mono_key, mono_lcm,
-                     mono_mul, nilpotent_enveloping, normal_form,
-                     place_collision, poly_to_masks, poly_to_tuples,
-                     random_presentation, rank, shift_mono, to_mask,
-                     to_tuple, window_shifts)
+                     flat_key, leads_meeting, letterplace_ideal_gens,
+                     letterplace_lcm, mono_coprime, mono_deg, mono_div,
+                     mono_key, mono_lcm, mono_mul, nilpotent_enveloping,
+                     normal_form, place_collision, poly_to_masks,
+                     poly_to_tuples, random_presentation, rank, shift_mono,
+                     to_mask, to_tuple, window_shifts)
 from ncres import engine
 from ncres.engine import RingGB
 from ncres.field import prime_field, rationals
@@ -253,9 +253,10 @@ def test_concatenated_collision_reduces_to_zero_in_a_told_ring():
 
 
 def test_normal_forms_reduce_terms_in_descending_key_order(monkeypatch):
-    """Instrument both normal forms over a flagship resolve: each reduces
-    its terms (the lookups of a reducer) in strictly ascending key order,
-    that is greatest term first, each term once."""
+    """Instrument both normal forms over a flagship resolve, the module's
+    on its keyed work: each reduces its terms (the lookups of a reducer)
+    in strictly ascending key order, that is greatest term first, each
+    term once."""
     seqs = {"ring": [], "module": []}
     active = {"ring": [], "module": []}
 
@@ -263,10 +264,10 @@ def test_normal_forms_reduce_terms_in_descending_key_order(monkeypatch):
         real_reduce = getattr(cls, reduce_name)
         real_find = getattr(cls, find_name)
 
-        def reduce(self, p):
+        def reduce(self, *args):
             active[kind].append((key_of(self), []))
             try:
-                return real_reduce(self, p)
+                return real_reduce(self, *args)
             finally:
                 seqs[kind].append(active[kind].pop())
 
@@ -703,16 +704,20 @@ def test_implicit_shifts_choose_the_buchberger_reducer():
     """For every monomial of the window, a letterplace ring's _find
     returns the products that the Buchberger oracle over the window's
     generators returns (tail times cofactor, mono_mul(tail, q), of the
-    first reducer in bucket order), and leads_meeting gives the oracle's
-    meeting leads and elements in the oracle's ascending lead order.  So
-    the reducers, and with them the pinned module counts, are those of
-    the materialized basis: on the reference presentation and seeded
-    random ones, at several widths, over L and L + 1 letters."""
+    first reducer in bucket order), and the reference leads_meeting gives
+    the oracle's meeting leads and elements in the oracle's ascending
+    lead order.  For every letterplace monomial m from floor 0, 1 and 2
+    on, overlaps(m, floor) gives exactly those meeting leads whose lcm
+    the pair rule admits at that floor and whose pair fits the window,
+    with the same refs and bare flags.  So the reducers and pairs, and
+    with them the pinned module counts, are those of the materialized
+    basis: on the reference presentation and seeded random ones, at
+    several widths, over L and L + 1 letters."""
     rng = random.Random(29)
     cases = [(nilpotent_enveloping(), (3, 5))]
     cases += [(random_presentation(rng, max_rel_deg=3), (2, 4))
               for _ in range(10)]
-    found = met = 0
+    found = met = paired = 0
     for base, widths in cases:
         for width in widths:
             big = _ring_basis(base, width)
@@ -729,12 +734,26 @@ def test_implicit_shifts_choose_the_buchberger_reducer():
                     got = [(to_tuple(lead), bare,
                             elements_as_tuples([ring.element(ref)])[0])
                            for ref, lead, bare in sorted(
-                               ring.leads_meeting(to_mask(m)))]
+                               leads_meeting(ring, to_mask(m)))]
                     assert got == [(lead, bare, oracle.element(k))
                                    for k, lead, bare in
                                    oracle.leads_meeting(m)], (alg.names, m)
                     met += len(got)
-    assert found > 900 and met > 900
+                for floor in (0, 1, 2):
+                    for d in range(floor, width + 1):
+                        for word in itertools.product(range(L),
+                                                      repeat=d - floor):
+                            m = sum(1 << ((floor + i) * L + a)
+                                    for i, a in enumerate(word))
+                            want = [(ref, lead | m, bare) for ref, lead, bare
+                                    in sorted(leads_meeting(ring, m))
+                                    if ring.letterplace_lcm(lead | m, floor)
+                                    and (lead | m).bit_count() + floor
+                                    <= ring.cap]
+                            assert sorted(ring.overlaps(m, floor)) == want, \
+                                (alg.names, width, floor, word)
+                            paired += len(want)
+    assert found > 900 and met > 900 and paired > 900
 
 
 def _as_tuples(products):

@@ -466,12 +466,16 @@ def test_told_module_bases_queue_only_letterplace_pairs(tshift):
     basis of the kind checks.check_dimension_equalities builds (shifts
     the generator degrees, elements the step's encoded output, read from
     those shifts on) queues a pair whose lcm holds a place collision or
-    a variable below its component's shift."""
+    a variable below its component's shift.  Completed, the shifted basis
+    gives the normal forms, terms in order, that helpers.TupleModuleGB
+    gives over the Buchberger oracle of the window, on the generators and
+    on seeded random letterplace elements."""
     mod = augmentation_module(nilpotent_enveloping())
     alg = mod.algebra
     res = resolve(ResolutionRequest(mod, degree_bound=7, length_bound=7,
                                     tshift=tshift))
-    queued = 0
+    rng = random.Random(7)
+    queued = compared = reduced = 0
     for (shifts, gens, window), step in zip(_step_inputs(res), res.steps):
         enc = _encode_step(alg, shifts, gens, window, tshift)
         L, r, one = enc.win.n_letters, len(shifts), alg.field.one
@@ -479,11 +483,36 @@ def test_told_module_bases_queue_only_letterplace_pairs(tshift):
         for j, g in enumerate(enc.gens_lp):
             collect.add_generator({**g, (r + j, 0): one})
             assert _queued_lcms_are_letterplace(collect, L)
-        shifted = ModuleGB(enc.ring, enc.gen_degrees)
+        degs, cap = enc.gen_degrees, enc.ring.cap
+        shifted = ModuleGB(enc.ring, degs)
+        oracle = TupleModuleGB(BuchbergerRing(
+            alg.field, letterplace_ideal_gens(
+                enc.win, enc.ctx.extended if enc.ctx else alg),
+            cap=cap, n_letters=L), degs)
+        elems = []
         for elem in step.generators:
-            shifted.add_generator(
-                {(j, iota_word(enc.win, w, enc.gen_degrees[j])): c
-                 for (j, w), c in elem.items()})
+            elems.append({(j, iota_word(enc.win, w, degs[j])): c
+                          for (j, w), c in elem.items()})
+            shifted.add_generator(elems[-1])
+            oracle.add_generator(elem_to_tuples(elems[-1]))
             assert _queued_lcms_are_letterplace(shifted, L)
         queued += len(collect.pairs) + len(shifted.pairs)
-    assert queued > 0
+        shifted.complete_to(cap)
+        oracle.complete_to(cap)
+        for _ in range(30):
+            d = rng.randint(min(degs), cap)
+            elem = {}
+            for j in rng.sample(range(len(degs)), min(3, len(degs))):
+                if degs[j] <= d:
+                    w = [rng.randrange(L) for _ in range(d - degs[j])]
+                    elem[(j, iota_word(enc.win, w, degs[j]))] = \
+                        alg.field.from_int(rng.randint(1, 5))
+            if elem:
+                elems.append(elem)
+        for elem in elems:
+            nf = shifted.normal_form(elem)
+            assert list(elem_to_tuples(nf).items()) == \
+                list(oracle.normal_form(elem_to_tuples(elem)).items())
+            compared += 1
+            reduced += not nf
+    assert queued > 0 and compared > 100 and 0 < reduced < compared
