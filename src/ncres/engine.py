@@ -15,21 +15,37 @@ RingGB is the reduced Groebner basis, truncated at `cap` places, of a
 letterplace ideal over an alphabet of L = n_letters letters (variable v
 sits at place v // L, in the place's block of L bits), given by its
 relations at place 0.  A place collision, two bits in one block, is
-zero: _find sends every monomial holding one to zero, so none is ever
-stored.  Each generator must be a sum of collisions, which is dropped,
-or place-multihomogeneous and anchored: every term covers places
-0 .. k - 1, one variable at each (ValueError otherwise).  Then every
-element is place-multihomogeneous, and a pair whose lcm holds a
-collision at p is never formed: each lead holds one letter at p, so the
-S-polynomial consists of collisions only.  Every divisor of a
-collision-free lcm is collision-free, so the pair criteria lose nothing
-by it.  Nor does any other S-polynomial hold a collision: a cofactor
-covers places of the other lead that its own element does not cover.
-An element is bare when its term list is its lead alone; two bare
-elements form no pair, since their S-polynomial is exactly zero.  The
-module bases of syzygy.py share the pair rule (letterplace_lcm): there a
-pair's lcm must also hold no variable below its component's shift, where
-no module term lies.
+zero.  Each generator must be a sum of collisions, which is dropped, or
+place-multihomogeneous and anchored: every term covers places 0 .. k -
+1, one variable at each (ValueError otherwise).  Then every element is
+place-multihomogeneous: a cofactor covers places of the other lead that
+its own element does not cover, and a reduction step keeps the places
+of the term it rewrites (Implicit shifts).  An element is bare when its
+term list is its lead alone; two bare elements form no pair, since
+their S-polynomial is exactly zero.
+
+The pair rule is one place count.  A letterplace monomial covers an
+interval of places, one bit at each; the lcm l = a | b of two that share
+a place covers the union, an interval, with two bits where a and b hold
+different letters.  So l holds no collision exactly when l.bit_count()
+is the number of places the union covers.  Otherwise both leads hold
+one letter at such a place, and the S-polynomial consists of collisions
+only; every divisor of a collision-free lcm is collision-free, so the
+pair criteria lose nothing by the rule.  _queue_pairs counts an
+anchored lead of k places and a lead of n places moved c < k places on:
+l.bit_count() == max(k, c + n), and then the two share the letter at
+place c.  overlaps counts a module lead and a moved lead, and the module
+bases (syzygy.py) two leads of one component.
+
+_find, the reducer lookup, does not test for collisions, as no monomial
+it is asked about holds one: the generators are validated, S-polynomials
+and normal forms of letterplace elements are letterplace (here and in
+the syzygy docstring), and the resolver's stair words, the products its
+_nf_sum reduces and the module bases' products join monomials on
+disjoint places.  The public normal forms, normal_form (mono_normal_form
+through it) and ModuleGB.normal_form, drop each term that holds a
+collision, as zero, before they reduce: the resolver's _check_syzygies
+relies on that.
 
 Shift invariance.  Let sigma move every variable one place on (v to
 v + L, the mask shifted L bits up).  The letterplace ideal over W places
@@ -38,11 +54,10 @@ collisions, which are zero at every place, so it is invariant under
 sigma wherever the result fits in the window.  Place-major degrevlex
 commutes with sigma (every index moves by L, so every comparison keeps
 its outcome), so sigma maps leads to leads and reductions to reductions.
-Every element covers one interval of places: a relation does; a pair is
-formed only when the two leads share a place (coprime leads need none, a
-collision at a shared place is excluded by the pair rule), so its lcm
-covers the union of two overlapping intervals; and a reduction step
-keeps the places of the term it rewrites.  Call an element anchored when
+Every element covers one interval of places: a relation does, a pair
+is formed only when the two leads share a place (coprime leads need
+none), and a reduction step keeps the places of the term it rewrites.
+Call an element anchored when
 it covers place 0.  An S-polynomial with an anchored member is then
 anchored, and so is its normal form.  A pair (sigma^a f, sigma^b g) with
 a <= b is sigma^a of the anchored pair (f, sigma^(b-a) g), and a
@@ -87,16 +102,13 @@ returns those products.  A finished ring that a step reads (a
 restriction) memoizes _find per monomial, in a dict of its own.
 A module basis asks the ring for its pairs with a module lead m
 (overlaps), under references that sort like the moved leads, and for the
-moved element of a reference (element).  m is letterplace, on places
-f .. d - 1 of its floor f (syzygy docstring), and an anchored lead of n
-places moved to p covers p .. p + n - 1.  If p < f, l = m | moved holds
-a variable below the floor; if p >= d, the leads are coprime.  Otherwise
-l covers f .. max(d, p + n) - 1, one bit per place exactly when it holds
-no collision, so the pair rule admits l exactly when popcount(l) ==
-max(d, p + n) - f, and the moved lead then starts with the letter m
-holds at p.  So overlaps walks the bits of m that hold a letter starting
-some lead (t starts none), tries that letter's bucket and keeps the lcms
-that pass the count; the pair's shifted degree max(d, p + n) fits when
+moved element of a reference (element).  m is letterplace on places
+f .. d - 1 of its floor f (syzygy docstring); an anchored lead of n
+places moved to p < f would put a variable below the floor, and one
+moved to p >= d is coprime to m.  So overlaps walks the bits of m that
+hold a letter starting some lead (t starts none), tries that letter's
+bucket and keeps the lcms l that pass the count, popcount(l) ==
+max(d, p + n) - f; the pair's shifted degree max(d, p + n) fits when
 p + n <= cap.
 
 Restriction.  One basis also serves every narrower window and the
@@ -143,7 +155,7 @@ finished RingGB is the whole context of the module bases over it
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 Mono = int  # bit v set when variable v occurs
 Poly = Dict[Mono, object]
@@ -214,27 +226,12 @@ def monic(field, terms: list) -> list:
 def variables(m: Mono) -> Tuple[int, ...]:
     """The variables of m, ascending: a key that sorts like the
     (variable, exponent) tuple of a squarefree monomial."""
-    out = []
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
+    bits, out = bin(m)[:1:-1], []  # bit 0 first: linear in the width
+    v = bits.find("1")
+    while v >= 0:
+        out.append(v)
+        v = bits.find("1", v + 1)
     return tuple(out)
-
-
-def _places(m: Mono, n_letters: int) -> Optional[int]:
-    """The mask of the places m covers, or None when it holds a place
-    collision, two variables in one place's block of n_letters bits."""
-    block, out, p = (1 << n_letters) - 1, 0, 0
-    while m:
-        b = m & block
-        if b:
-            if b & (b - 1):
-                return None
-            out |= 1 << p
-        m >>= n_letters
-        p += 1
-    return out
 
 
 def _place_bits(m: Mono, n_letters: int) -> int:
@@ -243,17 +240,25 @@ def _place_bits(m: Mono, n_letters: int) -> int:
     return -(-m.bit_length() // n_letters) * n_letters
 
 
+def _starts(m: Mono, n_letters: int) -> int:
+    """The first bit of each place's block, up to m's last place."""
+    return ((1 << _place_bits(m, n_letters)) - 1) // ((1 << n_letters) - 1)
+
+
+def _covered(m: Mono, n_letters: int, starts: int) -> int:
+    """The places m covers, each as its block's top bit, for starts
+    marking each block's first bit up to m's last place or further:
+    adding ones below each top bit carries into it when m holds one."""
+    high = starts << n_letters - 1
+    low = high - starts
+    return ((m & low) + low | m) & high
+
+
 def place_collision(m: Mono, n_letters: int) -> bool:
-    """m holds x_a(p)x_b(p) in a letterplace window of n_letters letters,
-    where variable v sits at place v // n_letters."""
-    return _places(m, n_letters) is None
-
-
-def place_multihomogeneous(p: Poly, n_letters: int) -> bool:
-    """Every term of p covers the same places, with one variable at
-    each."""
-    places = {_places(m, n_letters) for m in p}
-    return None not in places and len(places) <= 1
+    """m holds x_a(p)x_b(p), two variables in one place's block of
+    n_letters bits: it has more bits than places (masks as wide as m)."""
+    covered = _covered(m, n_letters, _starts(m, n_letters))
+    return m.bit_count() != covered.bit_count()
 
 
 class RingGB:
@@ -268,13 +273,15 @@ class RingGB:
         # a sum of collisions is zero: drop it
         gens = [g for g in gens
                 if g and not all(place_collision(m, n_letters) for m in g)]
-        if not all(place_multihomogeneous(g, n_letters) for g in gens):
-            raise ValueError("letterplace generator is not "
-                             "place-multihomogeneous")
         for i, g in enumerate(gens):
-            m = next(iter(g))
-            k = m.bit_count()  # one variable at each of places 0 .. k - 1
-            if m >> (k * n_letters):
+            # every term covers the same k places, one variable at each
+            starts = _starts(max(g), n_letters)
+            places = {_covered(m, n_letters, starts) for m in g}
+            k = max(places).bit_count()
+            if len(places) > 1 or any(m.bit_count() != k for m in g):
+                raise ValueError("letterplace generator is not "
+                                 "place-multihomogeneous")
+            if max(g) >> (k * n_letters):
                 raise ValueError("letterplace generator does not cover "
                                  "places 0 .. k - 1 of the window")
             # g waits ahead of the pairs of degree k for k places
@@ -297,13 +304,7 @@ class RingGB:
 
     def _grow(self, cap: int) -> None:
         """Widen the basis to `cap` places (module docstring)."""
-        lo, L, self.cap = self.cap, self.n_letters, cap
-        # (i, mask of the bits whose place also holds bit + i): m holds a
-        # collision when some m & m >> i & mask is nonzero; `starts` has
-        # the first bit of each place's block
-        starts = ((1 << (cap * L)) - 1) // self._block
-        self._same_place = [(i, ((1 << (L - i)) - 1) * starts)
-                            for i in range(1, L)]
+        lo, self.cap = self.cap, cap
         for t in range(len(self.elements)):
             self._queue_pairs(t, lo)
         while self._pairs and self._pairs[0][0] <= cap:
@@ -347,8 +348,7 @@ class RingGB:
             return out
         out = _RingView.__new__(_RingView)
         out._empty(self.field, n_letters)
-        out._grow(width)
-        out._found = {}
+        out.cap, out._found = width, {}
         for lead, terms in self.elements:
             if lead.bit_count() <= width:
                 if n_letters > L:
@@ -367,10 +367,8 @@ class RingGB:
     def _find(self, m: Mono):
         """The terms of tail times cofactor of the reducer of m, a
         moved anchored element (module docstring), or None when m is
-        standard; () when m holds a collision or the ideal is the unit."""
-        for i, mask in self._same_place:
-            if m & (m >> i) & mask:
-                return ()
+        standard; () when the ideal is the unit.  m holds no place
+        collision: no caller asks about one (module docstring)."""
         buckets, L, block = self.buckets, self.n_letters, self._block
         w, p = m, 0
         while w:
@@ -411,17 +409,10 @@ class RingGB:
         s = c * self.n_letters
         return lead << s, [(m << s, x) for m, x in terms]
 
-    def letterplace_lcm(self, l: Mono, floor: int = 0) -> bool:
-        """A basis, of this ring or of a module over it, forms a pair with
-        lcm l: l holds no place collision and no variable below place
-        `floor`, the shift of the pair's component (syzygy docstring)."""
-        return not (l & ((1 << (floor * self.n_letters)) - 1) or
-                    any(l & (l >> i) & mask for i, mask in self._same_place))
-
     def _queue_pairs(self, t: int, lo: int = 0) -> None:
         """Queue each pair of element t with an element moved c places
-        on, sigma^c(b), whose leads overlap and whose lcm holds no
-        collision: (t, sigma^c(b)) for b < t from c = 0, and
+        on, sigma^c(b), whose lcm passes the place count (module
+        docstring): (t, sigma^c(b)) for b < t from c = 0, and
         (t, sigma^c(t)), (b, sigma^c(t)) from c = 1, while the moved lead
         starts inside the first and fits in the window, and ends past
         place `lo` (a window of lo places took the others).  Every other
@@ -433,14 +424,13 @@ class RingGB:
                 continue  # two bare elements: the S-polynomial is zero
             for a, s in ((t, b), (b, t)) if b < t else ((t, t),):
                 lead_a, lead_s = elements[a][0], elements[s][0]
-                n = lead_s.bit_count()
+                k, n = lead_a.bit_count(), lead_s.bit_count()
                 for c in range(max(int(s == t), lo + 1 - n),
-                               min(lead_a.bit_count(), cap + 1 - n)):
-                    moved = lead_s << (c * L)
-                    l = lead_a | moved
-                    if lead_a & moved and self.letterplace_lcm(l):
-                        heapq.heappush(self._pairs, (
-                            l.bit_count(), variables(l), l, a, s, c))
+                               min(k, cap + 1 - n)):
+                    l, d = lead_a | lead_s << (c * L), max(k, c + n)
+                    if l.bit_count() == d:
+                        heapq.heappush(self._pairs,
+                                       (d, variables(l), l, a, s, c))
 
     def _spoly(self, l: Mono, elem_i: tuple, elem_j: tuple) -> Poly:
         """S-polynomial of two monic elements (lead, terms) with lcm l."""
@@ -452,7 +442,12 @@ class RingGB:
     # -- queries ---------------------------------------------------------
 
     def normal_form(self, p: Poly) -> Poly:
-        return self._reduce_full(p)
+        """Full normal form of p; a term holding a collision is zero."""
+        L = self.n_letters
+        starts = _starts(max(p, default=0), L)
+        return self._reduce_full({
+            m: c for m, c in p.items()
+            if m.bit_count() == _covered(m, L, starts).bit_count()})
 
     def mono_normal_form(self, m: Mono) -> Poly:
         """Normal form of the monomial m, memoized for the life of this
@@ -472,7 +467,7 @@ class RingGB:
         d = floor + m.bit_count()
         out = []
         # m's letters that start a lead, each at its place
-        w = m & self._firsts * ((1 << _place_bits(m, L)) - 1) // self._block
+        w = m & self._firsts * _starts(m, L)
         while w:
             low = w & -w
             w ^= low

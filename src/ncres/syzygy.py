@@ -3,7 +3,7 @@ graded minimalization.
 
 A module basis takes its whole context from one finished truncated
 letterplace RingGB: the field, the window (ring.cap bounds shifted
-degrees), the alphabet, the reducers and the pair rule.
+degrees), the alphabet and the reducers.
 
 Module terms are (component, monomial) pairs, the monomial a bit mask
 as in the ring (engine docstring).  The main components 0 .. r-1 are
@@ -33,13 +33,13 @@ zero over the quotient (Schreyer's argument; La Scala & Stillman,
 J. Symb. Comp. 26 (1998); Erocal, Motsak, Schreyer & Steenpass, J. Symb.
 Comp. 74 (2016)).  No product criterion holds between two module
 elements: those pairs carry the Koszul syzygies of the generators.  One
-more rule holds, the one the letterplace ring applies to its own pairs
-(engine docstring): no pair is formed whose lcm holds a place collision
-x_a(p)x_b(p), or a variable below place shifts[c] of its component c
-(RingGB.letterplace_lcm, floor 0 in the ring; La Scala & Levandovskyy,
-J. Symb. Comp. 44 (2009)).  The
-collecting basis and minimalize_graded have zero shifts, so only
-collisions count there; the shifted basis of
+more rule holds (La Scala & Levandovskyy, J. Symb. Comp. 44 (2009)): no
+pair is formed whose lcm holds a place collision x_a(p)x_b(p), or a
+variable below place shifts[c] of its component c.  It is the engine's
+place count: the leads of component c cover places from shifts[c] on,
+one letter each (below), so two pass when their lcm has max(|lead_i|,
+|lead_t|) bits, that is when one divides the other.  The collecting
+basis and minimalize_graded have zero shifts; the shifted basis of
 checks.check_dimension_equalities has the module's shifts.
 
 Proof that nothing is lost.  Call a main term of shifted degree d in
@@ -70,18 +70,19 @@ the places of an lcm past its lead's, shares no place with any term of
 its element: each product is an or of masks, no reduction leaves the
 places of the term it rewrites, and every term of an S-polynomial and of
 its normal form lies on the places of the pair's lcm, whatever the
-window.  A term (c, m) has the int key ((X << B) + m << 32) + c
-(ModuleGB._term_key), ascending from the greatest term: X =
--s(cap + 1) - deg(m)(cap + 2) orders shifted degree, then degree, for
-the shift s of c (for a ghost, one shift below every main term's), and B
-is the bit width of the lcm's places.  Keys are additive: m | q = m + q for a
-cofactor q, so the term times q has key k + ((-|q|(cap + 2) << B) + q <<
-32), and a ring product pm, on m's places, has key k + (pm - m << 32).
-So an element stores its terms as (X, (m << 32) + c, coefficient), and
-an S-polynomial and each product cost a few int operations per term;
-only a generator and the input of normal_form are keyed term by term.
-The pair heap breaks ties by engine.variables of the lcm, as the ring's
-does.
+window, so none holds a collision, as ring._find requires; normal_form
+drops the input terms that hold one, as zero.  A term (c, m) has the int
+key ((X << B) + m << 32) + c (ModuleGB._term_key), ascending from the
+greatest term: X = -s(cap + 1) - deg(m)(cap + 2) orders shifted degree,
+then degree, for the shift s of c (for a ghost, one shift below every
+main term's), and B is the bit width of the lcm's places.  Keys are
+additive: m | q = m + q for a cofactor q, so the term times q has key k
++ ((-|q|(cap + 2) << B) + q << 32), and a ring product pm, on m's
+places, has key k + (pm - m << 32).  So an element stores its terms as
+(X, (m << 32) + c, coefficient), and an S-polynomial and each product
+cost a few int operations per term; only a generator and the input of
+normal_form are keyed term by term.  The pair heap breaks ties by
+engine.variables of the lcm, as the ring's does.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ import heapq
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .engine import (Mono, RingGB, _place_bits, difference, monic,
-                     reduce_terms, variables)
+                     place_collision, reduce_terms, variables)
 from .letterplace import WindowTooSmall
 
 Term = Tuple[int, Mono]
@@ -117,14 +118,12 @@ class ModuleGB:
 
     ring is a completed truncated letterplace basis whose elements act on
     every component.  Field, window (ring.cap) and alphabet come from
-    ring, and so do its reducers (ring._find), its pairs with a module
-    lead (ring.overlaps, ring.element) and the pair rule
-    (ring.letterplace_lcm).  The
-    main block ends at len(main_shifts); components past it are ghosts,
-    reduced by the ring only, and syzygies collects the ghost parts found
-    (module docstring).  A term of main component c is read from place
-    main_shifts[c] on, and the basis is complete modulo the terms below
-    that place.
+    ring, and so do its reducers (ring._find) and its pairs with a
+    module lead (ring.overlaps, ring.element).  The main block ends at
+    len(main_shifts); components past it are ghosts, reduced by the ring
+    only, and syzygies collects the ghost parts found (module docstring).
+    A term of main component c is read from place main_shifts[c] on, and
+    the basis is complete modulo the terms below that place.
     """
 
     def __init__(self, ring: RingGB, main_shifts: Sequence[int]):
@@ -204,8 +203,10 @@ class ModuleGB:
                 for k, c in keyed.items()}
 
     def normal_form(self, elem: ModElem) -> ModElem:
-        B = _place_bits(max((m for _, m in elem), default=0),
-                        self.ring.n_letters)
+        """Full normal form of elem; a term holding a collision is zero."""
+        L = self.ring.n_letters
+        elem = {t: c for t, c in elem.items() if not place_collision(t[1], L)}
+        B = _place_bits(max((m for _, m in elem), default=0), L)
         return self._terms(self._nf(
             {self._term_key(t, B): c for t, c in elem.items()}, B), B)
 
@@ -219,10 +220,11 @@ class ModuleGB:
         for i, (lead_i, terms_i) in enumerate(self.elements[:t]):
             if lead_i[0] == comp and not (bare and len(terms_i) == 1):
                 l = lead_i[1] | m
-                deg = l.bit_count() + shift
-                if deg <= self.cap and ring.letterplace_lcm(l, shift):
-                    heapq.heappush(pairs,
-                                   (deg, 0, variables(l), l, comp, i, t))
+                k = l.bit_count()  # the place count (module docstring)
+                if k + shift <= self.cap and \
+                        k == max(lead_i[1].bit_count(), m.bit_count()):
+                    heapq.heappush(pairs, (k + shift, 0, variables(l), l,
+                                           comp, i, t))
         # the ring leads that share a variable with m (product criterion)
         # and pass the pair rule, bar a bare pair (module docstring)
         for ref, l, rbare in ring.overlaps(m, shift):
@@ -246,7 +248,9 @@ class ModuleGB:
     def add_generator(self, elem: ModElem) -> None:
         """Insert elem, unreduced.  Ghost terms (components from
         len(main_shifts) on) never lead, so elem needs a main term, and
-        its shifted degree must lie within the window."""
+        its shifted degree must lie within the window.  elem must be
+        letterplace (module docstring), as every caller's is: an encoded
+        generator or a normal form of one."""
         B = _place_bits(max(m for _, m in elem), self.ring.n_letters)
         keyed = {self._term_key(t, B): c for t, c in elem.items()}
         lead = min(keyed)

@@ -11,7 +11,8 @@ import pytest
 
 from helpers import (BuchbergerRing, augmentation_module, ev_image,
                      evaluated_stair_rows, iota_poly, letterplace_ideal_gens,
-                     nilpotent_enveloping, random_module, random_presentation,
+                     nilpotent_enveloping, nonmonomial_modules,
+                     place_collision, random_module, random_presentation,
                      row_key, stair_frame, to_tuple, window_shifts)
 from ncres.field import rationals
 from ncres.freealg import (AlgebraPresentation, ModulePresentation,
@@ -19,11 +20,12 @@ from ncres.freealg import (AlgebraPresentation, ModulePresentation,
 from ncres.letterplace import PlaceWindow, build_C, iota_word
 import ncres.cli as cli
 import ncres.resolver as resolver
+from ncres import engine
 from ncres.engine import RingGB, _place_bits
 from ncres.jsonio import parse_input, render_json, resolution_document
 from ncres.resolver import BettiTable, ResolutionRequest, betti_summary, \
     monomial_degree_bound, render_betti_text, resolve, syzygy_step
-from ncres.syzygy import ModuleGB
+from ncres.syzygy import ModuleGB, SyzygyResult
 
 QQ = rationals()
 ONE = QQ.one
@@ -487,6 +489,100 @@ def test_one_ring_basis_per_resolution(monkeypatch, bound, tshift):
                                     tshift=tshift, trust_finite=True))
     assert len(res.steps) == 6 and len(built) == 1
     assert built[0].cap == max(s.window - s.offset for s in res.steps)
+
+
+def _small_requests(modules):
+    """The flagship at D=7 over Q and F_32003, and the first `modules`
+    seeded non-monomial modules at D=6 and length 4, compression on and
+    off: (name, request) each."""
+    for field in ("Q", {"Fp": 32003}):
+        doc = json.loads(FLAGSHIP.read_text(encoding="utf-8"))
+        doc["field"] = field
+        mod = parse_input(json.dumps(doc))
+        for tshift in (True, False):
+            yield f"flagship {field} {tshift}", ResolutionRequest(
+                mod, degree_bound=7, length_bound=7, tshift=tshift)
+    for k, mod in enumerate(nonmonomial_modules(20261019, modules)):
+        for tshift in (True, False):
+            yield f"module {k} {tshift}", ResolutionRequest(
+                mod, degree_bound=6, length_bound=4, tshift=tshift)
+
+
+def test_reducer_lookups_never_see_a_place_collision(monkeypatch):
+    """RingGB._find does not test for place collisions: no monomial the
+    pipeline asks it about holds one (engine docstring).  Over resolves of
+    the flagship and of seeded non-monomial modules, no call of _find, of
+    a view's memoized _find or of mono_normal_form (which _nf_sum feeds
+    its products, and which drops a collision before _find would see
+    it) receives a monomial with two letters at one place."""
+    calls = [0]
+    for cls, name in ((RingGB, "_find"), (engine._RingView, "_find"),
+                      (RingGB, "mono_normal_form")):
+        def wrapped(self, m, real=vars(cls)[name], name=name):
+            calls[0] += 1
+            assert not place_collision(to_tuple(m), self.n_letters), \
+                f"{name} got the place collision {m:#x}"
+            return real(self, m)
+        monkeypatch.setattr(cls, name, wrapped)
+    for _, req in _small_requests(6):
+        resolve(req)
+    assert calls[0] > 1000
+
+
+_real_raw = resolver.syzygies_over_quotient
+
+
+def _respanned(ring, gens, shifts):
+    """The raw syzygies reversed, each scaled by 3, with the sum of each
+    adjacent same-degree pair appended: the same span, another spanning
+    set."""
+    raw = _real_raw(ring, gens, shifts)
+    field = ring.field
+    three = field.from_int(3)
+    out = [{t: field.mul(three, c) for t, c in g.items()}
+           for g in reversed(raw.generators)]
+    degs = raw.degrees[::-1]
+    for k in range(len(out) - 1):
+        if degs[k] == degs[k + 1]:
+            total = dict(out[k])
+            for t, c in out[k + 1].items():
+                total[t] = field.add(total.get(t, field.zero), c)
+            total = {t: c for t, c in total.items() if c != field.zero}
+            if total:
+                out.append(total)
+                degs.append(degs[k])
+    return SyzygyResult(out, degs)
+
+
+def _first_dropped(ring, gens, shifts):
+    raw = _real_raw(ring, gens, shifts)
+    return SyzygyResult(raw.generators[1:], raw.degrees[1:])
+
+
+def test_bytes_are_a_property_of_the_spaces(monkeypatch):
+    """Each degree's output is the unique RREF of V_d modulo U_d (resolver
+    docstring), so it does not depend on which raw syzygies span the
+    syzygy module: another spanning set, with redundant combinations,
+    renders the same bytes.  As the negative control, dropping the first
+    raw syzygy of every step changes the bytes or fails a step's check
+    (exit 4) on the flagship and the first two modules, where that
+    syzygy is needed."""
+    changed = 0
+    for name, req in _small_requests(6):
+        monkeypatch.setattr(resolver, "syzygies_over_quotient", _real_raw)
+        want = render_json(resolution_document(resolve(req)))
+        monkeypatch.setattr(resolver, "syzygies_over_quotient", _respanned)
+        assert render_json(resolution_document(resolve(req))) == want, name
+        if name.startswith(("flagship", "module 0 ", "module 1 ")):
+            monkeypatch.setattr(resolver, "syzygies_over_quotient",
+                                _first_dropped)
+            try:
+                got = render_json(resolution_document(resolve(req)))
+            except AssertionError:
+                got = None
+            assert got != want, name
+            changed += 1
+    assert changed == 8
 
 
 def test_module_keys_follow_the_terms_not_the_window(monkeypatch):
