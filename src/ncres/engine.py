@@ -41,11 +41,10 @@ _find, the reducer lookup, does not test for collisions, as no monomial
 it is asked about holds one: the generators are validated, S-polynomials
 and normal forms of letterplace elements are letterplace (here and in
 the syzygy docstring), and the resolver's stair words, the products its
-_nf_sum reduces and the module bases' products join monomials on
-disjoint places.  The public normal forms, normal_form (mono_normal_form
-through it) and ModuleGB.normal_form, drop each term that holds a
-collision, as zero, before they reduce: the resolver's _check_syzygies
-relies on that.
+_nf_sum and _check_syzygies reduce and the module bases' products join
+monomials on disjoint places.  The public normal forms, normal_form
+(mono_normal_form through it) and ModuleGB.normal_form, drop each term
+that holds a collision, as zero, before they reduce.
 
 Shift invariance.  Let sigma move every variable one place on (v to
 v + L, the mask shifted L bits up).  The letterplace ideal over W places

@@ -55,13 +55,16 @@ V_d whose pivot is no pivot of U_d, emitted in ascending pivot order: a
 vector of V_d leads at the pivot of the first RREF row it uses, so row
 v_i lies in U_d plus the rows after it exactly when some vector of U_d
 leads at its pivot, and the kept rows are a basis of V_d modulo U_d.
-Then two checks certify the step: every kept row must evaluate to zero
-against the encoded generators, and U_d and the raw syzygies of degree
-d must add no pivot to V_d.  The second makes V_d the sum of U_d and
-the kept rows, so every raw syzygy is spanned by checked rows and
+Then two checks certify the step, neither on a place collision.  Every
+term (j, mono) of a kept row must lie on places deg(g_j) on, so each
+product g_j * mono is letterplace, and every kept row must evaluate to
+zero against the encoded generators; and U_d and the raw syzygies of
+degree d must add no pivot to V_d.  The second makes V_d the sum of U_d
+and the kept rows, so every raw syzygy is spanned by checked rows and
 multiples of earlier ones.  So the emitted generators and the block
-span the syzygy module through the window and are independent modulo
-lower degrees, and their count per degree is the Betti number.
+(certified by its places, _check_forced_block) span the syzygy module
+through the window and are independent modulo lower degrees, and their
+count per degree is the Betti number.
 
 The column order is by component, then by the ascending variable tuple
 of the monomial; the rows carry it as one int per column (ColumnKeys).
@@ -80,9 +83,11 @@ follow the window, which can be far wider.
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
+from operator import and_
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .engine import RingGB
+from .engine import RingGB, _covered, _starts
 from .freealg import (AlgebraPresentation, ModulePresentation, NcModElem,
                       elem_degree, homogeneous_degree, validate_presentation)
 from .homog import HomogenizationContext, eta_apply, homogenization_context
@@ -90,10 +95,11 @@ from .letterplace import (ColumnKeys, LpModElem, PlaceWindow,
                           WindowTooSmall, build_C, iota_inverse_word,
                           iota_module_elem, letterplace_ideal_gens)
 from .linalg import _eliminate, rref
-from .syzygy import elem_sdeg, minimalize_graded, syzygies_over_quotient
+from .syzygy import minimalize_graded, syzygies_over_quotient
 
 STAIR_GUARD = 10_000
 WINDOW_GUARD = 1_000_000  # places: keys and masks are as wide as a window
+BLOCK_GUARD = 50_000  # forced-block elements: build_C is quadratic in them
 
 
 class ResourceLimit(RuntimeError):
@@ -165,6 +171,10 @@ def _encode_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
             f"generator degree {max(degs)} exceeds degree bound {window}")
     need_t = any(s > 0 for s in ambient_shifts)
     m = _offset(ambient_shifts, use_tshift)
+    size = (alg.n_letters + need_t) * sum(d - m for d in degs)
+    if size > BLOCK_GUARD:
+        raise ResourceLimit(f"a forced block of {size} elements is above "
+                            f"the block guard of {BLOCK_GUARD}")
     if need_t:
         ctx: Optional[HomogenizationContext] = homogenization_context(
             alg, [s - m for s in ambient_shifts])
@@ -186,41 +196,31 @@ def _encode_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
 
 def _check_forced_block(enc: _StepEncoding,
                         block: Sequence[LpModElem]) -> Counter:
-    """The block's degree histogram, once every element is checked to be
-    new and an actual syzygy and the histogram to be L * deg(g_j)
-    elements in degree deg(g_j) + 1 for each generator g_j.  Elements
-    are told apart by their first term (j, x), keyed by the variable's
-    index when x is one variable: an injective key that hashes no mask
-    as wide as the block.  An element e_j * x(p) has degree deg(g_j) + 1,
-    and it is a syzygy when every term of g_j holds a variable at place
-    p, since each product then holds a collision, which is zero: one
-    test per term.  Every other element is evaluated (_check_syzygies)
-    and has its degree read off its terms."""
+    """The block's degree histogram, once each element is checked to be
+    new and a syzygy, and the histogram to be L * deg(g_j) elements in
+    degree deg(g_j) + 1 for each generator g_j.  Each element must be
+    e_j * x, x one variable at a place all terms of g_j cover (one mask
+    per generator): its products with g_j are place collisions, zero.
+    Elements are keyed (j, variable index), no block-wide mask."""
     L = enc.win.n_letters
-    seen, rest, general = set(), [], []
-    hist: Counter = Counter()
+    starts = _starts(max(gm for g in enc.gens_lp for _, gm in g), L)
+    tops = [reduce(and_, (_covered(gm, L, starts) for _, gm in g))
+            for g in enc.gens_lp]
+    places = [(t << 1) - (t >> L - 1) for t in tops]  # top bits to blocks
+    seen, hist = set(), Counter()
     for elem in block:
         j, x = next(iter(elem))
-        one = x.bit_count() == 1
-        seen.add((j, -x.bit_length()) if one else (j, x))  # masks are >= 0
-        if one and len(elem) == 1:
-            hist[enc.gen_degrees[j] + 1] += 1
-            place = ((1 << L) - 1) << (x.bit_length() - 1) // L * L
-            if all(gm & place for _, gm in enc.gens_lp[j]):
-                continue
-        else:
-            general.append(elem)
-        rest.append(elem)
+        if len(elem) != 1 or x.bit_count() != 1 or not x & places[j]:
+            raise AssertionError(
+                "forced-block element is not a syzygy; encoding broken")
+        seen.add((j, x.bit_length()))
+        hist[enc.gen_degrees[j] + 1] += 1
     if len(seen) != len(block):
         raise AssertionError("forced-block element is redundant")
-    _check_syzygies(enc, rest,
-                    "forced-block element is not a syzygy; encoding broken")
-    hist.update(elem_sdeg(enc.gen_degrees, e) for e in general)
     expected: Counter = Counter()
     for dj in enc.gen_degrees:
-        if dj:
-            expected[dj + 1] += enc.win.n_letters * dj
-    if +hist != +expected:
+        expected[dj + 1] += L * dj
+    if hist != +expected:
         raise AssertionError("forced-block degree histogram is off")
     return hist
 
@@ -304,22 +304,22 @@ def _stair_rows(enc: _StepEncoding,
 
 def _check_syzygies(enc: _StepEncoding, elems: Sequence[LpModElem],
                     message: str) -> None:
-    """Every element of `elems` must evaluate to zero against the encoded
-    generators, or AssertionError(message) is raised: in each component,
-    the sum of c * g_j * mono over its terms (j, mono) must reduce to
-    zero modulo the ring.  The sum is formed before it is reduced, so its
-    cancellations cost nothing.  A product holding a place collision is
-    zero in the ring (engine docstring): one whose factors share a
-    variable is dropped as it is formed, and the ring's normal form
-    sends one with two variables at a place to zero."""
-    ring = enc.ring
+    """Every element of `elems` must lie on places deg(g_j) on in each
+    term (j, mono) and evaluate to zero against the encoded generators,
+    or AssertionError(message) is raised: in each component, the sum of
+    c * g_j * mono over its terms must reduce to zero modulo the ring.
+    Each product gm | mono then joins disjoint places, so it holds no
+    collision, as the ring's reducer lookup requires.  The sum is formed
+    before it is reduced, so its cancellations cost nothing."""
+    ring, L = enc.ring, enc.win.n_letters
     add, mul, zero = ring.field.add, ring.field.mul, ring.field.zero
+    floors = [1 << d * L for d in enc.gen_degrees]
     for elem in elems:
         image: Dict[int, dict] = {}
         for (j, mono), c in elem.items():
+            if 0 < mono & -mono < floors[j]:  # a variable below deg(g_j)
+                raise AssertionError(message)
             for (comp, gm), cg in enc.gens_lp[j].items():
-                if gm & mono:
-                    continue
                 m = gm | mono
                 poly = image.setdefault(comp, {})
                 s = add(poly.get(m, zero), mul(c, cg))
@@ -327,7 +327,7 @@ def _check_syzygies(enc: _StepEncoding, elems: Sequence[LpModElem],
                     poly.pop(m, None)
                 else:
                     poly[m] = s
-        if any(ring.normal_form(p) for p in image.values()):
+        if any(ring._reduce_full(p) for p in image.values()):
             raise AssertionError(message)
 
 

@@ -180,6 +180,51 @@ def test_hostile_degree_bound_exits_5():
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+def _wide_shift_input(shift):
+    """k[x,y] with the module shifts (0, shift) and generators x e_0 and
+    y e_1, of degrees 1 and shift + 1."""
+    return json.dumps({
+        "field": "Q", "generators": ["x", "y"],
+        "relations": [[{"coeff": "1", "word": ["x", "y"]},
+                       {"coeff": "-1", "word": ["y", "x"]}]],
+        "module": {"shifts": [0, shift], "generators": [
+            [{"coeff": "1", "component": 0, "word": ["x"]}],
+            [{"coeff": "1", "component": 1, "word": ["y"]}]]}})
+
+
+def test_wide_component_shift_hits_the_block_guard(tmp_path):
+    """At shifts (0, 500000) a step's forced block would hold 3 * 500002
+    elements, each a mask as wide as the places up to its own: the run
+    stops before it encodes a generator, exit 5, one line, no output, in
+    under 2 s."""
+    path = tmp_path / "wide.json"
+    path.write_text(_wide_shift_input(500_000))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncres.cli", "resolve", str(path)],
+        capture_output=True, text=True, timeout=300,
+        cwd=Path(cli.__file__).resolve().parents[1])
+    assert time.perf_counter() - t0 < 2
+    assert proc.returncode == 5 and proc.stdout == ""
+    assert proc.stderr.startswith("error: resource limit: a forced block "
+                                  "of 1500006 elements is above the block "
+                                  "guard of 50000")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_component_shift_under_the_block_guard_resolves(tmp_path, capsys):
+    """At shifts (0, 16000) the forced block holds 48,006 elements, under
+    the guard: x e_0 and y e_1 generate freely, so the table is two
+    generators at each of levels 0 and 1."""
+    path = tmp_path / "wide.json"
+    path.write_text(_wide_shift_input(16_000))
+    assert cli.main(["resolve", str(path), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert {(b["homological"], b["slanted"], b["value"])
+            for b in doc["betti"]} == {(0, 0, 1), (0, 16_000, 1),
+                                       (1, 0, 1), (1, 16_000, 1)}
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_closed_stdout_exits_141_without_a_traceback(fmt):
     """Standard output is a pipe whose read end is closed before the run:

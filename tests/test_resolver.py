@@ -166,6 +166,52 @@ def test_forced_block_is_certified_without_evaluation(monkeypatch, tshift):
     assert evaluated == []
 
 
+def test_a_term_below_its_generator_fails_the_syzygy_check(monkeypatch):
+    """A term e_j * x(p) with p below deg(g_j) is no stair-row term: each
+    product of it with g_j holds a place collision, so it evaluates to
+    zero, and _check_syzygies rejects it by its places.  Every kept row of
+    the flagship's steps at D=7, with one such term added, fails the
+    check, for each component j of the row, place p and letter."""
+    kept = []
+    real = resolver._check_syzygies
+    monkeypatch.setattr(resolver, "_check_syzygies",
+                        lambda enc, elems, message: kept.extend(
+                            (enc, row) for row in elems)
+                        or real(enc, elems, message))
+    resolve(ResolutionRequest(augmentation_module(nilpotent_enveloping()),
+                              degree_bound=7, length_bound=7))
+    variants = 0
+    for enc, row in kept:
+        for j in {j for j, _ in row}:
+            for v in range(enc.gen_degrees[j] * enc.win.n_letters):
+                with pytest.raises(AssertionError, match="term below"):
+                    real(enc, [{**row, (j, 1 << v): enc.ring.field.one}],
+                         "term below")
+                variants += 1
+    assert len(kept) > 20 and variants > 600
+
+
+def test_flagship_reduces_each_monomial_once_and_no_collision(monkeypatch):
+    """The only RingGB.normal_form calls of a flagship resolve at D=10
+    over F_32003 are the memo misses of mono_normal_form (108), each on
+    one collision-free monomial: no check reduces an evaluation through
+    it, and none reduces a product that holds a place collision."""
+    doc = json.loads(FLAGSHIP.read_text(encoding="utf-8"))
+    doc["field"] = {"Fp": 32003}
+    mod = parse_input(json.dumps(doc))
+    calls = []
+    real = RingGB.normal_form
+
+    def counting(self, p):
+        calls.append((p, self.n_letters))
+        return real(self, p)
+    monkeypatch.setattr(RingGB, "normal_form", counting)
+    resolve(ResolutionRequest(mod, degree_bound=10, length_bound=7))
+    assert 0 < len(calls) <= 110
+    assert all(len(p) == 1 and not engine.place_collision(min(p), L)
+               for p, L in calls)
+
+
 def test_forced_block_non_syzygy_is_an_internal_error(monkeypatch, tmp_path,
                                                       capsys):
     build_C = resolver.build_C
@@ -532,26 +578,63 @@ def test_reducer_lookups_never_see_a_place_collision(monkeypatch):
 _real_raw = resolver.syzygies_over_quotient
 
 
+def _combination(field, terms):
+    """The sum of c * g over the (c, g) of `terms`, zero terms dropped."""
+    out = {}
+    for c, g in terms:
+        for t, x in g.items():
+            out[t] = field.add(out.get(t, field.zero), field.mul(c, x))
+    return {t: x for t, x in out.items() if x != field.zero}
+
+
 def _respanned(ring, gens, shifts):
     """The raw syzygies reversed, each scaled by 3, with the sum of each
     adjacent same-degree pair appended: the same span, another spanning
     set."""
     raw = _real_raw(ring, gens, shifts)
     field = ring.field
-    three = field.from_int(3)
-    out = [{t: field.mul(three, c) for t, c in g.items()}
+    three, one = field.from_int(3), field.from_int(1)
+    out = [_combination(field, [(three, g)])
            for g in reversed(raw.generators)]
     degs = raw.degrees[::-1]
     for k in range(len(out) - 1):
         if degs[k] == degs[k + 1]:
-            total = dict(out[k])
-            for t, c in out[k + 1].items():
-                total[t] = field.add(total.get(t, field.zero), c)
-            total = {t: c for t, c in total.items() if c != field.zero}
+            total = _combination(field, [(one, out[k]), (one, out[k + 1])])
             if total:
                 out.append(total)
                 degs.append(degs[k])
     return SyzygyResult(out, degs)
+
+
+def _perturbed(seed):
+    """The raw syzygies under a seeded change of spanning set: within each
+    degree, random non-zero scalings times a random unit upper-triangular
+    recombination (an invertible matrix), then a shuffle of all of them,
+    then random combinations of same-degree ones appended, which are
+    redundant: the same span, another spanning set."""
+    def raw_syzygies(ring, gens, shifts):
+        raw = _real_raw(ring, gens, shifts)
+        field, rng = ring.field, random.Random(seed)
+
+        def scalar(low):  # an integer in low .. 9
+            return field.from_int(rng.randint(low, 9))
+
+        at = {}
+        for g, d in zip(raw.generators, raw.degrees):
+            at.setdefault(d, []).append(g)
+        out = []
+        for d, gs in at.items():
+            out += [(d, _combination(field, [(scalar(1), g)] + [
+                (scalar(-9), h) for h in gs[i + 1:]]))
+                for i, g in enumerate(gs)]
+        rng.shuffle(out)
+        for _ in range(3 if at else 0):
+            d = rng.choice(sorted(at))
+            extra = _combination(field, [(scalar(-9), g) for g in at[d]])
+            if extra:
+                out.append((d, extra))
+        return SyzygyResult([g for _, g in out], [d for d, _ in out])
+    return raw_syzygies
 
 
 def _first_dropped(ring, gens, shifts):
@@ -562,17 +645,19 @@ def _first_dropped(ring, gens, shifts):
 def test_bytes_are_a_property_of_the_spaces(monkeypatch):
     """Each degree's output is the unique RREF of V_d modulo U_d (resolver
     docstring), so it does not depend on which raw syzygies span the
-    syzygy module: another spanning set, with redundant combinations,
-    renders the same bytes.  As the negative control, dropping the first
-    raw syzygy of every step changes the bytes or fails a step's check
-    (exit 4) on the flagship and the first two modules, where that
-    syzygy is needed."""
+    syzygy module: other spanning sets, a fixed one and three seeded
+    ones, each with redundant combinations, render the same bytes.  As
+    the negative control, dropping the first raw syzygy of every step
+    changes the bytes or fails a step's check (exit 4) on the flagship
+    and the first two modules, where that syzygy is needed."""
     changed = 0
     for name, req in _small_requests(6):
         monkeypatch.setattr(resolver, "syzygies_over_quotient", _real_raw)
         want = render_json(resolution_document(resolve(req)))
-        monkeypatch.setattr(resolver, "syzygies_over_quotient", _respanned)
-        assert render_json(resolution_document(resolve(req))) == want, name
+        for respan in [_respanned] + [_perturbed(seed) for seed in range(3)]:
+            monkeypatch.setattr(resolver, "syzygies_over_quotient", respan)
+            got = render_json(resolution_document(resolve(req)))
+            assert got == want, (name, respan)
         if name.startswith(("flagship", "module 0 ", "module 1 ")):
             monkeypatch.setattr(resolver, "syzygies_over_quotient",
                                 _first_dropped)
