@@ -40,9 +40,9 @@ bases (syzygy.py) two leads of one component.
 _find, the reducer lookup, does not test for collisions, as no monomial
 it is asked about holds one: the generators are validated, S-polynomials
 and normal forms of letterplace elements are letterplace (here and in
-the syzygy docstring), and the resolver's stair words, the products its
-_nf_sum and _check_syzygies reduce and the module bases' products join
-monomials on disjoint places.  The public normal forms, normal_form
+the syzygy docstring), and the products the resolver's _nf_sum and
+_check_syzygies reduce and the module bases' products join monomials on
+disjoint places.  The public normal forms, normal_form
 (mono_normal_form through it) and ModuleGB.normal_form, drop each term
 that holds a collision, as zero, before they reduce.
 

@@ -45,26 +45,33 @@ modulo the forced block, each is homogeneous and plain (an S-pair's
 cofactors divide leads of one component, whose reserved letters lie on
 its prefix), and no block element covers each place once (each holds a
 doubled place); so that part is the sum of r times the plain words on
-the places r leaves free.  The RREF of the rows, under the column order
-below, is the unique RREF of V_d, so it does not depend on which rows
-span it.  By the same argument the part of V_d that the output of lower
-degree generates, U_d, is spanned by the rows NF(o * u) over the emitted
-rows o.  A degree whose raw syzygies lie in
-U_d needs no generators.  Otherwise the kept rows are the RREF rows of
-V_d whose pivot is no pivot of U_d, emitted in ascending pivot order: a
-vector of V_d leads at the pivot of the first RREF row it uses, so row
-v_i lies in U_d plus the rows after it exactly when some vector of U_d
-leads at its pivot, and the kept rows are a basis of V_d modulo U_d.
-Then two checks certify the step, neither on a place collision.  Every
-term (j, mono) of a kept row must lie on places deg(g_j) on, so each
-product g_j * mono is letterplace, and every kept row must evaluate to
-zero against the encoded generators; and U_d and the raw syzygies of
-degree d must add no pivot to V_d.  The second makes V_d the sum of U_d
-and the kept rows, so every raw syzygy is spanned by checked rows and
-multiples of earlier ones.  So the emitted generators and the block
-(certified by its places, _check_forced_block) span the syzygy module
-through the window and are independent modulo lower degrees, and their
-count per degree is the Betti number.
+the places r leaves free.  Its RREF, under the column order below, is
+unique, so it does not depend on which rows span it.
+
+V_d is built from V_{d-1}, one degree at a time from the lowest raw
+degree up (the degree-by-degree strategy of La Scala & Stillman).  A
+standard plain word of length k >= 1 is u'x with u' standard (a word
+with a reducible prefix is reducible) and x one letter at place d - 1,
+and NF(r * u'x) = NF(NF(r * u') * x).  So U_d, the span of NF(v * x)
+over the rows v of V_{d-1} and the plain letters x at place d - 1, is
+the part of V_d that the raw syzygies of lower degree generate, and V_d
+is U_d plus the raw syzygies of degree d, already in normal form
+(syzygy docstring).  A degree whose raw syzygies lie in U_d needs no
+generators.  Otherwise the kept rows are the RREF rows of V_d whose
+pivot is no pivot of U_d, emitted in ascending pivot order: a vector of
+V_d leads at the pivot of the first RREF row it uses, so row v_i lies in
+U_d plus the rows after it exactly when some vector of U_d leads at its
+pivot, and the kept rows are a basis of V_d modulo U_d.  So V_d is U_d
+plus the kept rows, and by induction U_d is the part of V_d that the
+output of lower degree generates.  Every term (j, mono) of a kept row
+must lie on places deg(g_j) on, so each product g_j * mono is
+letterplace and holds no collision, and every kept row must evaluate to
+zero against the encoded generators.  By induction every row of V_d, and
+so every raw syzygy, is a combination of checked rows times words.  So
+the emitted generators and the block (certified by its places,
+_check_forced_block) span the syzygy module through the window and are
+independent modulo lower degrees, and their count per degree is the
+Betti number.
 
 The column order is by component, then by the ascending variable tuple
 of the monomial; the rows carry it as one int per column (ColumnKeys).
@@ -252,54 +259,28 @@ def _nf_sum(ring: RingGB, terms, cols: ColumnKeys) -> dict:
     return out
 
 
-def _normal_words(enc: _StepEncoding, start: int, stop: int) -> List[int]:
-    """The standard monomials of the plain words (original letters only)
-    on places start .. stop - 1, in ascending word order.  A word with a
-    reducible prefix is reducible, so each place extends only the
-    standard words of the places before it."""
-    L, ring = enc.win.n_letters, enc.ring
-    words = [0]
-    for p in range(start, stop):
-        letters = [1 << (p * L + a) for a in range(enc.n_base)]
-        words = [w for u in words for w in (u | x for x in letters)
-                 if ring._find(w) is None]
-        if len(words) > STAIR_GUARD:
-            raise ResourceLimit(
-                f"more than {STAIR_GUARD} stair words on places {start + 1}"
-                f"..{stop}; this instance is out of desk scale")
-    return words
-
-
-def _stair_rows(enc: _StepEncoding,
-                sources: Sequence[Tuple[LpModElem, int]],
-                degree: int, cols: ColumnKeys) -> List[dict]:
-    """RREF basis, rows in ascending pivot order, of the span of
-    NF(r * u) over the (r, deg r) of `sources` with deg r <= degree and
-    the standard plain words u on places deg r .. degree - 1, each term
-    (component j, encoded word on places deg(g_j) .. degree - 1) under
-    its int column key in `cols`, the degree's ColumnKeys.  Over the raw
-    syzygies that is the stair subspace V_d, the degree-`degree`
-    syzygies whose coefficients are plain words; over the output of lower
-    degree, its part U_d that output generates (module docstring).  A
-    reducible u is a combination of smaller standard words modulo the
-    ring, so its row is one of theirs."""
-    rows: List[dict] = []
-    words_at: Dict[int, List[int]] = {}
-    for r, dr in sources:
-        if dr > degree:
-            continue
-        words = words_at.get(dr)
-        if words is None:
-            words = words_at[dr] = _normal_words(enc, dr, degree)
-        if len(rows) + len(words) > STAIR_GUARD:
-            raise ResourceLimit(
-                f"more than {STAIR_GUARD} stair rows at degree {degree}; "
-                f"this instance is out of desk scale")
-        # r's terms end at place deg r, where u begins
-        rows += [_nf_sum(enc.ring, ((j, m | u, c) for (j, m), c in r.items()),
-                         cols)
-                 for u in words]
-    return rref(rows, enc.ring.field)[0]
+def _stair_space(enc: _StepEncoding, below: Sequence[LpModElem],
+                 raw_rows: List[dict], d: int,
+                 cols: ColumnKeys) -> Tuple[dict, List[dict]]:
+    """(U_d, V_d) at degree d (module docstring), rows under the degree's
+    column keys `cols`.  U_d is the pivot map {pivot: row} of an echelon
+    basis of NF(v * x), over the rows v of V_{d-1} (`below`, keyed
+    (j, m)) and the plain letters x at place d - 1.  V_d is U_d's rows
+    when the raw rows of degree d lie in U_d, else the RREF rows, in
+    ascending pivot order, of U_d and the raw rows."""
+    field, L = enc.ring.field, enc.win.n_letters
+    letters = [1 << (d - 1) * L + a for a in range(enc.n_base)]
+    if len(below) * len(letters) > STAIR_GUARD:
+        raise ResourceLimit(
+            f"more than {STAIR_GUARD} stair rows at degree {d}; "
+            f"this instance is out of desk scale")
+    # v's terms end at place d - 1, where x lies
+    lower = _eliminate([_nf_sum(enc.ring, ((j, m | x, c)
+                                           for (j, m), c in v.items()), cols)
+                        for v in below for x in letters], field)
+    if _spans(lower, raw_rows, field):
+        return lower, list(lower.values())
+    return lower, rref(list(lower.values()) + raw_rows, field)[0]
 
 
 def _check_syzygies(enc: _StepEncoding, elems: Sequence[LpModElem],
@@ -365,35 +346,23 @@ def syzygy_step(alg: AlgebraPresentation, ambient_shifts: Sequence[int],
     hist_block = _check_forced_block(
         enc, build_C(enc.win, field, enc.gen_degrees))
 
-    raw_deg = list(zip(raw.generators, raw.degrees))
     raw_at: Dict[int, List[LpModElem]] = {}
-    for e, d in raw_deg:
+    for e, d in zip(raw.generators, raw.degrees):
         raw_at.setdefault(d, []).append(e)
-    emitted: List[Tuple[LpModElem, int]] = []
+    below: List[LpModElem] = []  # V_{d-1}
     hist_rest: Counter = Counter()
     out_elems: List[NcModElem] = []
     out_degrees: List[int] = []
-    for d in sorted(raw_at):
+    for d in range(min(raw_at, default=0), max(raw_at, default=-1) + 1):
         cols = ColumnKeys(d, enc.win.n_letters)
-        raw_rows = [cols.encode(e) for e in raw_at[d]]
-        # U_d: the stair rows the output of lower degree generates, none
-        # while there is no such output
-        lower = {min(row): row for row in
-                 _stair_rows(enc, emitted, d, cols)} if emitted else {}
-        if _spans(lower, raw_rows, field):
-            continue
-        stair = _stair_rows(enc, raw_deg, d, cols)
-        fresh = [cols.decode(row) for row in stair if min(row) not in lower]
+        lower, stair = _stair_space(
+            enc, below, [cols.encode(e) for e in raw_at.get(d, ())], d, cols)
+        below = [cols.decode(row) for row in stair]
+        fresh = [v for row, v in zip(stair, below) if min(row) not in lower]
         _check_syzygies(enc, fresh, f"stair row at degree {d} is not a syzygy")
-        if not _spans({min(row): row for row in stair},
-                      list(lower.values()) + raw_rows, field):
-            raise AssertionError(
-                f"stair subspace at degree {d} does not generate the "
-                "syzygies")
         for lp_elem in fresh:  # ascending pivots
             nc = {(j, iota_inverse_word(enc.win, mono, enc.gen_degrees[j])): c
                   for (j, mono), c in lp_elem.items()}
-            emitted.append((lp_elem, d))
             out_elems.append(nc)
             out_degrees.append(d + enc.offset)
         hist_rest[d] = len(fresh)

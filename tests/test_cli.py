@@ -15,6 +15,7 @@ import ncres.monores as monores
 from ncres.resolver import BettiTable, ResourceLimit
 
 FLAGSHIP = Path(__file__).resolve().parent / "data" / "flagship.json"
+BRAID = Path(__file__).resolve().parent / "data" / "braid.json"
 
 SQUARE = json.dumps({
     "field": "Q", "generators": ["x"],
@@ -209,6 +210,23 @@ def test_wide_component_shift_hits_the_block_guard(tmp_path):
     assert proc.stderr.startswith("error: resource limit: a forced block "
                                   "of 1500006 elements is above the block "
                                   "guard of 50000")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_braid_past_the_stair_guard_fails_fast():
+    """k<x,y>/(xyx - yxy) at degree bound 22, length 5: the stair rows of
+    degree 21 would be more than STAIR_GUARD, and the run stops before
+    it forms them, exit 5, one line, no output, in under 4 s."""
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncres.cli", "resolve", str(BRAID),
+         "--degree-bound", "22", "--length", "5"],
+        capture_output=True, text=True, timeout=300,
+        cwd=Path(cli.__file__).resolve().parents[1])
+    assert time.perf_counter() - t0 < 4
+    assert proc.returncode == 5 and proc.stdout == ""
+    assert proc.stderr.startswith("error: resource limit: more than 10000 "
+                                  "stair rows")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 

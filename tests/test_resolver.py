@@ -18,6 +18,7 @@ from ncres.field import rationals
 from ncres.freealg import (AlgebraPresentation, ModulePresentation,
                            validate_presentation)
 from ncres.letterplace import PlaceWindow, build_C, iota_word
+from ncres.linalg import rref
 import ncres.cli as cli
 import ncres.resolver as resolver
 from ncres import engine
@@ -193,7 +194,7 @@ def test_a_term_below_its_generator_fails_the_syzygy_check(monkeypatch):
 
 def test_flagship_reduces_each_monomial_once_and_no_collision(monkeypatch):
     """The only RingGB.normal_form calls of a flagship resolve at D=10
-    over F_32003 are the memo misses of mono_normal_form (108), each on
+    over F_32003 are the memo misses of mono_normal_form (72), each on
     one collision-free monomial: no check reduces an evaluation through
     it, and none reduces a product that holds a place collision."""
     doc = json.loads(FLAGSHIP.read_text(encoding="utf-8"))
@@ -207,7 +208,7 @@ def test_flagship_reduces_each_monomial_once_and_no_collision(monkeypatch):
         return real(self, p)
     monkeypatch.setattr(RingGB, "normal_form", counting)
     resolve(ResolutionRequest(mod, degree_bound=10, length_bound=7))
-    assert 0 < len(calls) <= 110
+    assert 0 < len(calls) <= 75
     assert all(len(p) == 1 and not engine.place_collision(min(p), L)
                for p, L in calls)
 
@@ -236,62 +237,6 @@ def test_forced_block_non_syzygy_is_an_internal_error(monkeypatch, tmp_path,
             [{"coeff": "1", "component": 0, "word": ["y"]}]]}}))
     assert cli.main(["resolve", str(path), "--degree-bound", "3"]) == 4
     assert "not a syzygy" in capsys.readouterr().err
-
-
-def test_incomplete_stair_frame_is_an_internal_error(monkeypatch):
-    stair_rows = resolver._stair_rows
-    # keep only the rows supported on the first component
-    monkeypatch.setattr(resolver, "_stair_rows",
-                        lambda enc, raw, d, cols: [
-                            row for row in stair_rows(enc, raw, d, cols)
-                            if all(j == 0 for j, _ in cols.decode(row))])
-    gens = [{(0, (0,)): ONE}, {(0, (1,)): ONE}]
-    with pytest.raises(AssertionError, match="does not generate"):
-        syzygy_step(_poly_ring_2(), [0], gens, window=3)
-
-
-def _raw_sourced(monkeypatch):
-    """A predicate telling the (row, degree) pairs a step hands _stair_rows
-    from its raw syzygies (V_d) apart from those of its output of lower
-    degree (U_d): every raw syzygy of the resolve is recorded as it is
-    collected."""
-    raw_ids, sources = set(), []
-    real = resolver.syzygies_over_quotient
-
-    def recording(ring, gens, shifts):
-        raw = real(ring, gens, shifts)
-        sources.append(raw)  # keeps the recorded ids unique
-        raw_ids.update(id(r) for r in raw.generators)
-        return raw
-
-    monkeypatch.setattr(resolver, "syzygies_over_quotient", recording)
-    return lambda pairs: bool(pairs) and all(id(r) in raw_ids
-                                             for r, _ in pairs)
-
-
-def test_lower_output_outside_the_stair_subspace_is_an_internal_error(
-        monkeypatch, capsys):
-    """Stair rows built from the raw syzygies of degree d alone miss the
-    multiples of lower-degree output, so those rows add pivots to V_d:
-    resolve() raises, and the CLI exits 4 with one line."""
-    from_raw = _raw_sourced(monkeypatch)
-    real = resolver._stair_rows
-
-    def top_degree_only(enc, pairs, d, cols):
-        if from_raw(pairs):
-            pairs = [(r, dr) for r, dr in pairs if dr == d]
-        return real(enc, pairs, d, cols)
-
-    monkeypatch.setattr(resolver, "_stair_rows", top_degree_only)
-    with pytest.raises(AssertionError, match="does not generate"):
-        resolve(ResolutionRequest(augmentation_module(nilpotent_enveloping()),
-                                  degree_bound=5, length_bound=7))
-    rc = cli.main(["resolve", str(FLAGSHIP), "--degree-bound", "5"])
-    captured = capsys.readouterr()
-    assert rc == 4 and captured.out == ""
-    assert captured.err.startswith("error: internal invariant violated")
-    assert "does not generate" in captured.err
-    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def _with_non_syzygy(monkeypatch):
@@ -328,7 +273,7 @@ def test_raw_non_syzygy_is_an_internal_error(monkeypatch, capsys):
 
 
 def test_stair_guard_exits_5_on_a_real_resolve(monkeypatch, capsys):
-    """Past STAIR_GUARD stair rows or words, a real resolve of the
+    """Past STAIR_GUARD stair rows at one degree, a real resolve of the
     flagship stops with exit 5 and one line, before any output."""
     monkeypatch.setattr(resolver, "STAIR_GUARD", 5)
     rc = cli.main(["resolve", str(FLAGSHIP), "--degree-bound", "6"])
@@ -799,58 +744,54 @@ def test_ev_image_matches_one_normal_form_per_component(monkeypatch, tshift):
 
 
 def _recorded_stair_rows(monkeypatch, req):
-    """(enc, degree, rows, from_raw, cols) of every _stair_rows call of a
-    resolve, the rows decoded to (component, monomial) keys through the
-    degree's column keys cols: from_raw when the rows come from the
-    step's raw syzygies (V_d), not from its output of lower degree
-    (U_d)."""
+    """(enc, degree, U_d rows, V_d rows, cols) at every degree of every
+    step's walk of a resolve, the rows under the degree's column keys
+    cols."""
     calls = []
-    from_raw = _raw_sourced(monkeypatch)
-    real = resolver._stair_rows
+    real = resolver._stair_space
 
-    def recording(enc, pairs, d, cols):
-        rows = real(enc, pairs, d, cols)
-        calls.append((enc, d, [cols.decode(row) for row in rows],
-                      from_raw(pairs), cols))
-        return rows
+    def recording(enc, below, raw_rows, d, cols):
+        lower, stair = real(enc, below, raw_rows, d, cols)
+        calls.append((enc, d, [dict(row) for row in lower.values()],
+                      [dict(row) for row in stair], cols))
+        return lower, stair
 
-    monkeypatch.setattr(resolver, "_stair_rows", recording)
+    monkeypatch.setattr(resolver, "_stair_space", recording)
     resolve(req)
     return calls
 
 
 def _assert_rows_match_evaluation(calls):
-    """Rows from the raw syzygies are the RREF of the evaluation kernel;
-    rows from lower output span a subspace of it."""
-    for enc, d, rows, from_raw, cols in calls:
+    """V_d, after RREF, is the RREF of the evaluation kernel, and is that
+    RREF itself at a degree that emits; U_d lies in it."""
+    for enc, d, lower, stair, cols in calls:
         frame = stair_frame(enc, d)
         # frame positions are key order
         assert frame == sorted(frame, key=row_key)
-        kernel = evaluated_stair_rows(enc, d)
-        if from_raw:
-            assert rows == kernel
-        else:
-            pivots = {min(row): row for row in map(cols.encode, kernel)}
-            assert resolver._spans(pivots, [cols.encode(row) for row in rows],
-                                   enc.ring.field)
+        field = enc.ring.field
+        kernel = [cols.encode(row) for row in evaluated_stair_rows(enc, d)]
+        assert rref(stair, field)[0] == kernel
+        if {min(row) for row in stair} != {min(row) for row in lower}:
+            assert stair == kernel
+        assert resolver._spans({min(row): row for row in kernel}, lower,
+                               field)
 
 
 @pytest.mark.parametrize("field", ["Q", {"Fp": 32003}])
 @pytest.mark.parametrize("tshift", [True, False])
 def test_stair_rows_equal_the_evaluation_kernel_on_the_flagship(
         monkeypatch, field, tshift):
-    """The RREF of NF(r * u) over the raw syzygies r is the RREF of the
-    kernel of evaluation on the whole stair frame, at every marked degree
-    of every step of the flagship at D=7, and the rows NF(o * u) over the
-    output o of lower degree lie in that kernel."""
+    """V_d, built from V_{d-1} and the raw syzygies of degree d, has the
+    RREF of the kernel of evaluation on the whole stair frame, at every
+    degree of the walk of every step of the flagship at D=7, and U_d,
+    built from V_{d-1} alone, lies in that kernel."""
     doc = json.loads(FLAGSHIP.read_text(encoding="utf-8"))
     doc["field"] = field
     mod = parse_input(json.dumps(doc))
     calls = _recorded_stair_rows(monkeypatch, ResolutionRequest(
         mod, degree_bound=7, length_bound=7, tshift=tshift))
-    from_raw = [call for call in calls if call[3]]
-    assert len(from_raw) >= 4 and len({id(c[0]) for c in from_raw}) == 3
-    assert any(rows for _, _, rows, raw, _ in calls if not raw)
+    assert len(calls) >= 4 and len({id(c[0]) for c in calls}) == 3
+    assert any(lower for _, _, lower, _, _ in calls)
     _assert_rows_match_evaluation(calls)
 
 
@@ -869,7 +810,7 @@ def test_stair_rows_equal_the_evaluation_kernel_on_random_algebras(
             calls = _recorded_stair_rows(monkeypatch, ResolutionRequest(
                 mod, degree_bound=6, length_bound=4, tshift=tshift))
             _assert_rows_match_evaluation(calls)
-            seen += sum(from_raw for _, _, _, from_raw, _ in calls)
+            seen += len(calls)
     assert seen > 40
 
 
